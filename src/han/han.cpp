@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "han/synth/schedule_builder.hpp"
+#include "han/synth/spec.hpp"
 #include "han/task/builders.hpp"
 #include "han/task/scheduler.hpp"
 
@@ -14,19 +14,6 @@ using coll::CollConfig;
 using coll::CollKind;
 using mpi::BufView;
 using mpi::Request;
-
-/// Resolve cfg.sched into a validated SynthSpec of the expected kind.
-/// A config naming a schedule is either synthesizer output or a cached
-/// table entry; a malformed or wrong-kind id there is corruption, not a
-/// fallback situation.
-synth::SynthSpec resolve_sched(const HanConfig& cfg, CollKind kind) {
-  synth::SynthSpec spec;
-  HAN_ASSERT_MSG(synth::SynthSpec::parse(cfg.sched, &spec),
-                 "cfg.sched is not a valid synthesized-schedule id");
-  HAN_ASSERT_MSG(spec.kind == kind,
-                 "cfg.sched names a schedule for a different collective");
-  return spec;
-}
 
 }  // namespace
 
@@ -185,14 +172,6 @@ bool node_contiguous(const Hierarchy& hc) {
 mpi::Request HanModule::ibcast_cfg(const mpi::Comm& comm, int me, int root,
                                    BufView buf, mpi::Datatype dtype,
                                    const HanConfig& cfg) {
-  if (!cfg.sched.empty()) {
-    const synth::SynthSpec spec = resolve_sched(cfg, CollKind::Bcast);
-    return task::TaskScheduler::run(
-        rt(),
-        synth::build_schedule_bcast(*this, comm, me, root, buf, dtype, cfg,
-                                    spec),
-        cfg.window, comm.world_rank(me));
-  }
   return task::TaskScheduler::run(
       rt(), task::build_bcast(*this, comm, me, root, buf, dtype, cfg),
       cfg.window, comm.world_rank(me));
@@ -227,14 +206,6 @@ mpi::Request HanModule::iallreduce_cfg(const mpi::Comm& comm, int me,
                                        BufView send, BufView recv,
                                        mpi::Datatype dtype, mpi::ReduceOp op,
                                        const HanConfig& cfg) {
-  if (!cfg.sched.empty()) {
-    const synth::SynthSpec spec = resolve_sched(cfg, CollKind::Allreduce);
-    return task::TaskScheduler::run(
-        rt(),
-        synth::build_schedule_allreduce(*this, comm, me, send, recv, dtype,
-                                        op, cfg, spec),
-        cfg.window, comm.world_rank(me));
-  }
   return task::TaskScheduler::run(
       rt(),
       task::build_allreduce(*this, comm, me, send, recv, dtype, op, cfg),
@@ -256,19 +227,19 @@ mpi::Request HanModule::iallreduce_multileader(const mpi::Comm& comm, int me,
                                                const HanConfig& cfg,
                                                int leaders) {
   Hierarchy& hc = flat_hierarchy(comm);
-  const mpi::Comm& low = hc.low(me);
-  const bool has_intra = low.size() > 1;
-  const bool has_inter = hc.up(me) != nullptr;
-  const int k = std::max(1, std::min(leaders, low.size()));
-  if (!has_inter || !has_intra || k == 1) {
+  const int k = std::min({leaders, hc.low(me).size(),
+                          synth::SynthSpec::kMaxLeaders});
+  if (hc.up(me) == nullptr || k <= 1) {
     // Degenerate shapes reuse the single-leader pipeline.
     return iallreduce_cfg(comm, me, send, recv, dtype, op, cfg);
   }
-  return task::TaskScheduler::run(
-      rt(),
-      task::build_allreduce_multileader(*this, comm, me, send, recv, dtype,
-                                        op, cfg, k),
-      cfg.window, comm.world_rank(me));
+  // The multi-leader pipeline is the paper's schedule striped over k
+  // leaders: the canonical spec with k > 1.
+  synth::SynthSpec spec = synth::SynthSpec::canonical(CollKind::Allreduce);
+  spec.leaders = k;
+  HanConfig striped = cfg;
+  striped.sched = spec.id();
+  return iallreduce_cfg(comm, me, send, recv, dtype, op, striped);
 }
 
 mpi::Request HanModule::igather(const mpi::Comm& comm, int me, int root,

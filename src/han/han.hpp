@@ -100,6 +100,8 @@ class HanModule : public coll::CollModule {
   /// leader-side protocol processing and reduction trees the way
   /// Bayatpour et al.'s multi-leader designs do. `leaders` is clamped to
   /// the node width; 1 degenerates to the paper's single-leader pipeline.
+  /// Runs as the canonical synthesized schedule with k leaders
+  /// (task/builders.hpp).
   mpi::Request iallreduce_multileader(const mpi::Comm& comm, int me,
                                       mpi::BufView send, mpi::BufView recv,
                                       mpi::Datatype dtype, mpi::ReduceOp op,

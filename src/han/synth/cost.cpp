@@ -13,20 +13,9 @@ int ceil_log2(int n) {
   return std::max(bits, 1);
 }
 
-/// The universal dependency-chain order; every kind's chain (flat or
-/// three-level) is a subsequence. A stage's prerequisite is the nearest
-/// earlier element the spec actually contains.
-const char* const kChain[] = {"sr", "mr", "ir", "ib", "mb", "sb"};
-constexpr int kChainLen = 6;
+constexpr int kChainLen = static_cast<int>(kChain.size());
 
-int chain_pos(const std::string& role) {
-  for (int p = 0; p < kChainLen; ++p) {
-    if (role == kChain[p]) return p;
-  }
-  return -1;
-}
-
-/// Replay the parametric builder's emission on the abstract machine and
+/// Replay the ladder builder's emission on the abstract machine and
 /// return the makespan. Lane 0 is the shared intra lane (sr/sb and — the
 /// memory bus serializes them — the mid stages mr/mb); lanes 1..k are the
 /// per-leader inter lanes (stripe owner of segment i is i % k).

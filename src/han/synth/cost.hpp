@@ -7,7 +7,7 @@
 // its own up communicator). Task costs are affine in the segment length,
 // scaled by the log-depth of the level's tree — abstract units, only the
 // relative ordering matters. The walk replays the exact emission the
-// parametric builder performs (same stage order, same lags, same
+// ladder builder performs for a spec (same stage order, same lags, same
 // dependency chain, same frontier/window gating as the TaskScheduler), in
 // the spirit of autotune/costmodel.cpp's step-signature walks: the pruner
 // and the builder cannot disagree about structure.

@@ -7,16 +7,6 @@ namespace han::synth {
 
 namespace {
 
-/// The dependency-chain order of each kind (prerequisite first).
-std::vector<std::string> chain_roles(coll::CollKind kind, bool three_level) {
-  if (kind == coll::CollKind::Bcast) {
-    if (three_level) return {"ib", "mb", "sb"};
-    return {"ib", "sb"};
-  }
-  if (three_level) return {"sr", "mr", "ir", "ib", "mb", "sb"};
-  return {"sr", "ir", "ib", "sb"};
-}
-
 void push_if_valid(std::vector<SynthSpec>& out, SynthSpec spec) {
   if (spec.validate().empty()) out.push_back(std::move(spec));
 }

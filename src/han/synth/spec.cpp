@@ -14,26 +14,6 @@ const char* kind_tag(coll::CollKind kind) {
   }
 }
 
-bool known_role(const std::string& role) {
-  return role == "sr" || role == "ir" || role == "ib" || role == "sb" ||
-         role == "mr" || role == "mb";
-}
-
-/// The dependency chain of each kind, prerequisite first. A stage's
-/// prerequisite is the previous element that the spec actually contains.
-/// Specs carrying a mid role use the three-level ladder's chain
-/// (docs/HIERARCHY.md).
-const std::vector<std::string>& dep_chain(coll::CollKind kind,
-                                          bool three_level) {
-  static const std::vector<std::string> kAllreduce{"sr", "ir", "ib", "sb"};
-  static const std::vector<std::string> kBcast{"ib", "sb"};
-  static const std::vector<std::string> kAllreduce3{"sr", "mr", "ir",
-                                                    "ib", "mb", "sb"};
-  static const std::vector<std::string> kBcast3{"ib", "mb", "sb"};
-  if (kind == coll::CollKind::Bcast) return three_level ? kBcast3 : kBcast;
-  return three_level ? kAllreduce3 : kAllreduce;
-}
-
 /// Parse a non-negative integer at s[pos..]; advances pos past the
 /// digits. Returns -1 when no digit is present or the value overflows a
 /// small sane bound (lags and leader counts are tiny).
@@ -49,6 +29,25 @@ int parse_small_int(const std::string& s, std::size_t* pos) {
 }
 
 }  // namespace
+
+const std::vector<std::string>& chain_roles(coll::CollKind kind,
+                                            bool three_level) {
+  // Filtered out of kChain once, indexed [bcast][three_level]: validate()
+  // runs on every parsed id and every enumerated candidate.
+  static const std::array<std::vector<std::string>, 4> kChains = [] {
+    std::array<std::vector<std::string>, 4> chains;
+    for (int c = 0; c < 4; ++c) {
+      for (std::string_view role : kChain) {
+        if (c >= 2 && role[1] != 'b') continue;     // bcast: ib, mb, sb
+        if (c % 2 == 0 && role[0] == 'm') continue;  // flat: no mid roles
+        chains[c].emplace_back(role);
+      }
+    }
+    return chains;
+  }();
+  return kChains[(kind == coll::CollKind::Bcast ? 2 : 0) +
+                 (three_level ? 1 : 0)];
+}
 
 std::string SynthSpec::id() const {
   std::string out = kind_tag(kind) == nullptr ? "??" : kind_tag(kind);
@@ -99,7 +98,7 @@ bool SynthSpec::parse(const std::string& text, SynthSpec* out) {
     if (pos + 2 > text.size()) return false;
     StageSlot slot;
     slot.role = text.substr(pos, 2);
-    if (!known_role(slot.role)) return false;
+    if (chain_pos(slot.role) < 0) return false;
     pos += 2;
     slot.lag = parse_small_int(text, &pos);
     if (slot.lag < 0) return false;
@@ -137,7 +136,7 @@ std::string SynthSpec::validate() const {
   if (kind_tag(kind) == nullptr) {
     return "synth spec: unsupported collective kind";
   }
-  const std::vector<std::string>& chain = dep_chain(kind, three_level());
+  const std::vector<std::string>& chain = chain_roles(kind, three_level());
   // Exactly the kind's stage multiset, each role once.
   if (stages.size() != chain.size()) {
     return "synth spec: expected " + std::to_string(chain.size()) +

@@ -8,9 +8,10 @@
 // (task/shapes.hpp): the ordered stage list with per-stage pipeline lags,
 // plus a leader (stripe) count. Together with the ordinary Table II knobs
 // carried by HanConfig (fs, imod, smod, algorithms, window) it fully
-// determines a TaskGraph, built by synth::build_schedule_* — so a
-// synthesized schedule can be cached in the autotuner LookupTable and
-// dispatched exactly like a tuned configuration (HanConfig::sched).
+// determines a TaskGraph, built by the ladder builders task::build_bcast /
+// task::build_allreduce — so a synthesized schedule can be cached in the
+// autotuner LookupTable and dispatched exactly like a tuned configuration
+// (HanConfig::sched).
 //
 // The id grammar is space-free (HanConfig::to_string tokens are
 // space-separated) and versioned:
@@ -35,12 +36,36 @@
 // for equal lags) that make the built graph well-formed by construction.
 #pragma once
 
+#include <array>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "coll/types.hpp"
 
 namespace han::synth {
+
+/// Every stage role in dependency order, prerequisite first: the reduce
+/// stages ascend the ladder (sr → mr → ir), the bcast stages descend it
+/// (ib → mb → sb). Each kind's chain (chain_roles) is a subsequence, and a
+/// stage's prerequisite is the nearest earlier role a spec contains. The
+/// validator, the generator, the cost walk and the ladder builder all read
+/// this one table.
+inline constexpr std::array<std::string_view, 6> kChain{"sr", "mr", "ir",
+                                                        "ib", "mb", "sb"};
+
+/// Position of `role` in kChain; -1 for an unknown role.
+constexpr int chain_pos(std::string_view role) {
+  for (std::size_t p = 0; p < kChain.size(); ++p) {
+    if (kChain[p] == role) return static_cast<int>(p);
+  }
+  return -1;
+}
+
+/// The dependency chain of one kind: allreduce walks all of kChain, bcast
+/// its descending half; flat chains skip the mid roles.
+const std::vector<std::string>& chain_roles(coll::CollKind kind,
+                                            bool three_level);
 
 /// One pipeline stage of a synthesized schedule: the stage role (the
 /// shape-primitive names of task/shapes.hpp) and its pipeline lag —

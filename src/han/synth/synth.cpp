@@ -7,7 +7,7 @@
 #include "autotune/search.hpp"
 #include "coll/registry.hpp"
 #include "han/han.hpp"
-#include "han/synth/schedule_builder.hpp"
+#include "han/task/builders.hpp"
 #include "han/verify/verify.hpp"
 #include "machine/machine.hpp"
 #include "parallel/pool.hpp"
@@ -34,19 +34,19 @@ struct SynthWorld {
   core::HanModule han;
 };
 
-/// Per-rank graphs of one candidate, built by the same parametric builder
-/// the dispatch path uses.
+/// Per-rank graphs of one candidate (cfg.sched names its spec), built by
+/// the same ladder builder the dispatch path uses.
 task::TaskGraph build_candidate(SynthWorld& sw, const mpi::Comm& wc, int me,
                                 CollKind kind, std::size_t bytes,
-                                const HanConfig& cfg, const SynthSpec& spec) {
+                                const HanConfig& cfg) {
   if (kind == CollKind::Bcast) {
-    return build_schedule_bcast(sw.han, wc, me, /*root=*/0,
-                                BufView::timing_only(bytes), Datatype::Byte,
-                                cfg, spec);
+    return task::build_bcast(sw.han, wc, me, /*root=*/0,
+                             BufView::timing_only(bytes), Datatype::Byte,
+                             cfg);
   }
-  return build_schedule_allreduce(sw.han, wc, me, BufView::timing_only(bytes),
-                                  BufView::timing_only(bytes), Datatype::Byte,
-                                  mpi::ReduceOp::Sum, cfg, spec);
+  return task::build_allreduce(sw.han, wc, me, BufView::timing_only(bytes),
+                               BufView::timing_only(bytes), Datatype::Byte,
+                               mpi::ReduceOp::Sum, cfg);
 }
 
 /// The soundness gate: structural validation plus the cross-rank deadlock
@@ -57,8 +57,7 @@ void gate_candidate(SynthWorld& sw, CollKind kind, std::size_t bytes,
   const mpi::Comm& wc = sw.world.world_comm();
   std::vector<verify::GraphSummary> summaries;
   for (int me = 0; me < wc.size(); ++me) {
-    task::TaskGraph g =
-        build_candidate(sw, wc, me, kind, bytes, cand.cfg, cand.spec);
+    task::TaskGraph g = build_candidate(sw, wc, me, kind, bytes, cand.cfg);
     if (!task::validate_graph(g).empty()) {
       cand.verify_errors += 1;
       return;

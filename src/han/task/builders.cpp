@@ -8,14 +8,17 @@
 
 #include "han/han_util.hpp"
 #include "han/hierarchy.hpp"
+#include "han/synth/spec.hpp"
 #include "han/task/shapes.hpp"
 #include "han/task/stripe.hpp"
+#include "simbase/assert.hpp"
 
 namespace han::task {
 
 namespace {
 
 using coll::CollConfig;
+using coll::CollKind;
 using coll::CollModule;
 using coll::Segmenter;
 using core::HanConfig;
@@ -120,6 +123,196 @@ CollModule* ladder_module(core::HanModule& m, const Ladder& lad, int l,
   return m.intra_module(cfg);
 }
 
+// ---------------------------------------------------------------------------
+// Schedules: which stages a ladder pipeline runs, in what order, at what
+// lags, over how many leader stripes.
+// ---------------------------------------------------------------------------
+
+/// One rank's resolved pipeline: a ladder per leader stripe (segment i
+/// runs on lads[i % k]), the stage list in per-step emission order, and
+/// the rail stripe of its inter stages.
+struct Pipeline {
+  std::vector<Ladder> lads;
+  std::vector<StageSpec> stages;
+  int sf = 1;
+
+  const Ladder& lad(int seg) const {
+    return lads[static_cast<std::size_t>(seg) % lads.size()];
+  }
+};
+
+/// Map a spec's stages onto the ladder's tiers: s* runs on tier 0, m* on
+/// the mid tier, i* on the inter tier. A role whose tier the ladder lacks
+/// drops out (its dependents fall through to the nearest emitted stage).
+std::vector<StageSpec> spec_stages(const synth::SynthSpec& spec,
+                                   const Ladder& lad) {
+  std::vector<StageSpec> out;
+  for (const synth::StageSlot& slot : spec.stages) {
+    // kChain ascends s→m→i with the reduces, then descends i→m→s with
+    // the bcasts: the position names the op and the rung.
+    const int p = synth::chain_pos(slot.role);
+    const bool reduce = p < 3;
+    const int rung = reduce ? p : 5 - p;  // 0 = s*, 1 = m*, 2 = i*
+    int tier = -1;
+    if (rung == 0) {
+      tier = 0;
+    } else {
+      const Level want = rung == 1 ? Level::Mid : Level::Inter;
+      for (int l = 1; l < lad.de() && tier < 0; ++l) {
+        if (lad.level[l] == want) tier = l;
+      }
+    }
+    if (tier < 0) continue;
+    out.push_back({synth::kChain[p].data(), reduce ? Op::Reduce : Op::Bcast,
+                   lad.level[tier], slot.lag, true, tier});
+  }
+  return out;
+}
+
+/// Resolve cfg's schedule for one rooted ladder operation. sched = ""
+/// (and any reduce, which has no spec grammar) runs the hand-written
+/// ladder shapes on the ladder cfg selects. A SynthSpec id runs its own
+/// stage list: a spec without mid roles pins the paper's flat ladder, a
+/// mid-carrying one the derived ladder (on a flat machine its mid stages
+/// drop out), and k > 1 leaders give stripe j the ladder rooted at rank j
+/// — stripe j's intra stages root at local rank j, and j's own families
+/// carry its upper stages. A config naming a schedule is synthesizer
+/// output or a cached table entry, so a malformed or wrong-kind id is
+/// corruption, not a fallback.
+Pipeline resolve_pipeline(core::HanModule& m, const mpi::Comm& comm, int me,
+                          int root, const HanConfig& cfg, CollKind kind) {
+  synth::SynthSpec spec;
+  const bool has_spec = kind != CollKind::Reduce && !cfg.sched.empty();
+  if (has_spec) {
+    HAN_ASSERT_MSG(synth::SynthSpec::parse(cfg.sched, &spec),
+                   "cfg.sched is not a valid synthesized-schedule id");
+    HAN_ASSERT_MSG(spec.kind == kind,
+                   "cfg.sched names a schedule for a different collective");
+  }
+  Hierarchy& h = !has_spec            ? m.ladder_for(comm, cfg)
+                 : spec.three_level() ? m.hierarchy(comm)
+                                      : m.flat_hierarchy(comm);
+  Pipeline p;
+  p.lads.push_back(make_ladder(h, me, root));
+  const int de = p.lads.front().de();
+  if (de < 2) return p;  // the builders emit the unsegmented op themselves
+
+  p.sf = has_spec ? std::max(cfg.sf, spec.sf) : cfg.sf;
+  const int width = p.lads.front().comm[0]->size();
+  const int k = has_spec ? std::max(1, std::min(spec.leaders, width)) : 1;
+  for (int j = 1; j < k; ++j) p.lads.push_back(make_ladder(h, me, j));
+  const Ladder& lad = p.lads.front();
+  // Non-members of the root's inter family keep the seed's dedicated
+  // lag-0 follower shape on the flat ladder; deeper ladders share one
+  // shape whose per-rank enables encode every role.
+  if (kind == CollKind::Bcast && lad.flat2 && !lad.member[1]) {
+    p.stages = bcast_follower_shape();
+  } else if (has_spec) {
+    p.stages = spec_stages(spec, lad);
+  } else {
+    const std::vector<bool> all(static_cast<std::size_t>(de), true);
+    p.stages = kind == CollKind::Bcast ? bcast_ladder_shape(lad.level, all)
+               : kind == CollKind::Reduce
+                   ? reduce_ladder_shape(lad.level, all)
+                   : allreduce_ladder_shape(lad.level, all);
+  }
+  return p;
+}
+
+/// Emit a resolved pipeline of reduce and bcast stages (each task runs
+/// only where its segment's ladder enables the level). A level's reduce
+/// combines the partial of the nearest live level below into its own
+/// partial (recv at the top) one segment ahead of the level above; a
+/// level's bcast forwards what the nearest level above delivered, and the
+/// top bcast of an allreduce returns the total the top reduce just formed.
+/// `ibcfg` configures the inter bcasts.
+void emit_pipeline(TaskGraph& g, core::HanModule& m, const Pipeline& p,
+                   const HanConfig& cfg, const CollConfig& ibcfg,
+                   BufView send, BufView recv, Datatype dtype, ReduceOp op) {
+  mpi::SimWorld& w = m.world_ref();
+  sim::Engine* eng = &w.engine();
+  const int de = p.lads.front().de();
+  const CollConfig ircfg{cfg.iralg, cfg.irs};
+  const CollConfig mcfg{cfg.malg, cfg.ms};
+  const Segmenter segs(send.bytes, cfg.fs, dtype);
+  const int u = segs.count();
+
+  // Per-level partials: level l reduces into part[l], which the next level
+  // up forwards (han3's leaf_part/node_part, generalized). Only ranks that
+  // participate at level l+1 in some stripe hold real data in part[l].
+  std::vector<std::shared_ptr<TempBuf>> part(
+      static_cast<std::size_t>(de - 1));
+  if (std::any_of(p.stages.begin(), p.stages.end(),
+                  [](const StageSpec& s) { return s.op == Op::Reduce; })) {
+    for (int l = 0; l + 1 < de; ++l) {
+      const bool holds =
+          std::any_of(p.lads.begin(), p.lads.end(),
+                      [l](const Ladder& lad) { return lad.member[l + 1]; });
+      part[static_cast<std::size_t>(l)] =
+          make_temp(g, w.data_mode() && holds, send.bytes, dtype);
+    }
+  }
+  auto part_seg = [&](int l, int i) {
+    return part[static_cast<std::size_t>(l)]->view(segs.offset(i),
+                                                    segs.length(i));
+  };
+
+  std::vector<std::vector<int>> red(de, std::vector<int>(u, -1));
+  std::vector<std::vector<int>> bc(de, std::vector<int>(u, -1));
+  for_each_task(p.stages, u, [&](int t, const StageSpec& s, int i) {
+    const Ladder& lad = p.lad(i);
+    const int l = s.tier;
+    if (!lad.enabled[l]) return;
+    const mpi::Comm* c = lad.comm[l];
+    const int me_l = lad.rank[l], root_l = lad.root[l];
+    CollModule* mod = ladder_module(m, lad, l, cfg, send.bytes);
+    const bool inter = lad.level[l] == Level::Inter;
+    std::vector<int> deps;
+    if (s.op == Op::Reduce) {
+      const CollConfig lcfg = inter ? ircfg : l == 0 ? CollConfig{} : mcfg;
+      BufView src = seg_of(send, segs, i);
+      for (int j = l - 1; j >= 0; --j) {
+        if (lad.enabled[j]) {
+          src = part_seg(j, i);
+          break;
+        }
+      }
+      const BufView dst = l == de - 1        ? seg_of(recv, segs, i)
+                          : lad.member[l + 1] ? part_seg(l, i)
+                              : BufView::timing_only(segs.length(i), dtype);
+      for (int j = l - 1; j >= 0 && deps.empty(); --j) {
+        if (red[j][i] >= 0) deps.push_back(red[j][i]);
+      }
+      const int lsf =
+          inter ? effective_sf(p.sf, w.profile(), src.bytes, dtype) : 1;
+      red[l][i] = g.add({s.op, s.level, c, t, i, src.bytes, std::move(deps),
+                         [eng, mod, c, me_l, root_l, src, dst, dtype, op,
+                          lcfg, lsf] {
+                           return striped_ireduce(*eng, mod, *c, me_l,
+                                                  root_l, src, dst, dtype,
+                                                  op, lcfg, lsf);
+                         }});
+    } else {
+      const CollConfig lcfg = inter ? ibcfg : l == 0 ? CollConfig{} : mcfg;
+      const BufView seg = seg_of(recv, segs, i);
+      if (l == de - 1) {
+        if (red[l][i] >= 0) deps.push_back(red[l][i]);
+      } else {
+        for (int j = l + 1; j < de && deps.empty(); ++j) {
+          if (bc[j][i] >= 0) deps.push_back(bc[j][i]);
+        }
+      }
+      const int lsf =
+          inter ? effective_sf(p.sf, w.profile(), seg.bytes, dtype) : 1;
+      bc[l][i] = g.add({s.op, s.level, c, t, i, seg.bytes, std::move(deps),
+                        [eng, mod, c, me_l, root_l, seg, dtype, lcfg, lsf] {
+                          return striped_ibcast(*eng, mod, *c, me_l, root_l,
+                                                seg, dtype, lcfg, lsf);
+                        }});
+    }
+  });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -133,12 +326,11 @@ TaskGraph build_bcast(core::HanModule& m, const mpi::Comm& comm, int me,
                       int root, BufView buf, Datatype dtype,
                       const HanConfig& cfg) {
   TaskGraph g;
-  Hierarchy& h = m.ladder_for(comm, cfg);
-  const Ladder lad = make_ladder(h, me, root);
-  const int de = lad.de();
-
-  if (de == 0) return g;  // single rank: nothing to move
-  if (de == 1) {
+  const Pipeline p =
+      resolve_pipeline(m, comm, me, root, cfg, CollKind::Bcast);
+  const Ladder& lad = p.lads.front();
+  if (lad.de() == 0) return g;  // single rank: nothing to move
+  if (lad.de() == 1) {
     // Ladder collapsed to one intra level: a single unsegmented operation
     // (the seed's single-node path).
     if (lad.enabled[0]) {
@@ -153,45 +345,9 @@ TaskGraph build_bcast(core::HanModule& m, const mpi::Comm& comm, int me,
     }
     return g;
   }
-
-  sim::Engine* eng = &m.world_ref().engine();
-  const machine::MachineProfile& prof = m.world_ref().profile();
-  const CollConfig icfg{cfg.ibalg, cfg.ibs};
-  const CollConfig mcfg{cfg.malg, cfg.ms};
-  const Segmenter segs(buf.bytes, cfg.fs, dtype);
-  const int u = segs.count();
-
-  // Non-members of the root's inter family keep the seed's dedicated
-  // lag-0 follower shape on the flat ladder; deeper ladders share one
-  // shape whose per-rank enables encode every role.
-  const std::vector<StageSpec> shape =
-      lad.flat2 && !lad.member[1] ? bcast_follower_shape()
-                                  : bcast_ladder_shape(lad.level, lad.enabled);
-  std::vector<std::vector<int>> bc(de, std::vector<int>(u, -1));
-  for_each_task(shape, u, [&](int t, const StageSpec& s, int i) {
-    const int l = s.tier;
-    const BufView seg = seg_of(buf, segs, i);
-    const mpi::Comm* c = lad.comm[l];
-    const int me_l = lad.rank[l], root_l = lad.root[l];
-    CollModule* mod = ladder_module(m, lad, l, cfg, buf.bytes);
-    const CollConfig lcfg = lad.level[l] == Level::Inter ? icfg
-                            : l == 0                     ? CollConfig{}
-                                                         : mcfg;
-    // A level's bcast waits for the segment to arrive from the nearest
-    // level above that delivered it.
-    std::vector<int> deps;
-    for (int j = l + 1; j < de && deps.empty(); ++j) {
-      if (bc[j][i] >= 0) deps.push_back(bc[j][i]);
-    }
-    const int lsf = lad.level[l] == Level::Inter
-                        ? effective_sf(cfg.sf, prof, seg.bytes, dtype)
-                        : 1;
-    bc[l][i] = g.add({s.op, s.level, c, t, i, seg.bytes, std::move(deps),
-                      [eng, mod, c, me_l, root_l, seg, dtype, lcfg, lsf] {
-                        return striped_ibcast(*eng, mod, *c, me_l, root_l,
-                                              seg, dtype, lcfg, lsf);
-                      }});
-  });
+  // No reduce stages: the op argument is never used.
+  emit_pipeline(g, m, p, cfg, CollConfig{cfg.ibalg, cfg.ibs}, buf, buf,
+                dtype, ReduceOp::Sum);
   return g;
 }
 
@@ -205,17 +361,17 @@ TaskGraph build_reduce(core::HanModule& m, const mpi::Comm& comm, int me,
                        ReduceOp op, const HanConfig& cfg) {
   TaskGraph g;
   mpi::SimWorld& w = m.world_ref();
-  Hierarchy& h = m.ladder_for(comm, cfg);
-  const Ladder lad = make_ladder(h, me, root);
-  const int de = lad.de();
+  const Pipeline p =
+      resolve_pipeline(m, comm, me, root, cfg, CollKind::Reduce);
+  const Ladder& lad = p.lads.front();
 
-  if (de == 0) {
+  if (lad.de() == 0) {
     if (w.data_mode() && send.has_data() && recv.has_data()) {
       std::memcpy(recv.data, send.data, send.bytes);
     }
     return g;
   }
-  if (de == 1) {
+  if (lad.de() == 1) {
     if (lad.enabled[0]) {
       CollModule* mod = ladder_module(m, lad, 0, cfg, send.bytes);
       const mpi::Comm* low = lad.comm[0];
@@ -231,66 +387,8 @@ TaskGraph build_reduce(core::HanModule& m, const mpi::Comm& comm, int me,
     return g;
   }
 
-  sim::Engine* eng = &w.engine();
-  const CollConfig ircfg{cfg.iralg, cfg.irs};
-  const CollConfig mcfg{cfg.malg, cfg.ms};
-  const Segmenter segs(send.bytes, cfg.fs, dtype);
-  const int u = segs.count();
-
-  // Per-level partials: level l reduces into part[l], which the next level
-  // up forwards (han3's leaf_part/node_part, generalized). Only ranks that
-  // participate at level l+1 hold real data in part[l].
-  std::vector<std::shared_ptr<TempBuf>> part(
-      static_cast<std::size_t>(de - 1));
-  for (int l = 0; l + 1 < de; ++l) {
-    part[static_cast<std::size_t>(l)] =
-        make_temp(g, w.data_mode() && lad.member[l + 1], send.bytes, dtype);
-  }
-
-  std::vector<std::vector<int>> red(de, std::vector<int>(u, -1));
-  for_each_task(
-      reduce_ladder_shape(lad.level, lad.enabled), u,
-      [&](int t, const StageSpec& s, int i) {
-        const int l = s.tier;
-        const mpi::Comm* c = lad.comm[l];
-        const int me_l = lad.rank[l], root_l = lad.root[l];
-        CollModule* mod = ladder_module(m, lad, l, cfg, send.bytes);
-        const CollConfig lcfg = lad.level[l] == Level::Inter ? ircfg
-                                : l == 0                     ? CollConfig{}
-                                                             : mcfg;
-        // Contribution: the deepest live lower level's partial, else my
-        // own send segment.
-        BufView src = seg_of(send, segs, i);
-        for (int j = l - 1; j >= 0; --j) {
-          if (lad.enabled[j]) {
-            src = part[static_cast<std::size_t>(j)]->view(segs.offset(i),
-                                                          segs.length(i));
-            break;
-          }
-        }
-        const BufView dst =
-            l == de - 1 ? seg_of(recv, segs, i)
-            : lad.member[l + 1]
-                ? part[static_cast<std::size_t>(l)]->view(segs.offset(i),
-                                                          segs.length(i))
-                : BufView::timing_only(segs.length(i), dtype);
-        std::vector<int> deps;
-        for (int j = l - 1; j >= 0 && deps.empty(); --j) {
-          if (red[j][i] >= 0) deps.push_back(red[j][i]);
-        }
-        const int lsf = lad.level[l] == Level::Inter
-                            ? effective_sf(cfg.sf, w.profile(), src.bytes,
-                                           dtype)
-                            : 1;
-        red[l][i] = g.add({s.op, s.level, c, t, i, src.bytes,
-                           std::move(deps),
-                           [eng, mod, c, me_l, root_l, src, dst, dtype, op,
-                            lcfg, lsf] {
-                             return striped_ireduce(*eng, mod, *c, me_l,
-                                                    root_l, src, dst, dtype,
-                                                    op, lcfg, lsf);
-                           }});
-      });
+  // No bcast stages: the inter bcast config is never used.
+  emit_pipeline(g, m, p, cfg, CollConfig{}, send, recv, dtype, op);
   return g;
 }
 
@@ -298,7 +396,10 @@ TaskGraph build_reduce(core::HanModule& m, const mpi::Comm& comm, int me,
 // Allreduce (paper Fig. 5, generalized): the reduce ladder ascends to the
 // top, then the bcast ladder descends — 2d stages over d live levels. On
 // the flat ladder this is exactly the paper's 4-stage sr → ir → ib → sb
-// pipeline; at depth 3 it is the retired allreduce3 bit for bit.
+// pipeline; at depth 3 it is the retired allreduce3 bit for bit. A
+// schedule with k > 1 leaders stripes the segments over k node-local
+// leaders, each driving its own up communicator (the multi-leader
+// extension, paper §II-A).
 // ---------------------------------------------------------------------------
 
 TaskGraph build_allreduce(core::HanModule& m, const mpi::Comm& comm, int me,
@@ -306,18 +407,18 @@ TaskGraph build_allreduce(core::HanModule& m, const mpi::Comm& comm, int me,
                           ReduceOp op, const HanConfig& cfg) {
   TaskGraph g;
   mpi::SimWorld& w = m.world_ref();
-  Hierarchy& h = m.ladder_for(comm, cfg);
   // No user root: the slot-0 leader chain carries the upper levels.
-  const Ladder lad = make_ladder(h, me, /*root=*/0);
-  const int de = lad.de();
+  const Pipeline p =
+      resolve_pipeline(m, comm, me, /*root=*/0, cfg, CollKind::Allreduce);
+  const Ladder& lad = p.lads.front();
 
-  if (de == 0) {
+  if (lad.de() == 0) {
     if (w.data_mode() && send.has_data() && recv.has_data()) {
       std::memcpy(recv.data, send.data, send.bytes);
     }
     return g;
   }
-  if (de == 1) {
+  if (lad.de() == 1) {
     if (lad.enabled[0]) {
       CollModule* mod = ladder_module(m, lad, 0, cfg, send.bytes);
       const mpi::Comm* low = lad.comm[0];
@@ -335,180 +436,8 @@ TaskGraph build_allreduce(core::HanModule& m, const mpi::Comm& comm, int me,
 
   // Paper §III-B: the inter reduce and bcast share algorithm and root to
   // maximize the opposite-direction overlap on the full-duplex network.
-  sim::Engine* eng = &w.engine();
-  const CollConfig ircfg{cfg.iralg, cfg.irs};
-  const CollConfig ibcfg{cfg.iralg, cfg.ibs};
-  const CollConfig mcfg{cfg.malg, cfg.ms};
-  const Segmenter segs(send.bytes, cfg.fs, dtype);
-  const int u = segs.count();
-
-  std::vector<std::shared_ptr<TempBuf>> part(
-      static_cast<std::size_t>(de - 1));
-  for (int l = 0; l + 1 < de; ++l) {
-    part[static_cast<std::size_t>(l)] =
-        make_temp(g, w.data_mode() && lad.member[l + 1], send.bytes, dtype);
-  }
-
-  std::vector<std::vector<int>> red(de, std::vector<int>(u, -1));
-  std::vector<std::vector<int>> bc(de, std::vector<int>(u, -1));
-  for_each_task(
-      allreduce_ladder_shape(lad.level, lad.enabled), u,
-      [&](int t, const StageSpec& s, int i) {
-        const int l = s.tier;
-        const mpi::Comm* c = lad.comm[l];
-        const int me_l = lad.rank[l];
-        CollModule* mod = ladder_module(m, lad, l, cfg, send.bytes);
-        if (s.op == Op::Reduce) {
-          const CollConfig lcfg = lad.level[l] == Level::Inter ? ircfg
-                                  : l == 0                     ? CollConfig{}
-                                                               : mcfg;
-          BufView src = seg_of(send, segs, i);
-          for (int j = l - 1; j >= 0; --j) {
-            if (lad.enabled[j]) {
-              src = part[static_cast<std::size_t>(j)]->view(segs.offset(i),
-                                                            segs.length(i));
-              break;
-            }
-          }
-          const BufView dst =
-              l == de - 1 ? seg_of(recv, segs, i)
-              : lad.member[l + 1]
-                  ? part[static_cast<std::size_t>(l)]->view(segs.offset(i),
-                                                            segs.length(i))
-                  : BufView::timing_only(segs.length(i), dtype);
-          std::vector<int> deps;
-          for (int j = l - 1; j >= 0 && deps.empty(); --j) {
-            if (red[j][i] >= 0) deps.push_back(red[j][i]);
-          }
-          const int lsf = lad.level[l] == Level::Inter
-                              ? effective_sf(cfg.sf, w.profile(), src.bytes,
-                                             dtype)
-                              : 1;
-          red[l][i] = g.add({s.op, s.level, c, t, i, src.bytes,
-                             std::move(deps),
-                             [eng, mod, c, me_l, src, dst, dtype, op, lcfg,
-                              lsf] {
-                               return striped_ireduce(*eng, mod, *c, me_l,
-                                                      /*root=*/0, src, dst,
-                                                      dtype, op, lcfg, lsf);
-                             }});
-        } else {  // the descending bcast half
-          const CollConfig lcfg = lad.level[l] == Level::Inter ? ibcfg
-                                  : l == 0                     ? CollConfig{}
-                                                               : mcfg;
-          const BufView seg = seg_of(recv, segs, i);
-          std::vector<int> deps;
-          if (l == de - 1) {
-            // The top bcast returns the total the top reduce just formed.
-            if (red[l][i] >= 0) deps.push_back(red[l][i]);
-          } else {
-            for (int j = l + 1; j < de && deps.empty(); ++j) {
-              if (bc[j][i] >= 0) deps.push_back(bc[j][i]);
-            }
-          }
-          const int lsf = lad.level[l] == Level::Inter
-                              ? effective_sf(cfg.sf, w.profile(), seg.bytes,
-                                             dtype)
-                              : 1;
-          bc[l][i] = g.add({s.op, s.level, c, t, i, seg.bytes,
-                            std::move(deps),
-                            [eng, mod, c, me_l, seg, dtype, lcfg, lsf] {
-                              return striped_ibcast(*eng, mod, *c, me_l,
-                                                    /*root=*/0, seg, dtype,
-                                                    lcfg, lsf);
-                            }});
-        }
-      });
-  return g;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-leader allreduce: stripe the segment pipeline across k node-local
-// leaders, each driving its own up communicator. Stripe j = segments with
-// i % k == j; every rank participates in all sr/sb (consistent low-comm
-// call order); leader j additionally drives ir/ib for its stripe.
-// ---------------------------------------------------------------------------
-
-TaskGraph build_allreduce_multileader(core::HanModule& m,
-                                      const mpi::Comm& comm, int me,
-                                      BufView send, BufView recv,
-                                      Datatype dtype, ReduceOp op,
-                                      const HanConfig& cfg, int k) {
-  TaskGraph g;
-  mpi::SimWorld& w = m.world_ref();
-  Hierarchy& hc = m.flat_hierarchy(comm);
-  const mpi::Comm* low = &hc.low(me);
-  const int me_low = hc.low_rank(me);
-  CollModule* imod = m.inter_module(cfg);
-  CollModule* smod = m.intra_module(cfg);
-  sim::Engine* eng = &w.engine();
-  const CollConfig ircfg{cfg.iralg, cfg.irs};
-  const CollConfig ibcfg{cfg.iralg, cfg.ibs};
-  const Segmenter segs(send.bytes, cfg.fs, dtype);
-  const int u = segs.count();
-  const int leader_idx = me_low < k ? me_low : -1;
-  auto partial =
-      make_temp(g, w.data_mode() && leader_idx >= 0, send.bytes, dtype);
-  const mpi::Comm* up = hc.up(me);
-  const int me_up = hc.up_rank(me);
-
-  std::vector<int> sr_node(u, -1), ir_node(u, -1), ib_node(u, -1);
-  for (int t = 0; t <= u + 2; ++t) {
-    if (t <= u - 1) {
-      const int owner = t % k;
-      const BufView src = seg_of(send, segs, t);
-      const BufView dst =
-          me_low == owner ? partial->view(segs.offset(t), segs.length(t))
-                          : BufView::timing_only(segs.length(t), dtype);
-      sr_node[t] =
-          g.add({Op::Reduce, Level::Intra, low, t, t, src.bytes, {},
-                 [smod, low, me_low, owner, src, dst, dtype, op] {
-                   return smod->ireduce(*low, me_low, owner, src, dst, dtype,
-                                        op, CollConfig{});
-                 }});
-    }
-    if (leader_idx >= 0 && t >= 1 && t - 1 <= u - 1 &&
-        (t - 1) % k == leader_idx) {
-      const int i = t - 1;
-      const BufView contrib = partial->view(segs.offset(i), segs.length(i));
-      const BufView dst = seg_of(recv, segs, i);
-      const int lsf = effective_sf(cfg.sf, w.profile(), contrib.bytes, dtype);
-      ir_node[i] =
-          g.add({Op::Reduce, Level::Inter, up, t, i, contrib.bytes,
-                 {sr_node[i]},
-                 [eng, imod, up, me_up, contrib, dst, dtype, op, ircfg,
-                  lsf] {
-                   return striped_ireduce(*eng, imod, *up, me_up, /*root=*/0,
-                                          contrib, dst, dtype, op, ircfg,
-                                          lsf);
-                 }});
-    }
-    if (leader_idx >= 0 && t >= 2 && t - 2 <= u - 1 &&
-        (t - 2) % k == leader_idx) {
-      const int i = t - 2;
-      const BufView seg = seg_of(recv, segs, i);
-      const int lsf = effective_sf(cfg.sf, w.profile(), seg.bytes, dtype);
-      ib_node[i] = g.add({Op::Bcast, Level::Inter, up, t, i, seg.bytes,
-                          {ir_node[i]},
-                          [eng, imod, up, me_up, seg, dtype, ibcfg, lsf] {
-                            return striped_ibcast(*eng, imod, *up, me_up,
-                                                  /*root=*/0, seg, dtype,
-                                                  ibcfg, lsf);
-                          }});
-    }
-    if (t >= 3 && t - 3 <= u - 1) {
-      const int i = t - 3;
-      const int owner = i % k;
-      const BufView seg = seg_of(recv, segs, i);
-      std::vector<int> deps;
-      if (ib_node[i] >= 0) deps.push_back(ib_node[i]);
-      g.add({Op::Bcast, Level::Intra, low, t, i, seg.bytes, std::move(deps),
-             [smod, low, me_low, owner, seg, dtype] {
-               return smod->ibcast(*low, me_low, owner, seg, dtype,
-                                   CollConfig{});
-             }});
-    }
-  }
+  emit_pipeline(g, m, p, cfg, CollConfig{cfg.iralg, cfg.ibs}, send, recv,
+                dtype, op);
   return g;
 }
 

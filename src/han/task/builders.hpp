@@ -11,6 +11,13 @@
 // (hierarchy.hpp) and emit one pipeline stage per live level, so a flat
 // machine gets the paper's 2-level shapes bit-identically and a NUMA
 // machine gets the 3-level ladder that used to live in han3.cpp.
+//
+// Bcast and allreduce are also the only builders of synthesized schedules
+// (docs/SYNTHESIS.md): a cfg.sched id swaps the hand-written stage list
+// for the spec's own (emission order, lags), its leader count k stripes
+// segment i onto the ladder rooted at local rank i % k, and its rail
+// stripe composes with cfg.sf. The multi-leader allreduce is the
+// canonical spec with k > 1.
 #pragma once
 
 #include "han/han.hpp"
@@ -31,14 +38,6 @@ TaskGraph build_allreduce(core::HanModule& m, const mpi::Comm& comm, int me,
                           mpi::BufView send, mpi::BufView recv,
                           mpi::Datatype dtype, mpi::ReduceOp op,
                           const core::HanConfig& cfg);
-
-/// Non-degenerate multi-leader allreduce (has_inter && has_intra && k > 1;
-/// the degenerate shapes delegate to build_allreduce in han.cpp).
-TaskGraph build_allreduce_multileader(core::HanModule& m,
-                                      const mpi::Comm& comm, int me,
-                                      mpi::BufView send, mpi::BufView recv,
-                                      mpi::Datatype dtype, mpi::ReduceOp op,
-                                      const core::HanConfig& cfg, int k);
 
 TaskGraph build_reduce_scatter(core::HanModule& m, const mpi::Comm& comm,
                                int me, mpi::BufView send, mpi::BufView recv,

@@ -69,22 +69,12 @@ inline std::vector<StageSpec> reduce_shape(bool has_intra) {
           {"sr", Op::Reduce, Level::Intra, 0, has_intra}};
 }
 
-inline std::vector<StageSpec> reduce_follower_shape() {
-  return {{"sr", Op::Reduce, Level::Intra, 0, true}};
-}
-
 /// Allreduce leader (Fig. 5): the 4-stage sr → ir → ib → sb pipeline.
 inline std::vector<StageSpec> allreduce_shape(bool has_intra) {
   return {{"sr", Op::Reduce, Level::Intra, 0, has_intra},
           {"ir", Op::Reduce, Level::Inter, 1, true},
           {"ib", Op::Bcast, Level::Inter, 2, true},
           {"sb", Op::Bcast, Level::Intra, 3, has_intra}};
-}
-
-/// Allreduce non-leader: contribute sr(t) while receiving sb(t-3).
-inline std::vector<StageSpec> allreduce_follower_shape() {
-  return {{"sr", Op::Reduce, Level::Intra, 0, true},
-          {"sb", Op::Bcast, Level::Intra, 3, true}};
 }
 
 /// Reduce-scatter tree path, pipeline part: sr ⊕ ir reducing the whole

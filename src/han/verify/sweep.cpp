@@ -12,7 +12,7 @@
 #include "coll/ring/ring_builders.hpp"
 #include "coll/validate.hpp"
 #include "han/han.hpp"
-#include "han/synth/schedule_builder.hpp"
+#include "han/synth/spec.hpp"
 #include "han/task/builders.hpp"
 #include "machine/machine.hpp"
 
@@ -287,8 +287,8 @@ void graph_barrier_job(SweepResult& out, const char* topo_tag,
   if (ok) graph_case(out, name, summaries, windows);
 }
 
-/// Multi-leader allreduce (k = 2); only scheduled for multi-node,
-/// multi-rank topologies.
+/// Multi-leader allreduce (k = 2: the canonical schedule striped over two
+/// leaders); only scheduled for multi-node, multi-rank topologies.
 void graph_ml2_job(SweepResult& out, const char* topo_tag, int topo_nodes,
                    int topo_ppn, bool full_space,
                    const std::vector<int>& windows) {
@@ -297,18 +297,21 @@ void graph_ml2_job(SweepResult& out, const char* topo_tag, int topo_nodes,
   const int n = wc.size();
   const std::size_t kBytes = kGraphBytes;
   tune::SearchSpace space = sweep_space(full_space);
+  synth::SynthSpec ml2 = synth::SynthSpec::canonical(CollKind::Allreduce);
+  ml2.leaders = 2;
   for (const HanConfig& cfg : space.enumerate(CollKind::Allreduce)) {
     const std::string name = std::string("graph.") + topo_tag +
                              ".allreduce_ml2." + cfg.to_string();
+    HanConfig striped = cfg;
+    striped.sched = ml2.id();
     std::vector<GraphSummary> summaries;
     bool ok = true;
     for (int me = 0; me < n && ok; ++me) {
       ok = checked_summarize(
           out, name, me,
-          task::build_allreduce_multileader(
-              gw.han, wc, me, BufView::timing_only(kBytes),
-              BufView::timing_only(kBytes), Datatype::Int32,
-              mpi::ReduceOp::Sum, cfg, /*k=*/2),
+          task::build_allreduce(gw.han, wc, me, BufView::timing_only(kBytes),
+                                BufView::timing_only(kBytes), Datatype::Int32,
+                                mpi::ReduceOp::Sum, striped),
           summaries);
     }
     if (ok) graph_case(out, name, summaries, windows);
@@ -598,29 +601,45 @@ void verify_lookup(const tune::LookupTable& table, SweepResult& out) {
     // entries (v4 `sf=` tokens, in the config or the sched id itself)
     // need a multi-rail fabric with at least that many rails — on a
     // single-rail rebuild effective_sf would clamp to 1 and the striped
-    // schedule would be verified in name only.
-    const int rails = std::max(cfg.sf, spec.sf);
-    GraphWorld gw(rails > 1
-                      ? machine::with_rails(
-                            machine::make_aries(key.nodes, key.ppn), rails)
-                      : machine::make_aries(key.nodes, key.ppn));
-    const mpi::Comm& wc = gw.world.world_comm();
-    const std::size_t bytes = std::size_t{1} << key.log2_bytes;
-    std::vector<GraphSummary> summaries;
-    bool ok = true;
-    for (int me = 0; ok && me < wc.size(); ++me) {
-      task::TaskGraph g =
-          key.kind == CollKind::Bcast
-              ? synth::build_schedule_bcast(
-                    gw.han, wc, me, /*root=*/0, BufView::timing_only(bytes),
-                    Datatype::Byte, cfg, spec)
-              : synth::build_schedule_allreduce(
-                    gw.han, wc, me, BufView::timing_only(bytes),
-                    BufView::timing_only(bytes), Datatype::Byte,
-                    mpi::ReduceOp::Sum, cfg, spec);
-      ok = checked_summarize(out, name, me, std::move(g), summaries);
+    // schedule would be verified in name only. Mid-carrying entries
+    // likewise need a NUMA split, which the table does not record: they
+    // are rebuilt under every split d the node admits (1 < d < ppn,
+    // d | ppn), one case each. A node admitting none runs the spec with
+    // its mid stages dropped, exactly as the flat rebuild does.
+    std::vector<int> splits;
+    if (spec.three_level()) {
+      for (int d = 2; d < key.ppn; ++d) {
+        if (key.ppn % d == 0) splits.push_back(d);
+      }
     }
-    if (ok) record(out, name, analyze_task_graphs(summaries, cfg.window));
+    if (splits.empty()) splits.push_back(1);
+    const int rails = std::max(cfg.sf, spec.sf);
+    const std::size_t bytes = std::size_t{1} << key.log2_bytes;
+    for (int d : splits) {
+      const std::string case_name =
+          d > 1 ? name + ".numa" + std::to_string(d) : name;
+      GraphWorld gw(machine::with_rails(
+          machine::with_numa(machine::make_aries(key.nodes, key.ppn), d),
+          rails));
+      const mpi::Comm& wc = gw.world.world_comm();
+      std::vector<GraphSummary> summaries;
+      bool ok = true;
+      for (int me = 0; ok && me < wc.size(); ++me) {
+        task::TaskGraph g =
+            key.kind == CollKind::Bcast
+                ? task::build_bcast(gw.han, wc, me, /*root=*/0,
+                                    BufView::timing_only(bytes),
+                                    Datatype::Byte, cfg)
+                : task::build_allreduce(
+                      gw.han, wc, me, BufView::timing_only(bytes),
+                      BufView::timing_only(bytes), Datatype::Byte,
+                      mpi::ReduceOp::Sum, cfg);
+        ok = checked_summarize(out, case_name, me, std::move(g), summaries);
+      }
+      if (ok) {
+        record(out, case_name, analyze_task_graphs(summaries, cfg.window));
+      }
+    }
   }
 }
 

@@ -60,8 +60,10 @@ SweepResult run_sweep(const SweepOptions& opts = {});
 /// Re-verify every cached synthesized schedule of a lookup table: each
 /// entry with a non-empty cfg.sched is rebuilt on its own (nodes, ppn)
 /// topology at its bucket's message size and analyzed at its window
-/// (entries named "lookup.<kind>.<n>x<p>.log2_<b>"). Unparseable ids and
-/// kind mismatches are recorded as defects, never skipped silently.
+/// (entries named "lookup.<kind>.<n>x<p>.log2_<b>"). A mid-carrying id is
+/// rebuilt under every NUMA split d of the node (1 < d < p, d | p), one
+/// entry each, suffixed ".numa<d>". Unparseable ids and kind mismatches
+/// are recorded as defects, never skipped silently.
 /// Appends to `out` (the han_verify CLI sorts at the end).
 void verify_lookup(const tune::LookupTable& table, SweepResult& out);
 

@@ -2,13 +2,14 @@
 // determinism, and the winner cache round trip (docs/SYNTHESIS.md).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "autotune/search.hpp"
 #include "coll/registry.hpp"
 #include "han/han.hpp"
-#include "han/synth/schedule_builder.hpp"
 #include "han/synth/synth.hpp"
 #include "han/task/builders.hpp"
 #include "han/verify/sweep.hpp"
@@ -146,46 +147,115 @@ TEST(SynthSpecTest, RejectsMalformedAndTruncatedIds) {
   }
 }
 
-// --- canonical shape == hand-written builders -------------------------------
+// --- canonical ids == default dispatch -------------------------------------
+//
+// The ladder builder is the only bcast/allreduce builder: dispatching the
+// canonical spec ids through cfg.sched must reproduce the default ladder
+// node for node on every shape, degenerate ones included.
 
-TEST(SynthBuilderTest, CanonicalAllreduceMatchesHandWritten) {
-  SynthWorld sw(machine::make_aries(2, 4));
+struct CanonCase {
+  const char* tag;
+  const char* stock;  // a stock machine by name, else aries nodes x ppn
+  int nodes, ppn, numa;
+  int sf;             // HanConfig::sf of both dispatches
+};
+
+void PrintTo(const CanonCase& c, std::ostream* os) { *os << c.tag; }
+
+machine::MachineProfile canon_profile(const CanonCase& c) {
+  if (c.stock != nullptr) {
+    for (const machine::StockMachine& sm : machine::stock_machines()) {
+      if (std::string(sm.name) == c.stock) return sm.profile;
+    }
+    ADD_FAILURE() << "no stock machine " << c.stock;
+  }
+  return machine::with_numa(machine::make_aries(c.nodes, c.ppn), c.numa);
+}
+
+class CanonicalDispatch : public ::testing::TestWithParam<CanonCase> {};
+
+TEST_P(CanonicalDispatch, SpecIdMatchesDefaultLadder) {
+  const CanonCase& c = GetParam();
+  SynthWorld sw(canon_profile(c));
   const mpi::Comm& wc = sw.world.world_comm();
-  const SynthSpec spec = SynthSpec::canonical(CollKind::Allreduce);
+  const int n = wc.size();
+  // On a NUMA machine default dispatch runs the derived 3-level ladder.
+  const bool numa = sw.world.profile().numa_per_node > 1;
+  auto canonical = [numa](CollKind kind) {
+    return (numa ? SynthSpec::canonical3(kind) : SynthSpec::canonical(kind))
+        .id();
+  };
   for (std::size_t bytes : {std::size_t{64} << 10, std::size_t{1} << 20}) {
     for (int window : {1, 2}) {
-      const HanConfig cfg = base_cfg(64 << 10, window);
-      for (int me = 0; me < wc.size(); ++me) {
-        task::TaskGraph hand = task::build_allreduce(
-            sw.han, wc, me, BufView::timing_only(bytes),
-            BufView::timing_only(bytes), Datatype::Byte, mpi::ReduceOp::Sum,
-            cfg);
-        task::TaskGraph synthd = synth::build_schedule_allreduce(
-            sw.han, wc, me, BufView::timing_only(bytes),
-            BufView::timing_only(bytes), Datatype::Byte, mpi::ReduceOp::Sum,
-            cfg, spec);
-        expect_same_graph(hand, synthd,
-                          "allreduce rank " + std::to_string(me));
+      HanConfig cfg = base_cfg(64 << 10, window);
+      cfg.sf = c.sf;
+      HanConfig ar = cfg;
+      ar.sched = canonical(CollKind::Allreduce);
+      HanConfig bc = cfg;
+      bc.sched = canonical(CollKind::Bcast);
+      const std::string at = std::string(c.tag) + " " +
+                             std::to_string(bytes) + "B w" +
+                             std::to_string(window);
+      for (int me = 0; me < n; ++me) {
+        expect_same_graph(
+            task::build_allreduce(sw.han, wc, me, BufView::timing_only(bytes),
+                                  BufView::timing_only(bytes), Datatype::Byte,
+                                  mpi::ReduceOp::Sum, cfg),
+            task::build_allreduce(sw.han, wc, me, BufView::timing_only(bytes),
+                                  BufView::timing_only(bytes), Datatype::Byte,
+                                  mpi::ReduceOp::Sum, ar),
+            at + " allreduce rank " + std::to_string(me));
+        for (int root : {0, n - 1}) {
+          expect_same_graph(
+              task::build_bcast(sw.han, wc, me, root,
+                                BufView::timing_only(bytes), Datatype::Byte,
+                                cfg),
+              task::build_bcast(sw.han, wc, me, root,
+                                BufView::timing_only(bytes), Datatype::Byte,
+                                bc),
+              at + " bcast root " + std::to_string(root) + " rank " +
+                  std::to_string(me));
+        }
       }
     }
   }
 }
 
-TEST(SynthBuilderTest, CanonicalBcastMatchesHandWritten) {
-  SynthWorld sw(machine::make_aries(2, 4));
-  const mpi::Comm& wc = sw.world.world_comm();
-  const SynthSpec spec = SynthSpec::canonical(CollKind::Bcast);
-  for (std::size_t bytes : {std::size_t{64} << 10, std::size_t{1} << 20}) {
-    const HanConfig cfg = base_cfg(64 << 10, 1);
-    for (int me = 0; me < wc.size(); ++me) {
-      task::TaskGraph hand =
-          task::build_bcast(sw.han, wc, me, 0, BufView::timing_only(bytes),
-                            Datatype::Byte, cfg);
-      task::TaskGraph synthd = synth::build_schedule_bcast(
-          sw.han, wc, me, 0, BufView::timing_only(bytes), Datatype::Byte,
-          cfg, spec);
-      expect_same_graph(hand, synthd, "bcast rank " + std::to_string(me));
-    }
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, CanonicalDispatch,
+    ::testing::Values(
+        // The paper's flat 2-level ladder.
+        CanonCase{"flat_2x4", nullptr, 2, 4, 1, 1},
+        // One node: the ladder collapses to a single intra operation.
+        CanonCase{"one_node", nullptr, 1, 4, 1, 1},
+        // One proc per node: the dead intra level keeps its lag slot.
+        CanonCase{"one_ppn", nullptr, 6, 1, 1, 1},
+        // World of one: nothing moves.
+        CanonCase{"one_rank", nullptr, 1, 1, 1, 1},
+        // NUMA: default dispatch derives numa < node < cluster.
+        CanonCase{"numa_2x2x4", nullptr, 2, 4, 2, 1},
+        CanonCase{"aries_numa2x2x4", "aries_numa2x2x4", 0, 0, 1, 1},
+        // Four rails, inter stages striped four ways.
+        CanonCase{"aries_rail4_sf4", "aries_rail4", 0, 0, 1, 4}),
+    [](const ::testing::TestParamInfo<CanonCase>& shape) {
+      return std::string(shape.param.tag);
+    });
+
+TEST(SynthDispatchTest, CanonicalIdHonorsZeroCopySwitchover) {
+  // Under cfg.zcs the intra stages of a small message run the p2p module,
+  // whether the schedule is the default ladder or named by a spec id.
+  const std::size_t bytes = 64 << 10;
+  for (CollKind kind : {CollKind::Allreduce, CollKind::Bcast}) {
+    HanConfig cfg = base_cfg(16 << 10, 1);
+    cfg.zcs = 256 << 10;
+    auto measure = [&](const HanConfig& c) {
+      SynthWorld sw(machine::make_aries(2, 4));
+      tune::Searcher searcher(sw.world, sw.han, sw.world.world_comm());
+      return searcher.measure_collective(kind, bytes, c);
+    };
+    const double plain = measure(cfg);
+    cfg.sched = SynthSpec::canonical(kind).id();
+    EXPECT_EQ(measure(cfg), plain) << coll::coll_kind_name(kind);
   }
 }
 
@@ -221,6 +291,68 @@ TEST(SynthCostTest, CostsArePositiveAndBandwidthDominatesLatency) {
   EXPECT_TRUE(a.dominates(synth::CostPoint{1.0, 3.0}));
   EXPECT_FALSE(a.dominates(a));
   EXPECT_FALSE(a.dominates(synth::CostPoint{0.5, 3.0}));
+}
+
+/// FNV-1a over a byte string: the goldens below pin long deterministic
+/// outputs as one 64-bit digest.
+std::uint64_t fnv1a(const std::string& text,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(SynthCostTest, SymbolicCostPinnedAcrossTheGrammar) {
+  // (lat, bw) of every enumerated spec, bit for bit, on a flat, a NUMA and
+  // a 4-rail machine: any change to the chain table or the walk shows.
+  struct Golden {
+    int nodes, ppn, numa, rails;
+    int points;
+    std::uint64_t digest;
+  };
+  const Golden kGolden[] = {
+      {2, 4, 1, 1, 4400, 0xa08e0c64dcdda9e0ull},
+      {2, 4, 2, 1, 7340, 0x4524de9aef441155ull},
+      {2, 4, 1, 4, 13200, 0x191adeac531bfa7full},
+  };
+  for (const Golden& gm : kGolden) {
+    std::uint64_t h = fnv1a("");
+    int points = 0;
+    for (CollKind kind : {CollKind::Allreduce, CollKind::Bcast}) {
+      synth::GeneratorOptions g;
+      g.rails = gm.rails;
+      std::vector<SynthSpec> specs = synth::enumerate_specs(kind, gm.ppn, g);
+      if (gm.numa > 1) {
+        g.three_level = true;
+        for (const SynthSpec& s : synth::enumerate_specs(kind, gm.ppn, g)) {
+          specs.push_back(s);
+        }
+      }
+      for (const SynthSpec& spec : specs) {
+        for (int window : {1, 2}) {
+          for (std::size_t bytes :
+               {std::size_t{64} << 10, std::size_t{1} << 20}) {
+            const synth::CostPoint c = synth::symbolic_cost(
+                spec, base_cfg(64 << 10, window), gm.nodes, gm.ppn, bytes,
+                gm.numa, gm.rails);
+            char line[192];
+            std::snprintf(line, sizeof line, "%s w%d %zu %a %a\n",
+                          spec.id().c_str(), window, bytes, c.lat, c.bw);
+            h = fnv1a(line, h);
+            ++points;
+          }
+        }
+      }
+    }
+    const std::string at = std::to_string(gm.nodes) + "x" +
+                           std::to_string(gm.numa) + "x" +
+                           std::to_string(gm.ppn) + " rails " +
+                           std::to_string(gm.rails);
+    EXPECT_EQ(points, gm.points) << at;
+    EXPECT_EQ(h, gm.digest) << at << std::hex << " digest 0x" << h;
+  }
 }
 
 // --- synthesis engine -------------------------------------------------------
@@ -299,6 +431,17 @@ TEST(SynthEngineTest, WinnerSurvivesSerializeLoadDispatchRoundTrip) {
   }
 }
 
+TEST(SynthEngineTest, RailSynthesisReportIsPinned) {
+  // A 4-rail synthesis report, byte for byte: the striped candidates'
+  // graphs, gate results and simulated times all feed it.
+  synth::SynthOptions opts = tiny_options();
+  opts.ppn = 4;
+  opts.rails = 4;
+  const std::string json = synth::run_synthesis(opts).to_json();
+  EXPECT_EQ(json.size(), 2654u);
+  EXPECT_EQ(fnv1a(json), 0x981d6068cd0b6491ull) << json;
+}
+
 // --- three-level grammar (derived NUMA ladders, docs/HIERARCHY.md) ----------
 
 TEST(SynthSpec3Test, ThreeLevelGrammarRoundTripsAndDetectsMidRoles) {
@@ -342,65 +485,55 @@ TEST(SynthSpec3Test, LoneOrPartialMidRolesAreRejectedLoudly) {
   }
 }
 
-TEST(SynthBuilder3Test, Canonical3MatchesHandWrittenLadderOnNuma) {
-  SynthWorld sw(machine::with_numa(machine::make_aries(2, 4), 2));
-  const mpi::Comm& wc = sw.world.world_comm();
-  ASSERT_EQ(sw.han.hierarchy(wc).depth(), 3);
-  for (std::size_t bytes : {std::size_t{64} << 10, std::size_t{1} << 20}) {
-    for (int window : {1, 2}) {
-      const HanConfig cfg = base_cfg(64 << 10, window);
-      const SynthSpec ar3 = SynthSpec::canonical3(CollKind::Allreduce);
-      const SynthSpec bc3 = SynthSpec::canonical3(CollKind::Bcast);
-      for (int me = 0; me < wc.size(); ++me) {
-        task::TaskGraph hand = task::build_allreduce(
-            sw.han, wc, me, BufView::timing_only(bytes),
-            BufView::timing_only(bytes), Datatype::Byte, mpi::ReduceOp::Sum,
-            cfg);
-        task::TaskGraph synthd = synth::build_schedule_allreduce(
-            sw.han, wc, me, BufView::timing_only(bytes),
-            BufView::timing_only(bytes), Datatype::Byte, mpi::ReduceOp::Sum,
-            cfg, ar3);
-        expect_same_graph(hand, synthd,
-                          "allreduce3 rank " + std::to_string(me));
-
-        task::TaskGraph handb =
-            task::build_bcast(sw.han, wc, me, 0, BufView::timing_only(bytes),
-                              Datatype::Byte, cfg);
-        task::TaskGraph synthb = synth::build_schedule_bcast(
-            sw.han, wc, me, 0, BufView::timing_only(bytes), Datatype::Byte,
-            cfg, bc3);
-        expect_same_graph(handb, synthb,
-                          "bcast3 rank " + std::to_string(me));
-      }
-    }
-  }
-}
-
 TEST(SynthBuilder3Test, ThreeLevelSpecDegeneratesToFlatGraphOnFlatMachine) {
   // A mid-carrying spec on a flat machine must drop its mid stages and
   // reproduce the flat spec's graph (modulo the lag renumbering).
   SynthWorld sw(machine::make_aries(2, 4));
   const mpi::Comm& wc = sw.world.world_comm();
   ASSERT_EQ(sw.han.hierarchy(wc).depth(), 2);
-  SynthSpec flat, three;
-  ASSERT_TRUE(SynthSpec::parse("bc1:k1:ib0.sb1", &flat));
-  ASSERT_TRUE(SynthSpec::parse("bc1:k1:ib0.mb1.sb2", &three));
-  const HanConfig cfg = base_cfg(64 << 10, 2);
+  HanConfig flat = base_cfg(64 << 10, 2);
+  flat.sched = "bc1:k1:ib0.sb1";
+  HanConfig three = flat;
+  three.sched = "bc1:k1:ib0.mb1.sb2";
   const std::size_t bytes = 256 << 10;
   for (int me = 0; me < wc.size(); ++me) {
-    task::TaskGraph g3 = synth::build_schedule_bcast(
-        sw.han, wc, me, 0, BufView::timing_only(bytes), Datatype::Byte, cfg,
-        three);
+    task::TaskGraph g3 = task::build_bcast(
+        sw.han, wc, me, 0, BufView::timing_only(bytes), Datatype::Byte, three);
     for (const task::TaskNode& n : g3.nodes) {
       EXPECT_NE(n.level, task::Level::Mid) << "rank " << me;
     }
     EXPECT_TRUE(task::validate_graph(g3).empty()) << "rank " << me;
     // Same stage multiset as the flat spec's graph.
-    task::TaskGraph g2 = synth::build_schedule_bcast(
-        sw.han, wc, me, 0, BufView::timing_only(bytes), Datatype::Byte, cfg,
-        flat);
+    task::TaskGraph g2 = task::build_bcast(
+        sw.han, wc, me, 0, BufView::timing_only(bytes), Datatype::Byte, flat);
     EXPECT_EQ(g3.nodes.size(), g2.nodes.size()) << "rank " << me;
   }
+}
+
+TEST(SynthBuilder3Test, LookupReverifiesMidStagesUnderEveryNumaSplit) {
+  // A three-level entry keeps no record of its NUMA split; re-verification
+  // rebuilds it under every split the node admits (2 domains at ppn 4), so
+  // the mid stages are analyzed rather than dropped.
+  HanConfig cfg = base_cfg(64 << 10, 2);
+  auto verified = [&](const std::string& sched) {
+    HanConfig c = cfg;
+    c.sched = sched;
+    tune::LookupTable table;
+    table.insert(CollKind::Bcast, 2, 4, 64 << 10, c);
+    verify::SweepResult sweep;
+    verify::verify_lookup(table, sweep);
+    return sweep;
+  };
+  const verify::SweepResult three = verified("bc1:k1:ib0.mb1.sb2");
+  ASSERT_EQ(three.entries.size(), 1u) << three.summary();
+  EXPECT_EQ(three.entries[0].name, "lookup.bcast.2x4.log2_16.numa2");
+  EXPECT_EQ(three.total_errors(), 0) << three.summary();
+  EXPECT_EQ(three.total_warnings(), 0) << three.summary();
+  // The flat twin has no mid stage: its graphs are strictly smaller.
+  const verify::SweepResult flat = verified("bc1:k1:ib0.sb1");
+  ASSERT_EQ(flat.entries.size(), 1u);
+  EXPECT_EQ(flat.entries[0].name, "lookup.bcast.2x4.log2_16");
+  EXPECT_GT(three.entries[0].actions, flat.entries[0].actions);
 }
 
 TEST(SynthEngine3Test, NumaSynthesisVerifiesCleanAndBeatsLadderBaseline) {
