@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "coll/ring/ring_builders.hpp"
+#include "coll/sm/sm.hpp"
+#include "coll/solo/solo.hpp"
 #include "coll/topology.hpp"
 #include "simbase/assert.hpp"
 
@@ -292,6 +295,31 @@ Plan build_dissemination_barrier(int comm_size, const BuildSpec& spec) {
   }
   detail::finalize_plan(plan, spec);
   return plan;
+}
+
+Plan build_plan(PlanBuilder builder, int n, const BuildSpec& spec) {
+  switch (builder) {
+    case PlanBuilder::TreeBcast: return build_tree_bcast(n, spec);
+    case PlanBuilder::TreeReduce: return build_tree_reduce(n, spec);
+    case PlanBuilder::RecdoubAllreduce: return build_recdoub_allreduce(n, spec);
+    case PlanBuilder::LinearGather: return build_linear_gather(n, spec);
+    case PlanBuilder::LinearScatter: return build_linear_scatter(n, spec);
+    case PlanBuilder::DisseminationBarrier:
+      return build_dissemination_barrier(n, spec);
+    case PlanBuilder::RingReduceScatter:
+      return build_ring_reduce_scatter(n, spec);
+    case PlanBuilder::RingReduceScatterStrided:
+      return build_ring_reduce_scatter_strided(n, spec);
+    case PlanBuilder::RingAllgather: return build_ring_allgather(n, spec);
+    case PlanBuilder::RingAllreduce: return build_ring_allreduce(n, spec);
+    case PlanBuilder::SmBcast: return build_sm_bcast(n, spec);
+    case PlanBuilder::SmReduce: return build_sm_reduce(n, spec);
+    case PlanBuilder::SmBarrier: return build_sm_barrier(n, spec);
+    case PlanBuilder::SoloBcast: return build_solo_bcast(n, spec);
+    case PlanBuilder::SoloReduce: return build_solo_reduce(n, spec);
+  }
+  HAN_ASSERT_MSG(false, "unknown plan builder");
+  return Plan(n);
 }
 
 }  // namespace coll

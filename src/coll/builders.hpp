@@ -3,16 +3,23 @@
 // These are the fine-grained algorithms the submodules (tuned, Libnbc,
 // ADAPT) assemble into MPI collectives: segmented tree broadcast/reduce,
 // recursive-doubling allreduce, linear gather/scatter, and a dissemination
-// barrier. The ring-pattern family is in coll/ring/ring_builders.hpp.
-// Builders are pure: Plan in, Plan out, no simulator state.
+// barrier. The ring-pattern family is in coll/ring/ring_builders.hpp, the
+// shared-memory SM and SOLO builders in coll/sm and coll/solo.
+// Builders are pure: a Plan is a function of (builder, comm size,
+// BuildSpec) alone, with no simulator state — which is what lets
+// CollRuntime build each distinct one once and replay it.
 #pragma once
+
+#include <compare>
+#include <cstdint>
 
 #include "coll/plan.hpp"
 #include "coll/types.hpp"
 
 namespace han::coll {
 
-/// Shared parameters of a plan build.
+/// Every input of a plan build. Builders read only the fields they need;
+/// the rest stay at their defaults so equal plans get equal specs.
 struct BuildSpec {
   Algorithm alg = Algorithm::Binomial;
   int root = 0;
@@ -24,7 +31,39 @@ struct BuildSpec {
   sim::Time action_pre_delay = 0.0;  // per-action progression cost (Libnbc)
   sim::Time op_setup = 0.0;    // one-time per-rank setup (ADAPT machinery)
   int rail = -1;  // fabric rail for the plan's sends; -1 = machine policy
+  // Machine constants the shared-memory builders (SM, SOLO) bake in.
+  double copy_bandwidth = 0.0;   // core copy rate, bytes/s
+  sim::Time flag_latency = 0.0;  // shm flag propagation
+  // Strided reduce-scatter geometry: chunk c is the `block`-byte range at
+  // offset c * `stride` of slot 0.
+  std::size_t stride = 0;
+  std::size_t block = 0;
+
+  friend auto operator<=>(const BuildSpec&, const BuildSpec&) = default;
 };
+
+/// The named plan builders CollRuntime::start runs; each is a
+/// `Plan(int comm_size, const BuildSpec&)` declared next to its family.
+enum class PlanBuilder : std::uint8_t {
+  TreeBcast,
+  TreeReduce,
+  RecdoubAllreduce,
+  LinearGather,
+  LinearScatter,
+  DisseminationBarrier,
+  RingReduceScatter,
+  RingReduceScatterStrided,
+  RingAllgather,
+  RingAllreduce,
+  SmBcast,
+  SmReduce,
+  SmBarrier,
+  SoloBcast,
+  SoloReduce,
+};
+
+/// Run `builder` for a size-`comm_size` communicator.
+Plan build_plan(PlanBuilder builder, int comm_size, const BuildSpec& spec);
 
 /// Message segmentation helper. Segment byte counts are aligned to the
 /// datatype size; the segment count is capped (kMaxInternalSegments) so

@@ -11,6 +11,15 @@ void CollModule::unsupported(const char* what) const {
   std::abort();
 }
 
+BuildSpec CollModule::shm_spec(int root, std::size_t bytes) const {
+  BuildSpec spec;
+  spec.root = root;
+  spec.bytes = bytes;
+  spec.copy_bandwidth = world().profile().core_copy_bandwidth;
+  spec.flag_latency = world().profile().shm_latency;
+  return spec;
+}
+
 mpi::Request CollModule::ibcast(const mpi::Comm&, int, int, mpi::BufView,
                                 mpi::Datatype, const CollConfig&) {
   unsupported("ibcast");

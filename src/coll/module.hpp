@@ -96,6 +96,9 @@ class CollModule {
   mpi::SimWorld& world() const { return *world_; }
   CollRuntime& rt() const { return *rt_; }
   [[noreturn]] void unsupported(const char* what) const;
+  /// Spec of a shared-memory (SM/SOLO) plan: root, bytes and the machine's
+  /// core copy rate and shm flag latency.
+  BuildSpec shm_spec(int root, std::size_t bytes) const;
 
  private:
   mpi::SimWorld* world_;

@@ -7,8 +7,10 @@
 // paying full P2P protocol costs, which is how the SM and SOLO intra-node
 // modules are expressed.
 //
-// Plans are pure data: they are built once per collective instance by a
-// module's builder function and executed by CollRuntime.
+// Plans are pure data: a named builder (coll/builders.hpp) makes one from
+// (comm size, BuildSpec) alone. CollRuntime keeps each distinct plan as a
+// template while it is busy and replays it for every collective instance
+// with that key.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,6 @@
 #include "coll/ring/ring.hpp"
 
-#include "coll/ring/ring_builders.hpp"
+#include "coll/builders.hpp"
 #include "simbase/assert.hpp"
 
 namespace han::coll {
@@ -14,11 +14,6 @@ constexpr sim::Time kRingActionDelay = 0.05e-6;
 // Default pipelining slice for reduce-scatter (overridable via
 // CollConfig::segment, the paper's irs knob).
 constexpr std::size_t kRingDefaultSegment = 64 << 10;
-
-void count_op(mpi::SimWorld& world, const char* op, std::size_t bytes) {
-  world.metrics().counter(std::string("ring.") + op).add(1.0);
-  world.metrics().counter("ring.bytes").add(static_cast<double>(bytes));
-}
 
 BuildSpec ring_spec(std::size_t bytes, mpi::Datatype dtype, mpi::ReduceOp op) {
   BuildSpec spec;
@@ -37,19 +32,28 @@ BuildSpec ring_spec(std::size_t bytes, mpi::Datatype dtype, mpi::ReduceOp op) {
 RingModule::RingModule(mpi::SimWorld& world, CollRuntime& rt)
     : CollModule(world, rt) {}
 
+void RingModule::count_op(EntryPoint entry, std::size_t bytes) {
+  static constexpr const char* kNames[kEntryPoints] = {
+      "ring.reduce_scatter", "ring.reduce_scatter_strided", "ring.allgather",
+      "ring.allreduce"};
+  obs::Counter*& calls = calls_[entry];
+  if (calls == nullptr) calls = &world().metrics().counter(kNames[entry]);
+  calls->add(1.0);
+  if (bytes_ == nullptr) bytes_ = &world().metrics().counter("ring.bytes");
+  bytes_->add(static_cast<double>(bytes));
+}
+
 mpi::Request RingModule::ireduce_scatter(const mpi::Comm& comm, int me,
                                          mpi::BufView send, mpi::BufView recv,
                                          mpi::Datatype dtype, mpi::ReduceOp op,
                                          const CollConfig& cfg) {
   HAN_ASSERT(send.bytes >= recv.bytes);
-  count_op(world(), "reduce_scatter", send.bytes);
+  count_op(kReduceScatter, send.bytes);
   BuildSpec spec = ring_spec(send.bytes, dtype, op);
   spec.segment = cfg.segment != 0 ? cfg.segment : kRingDefaultSegment;
   spec.rail = cfg.rail;
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_ring_reduce_scatter(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, PlanBuilder::RingReduceScatter, spec,
+                    {send, recv});
 }
 
 mpi::Request RingModule::ireduce_scatter_strided(
@@ -58,30 +62,24 @@ mpi::Request RingModule::ireduce_scatter_strided(
     const CollConfig& cfg) {
   const int n = comm.size();
   HAN_ASSERT(send.bytes >= (n - 1) * stride + recv.bytes);
-  count_op(world(), "reduce_scatter_strided", send.bytes);
+  count_op(kReduceScatterStrided, send.bytes);
   BuildSpec spec = ring_spec(send.bytes, dtype, op);
   spec.segment = cfg.segment != 0 ? cfg.segment : kRingDefaultSegment;
   spec.rail = cfg.rail;
-  const std::size_t len = recv.bytes;
-  return rt().start(
-      comm, me,
-      [n, spec, stride, len] {
-        return build_ring_reduce_scatter_strided(n, spec, stride, len);
-      },
-      {send, recv});
+  spec.stride = stride;
+  spec.block = recv.bytes;
+  return rt().start(comm, me, PlanBuilder::RingReduceScatterStrided, spec,
+                    {send, recv});
 }
 
 mpi::Request RingModule::iallgather(const mpi::Comm& comm, int me,
                                     mpi::BufView send, mpi::BufView recv,
                                     const CollConfig& cfg) {
   (void)cfg;
-  count_op(world(), "allgather", send.bytes);
+  count_op(kAllgather, send.bytes);
   const BuildSpec spec =
       ring_spec(send.bytes, mpi::Datatype::Byte, mpi::ReduceOp::Sum);
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_ring_allgather(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, PlanBuilder::RingAllgather, spec, {send, recv});
 }
 
 mpi::Request RingModule::iallreduce(const mpi::Comm& comm, int me,
@@ -89,12 +87,9 @@ mpi::Request RingModule::iallreduce(const mpi::Comm& comm, int me,
                                     mpi::Datatype dtype, mpi::ReduceOp op,
                                     const CollConfig& cfg) {
   (void)cfg;
-  count_op(world(), "allreduce", send.bytes);
+  count_op(kAllreduce, send.bytes);
   const BuildSpec spec = ring_spec(send.bytes, dtype, op);
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_ring_allreduce(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, PlanBuilder::RingAllreduce, spec, {send, recv});
 }
 
 }  // namespace han::coll

@@ -8,6 +8,8 @@
 // allgather are the primitives; allreduce is their composition.
 #pragma once
 
+#include <array>
+
 #include "coll/module.hpp"
 
 namespace han::coll {
@@ -43,6 +45,22 @@ class RingModule : public CollModule {
   mpi::Request iallreduce(const mpi::Comm& comm, int me, mpi::BufView send,
                           mpi::BufView recv, mpi::Datatype dtype,
                           mpi::ReduceOp op, const CollConfig& cfg) override;
+
+ private:
+  enum EntryPoint {
+    kReduceScatter,
+    kReduceScatterStrided,
+    kAllgather,
+    kAllreduce,
+    kEntryPoints,
+  };
+  /// Count one call (ring.<entry point>, ring.bytes). The counters are
+  /// interned on first use: creating them up front would add zero-valued
+  /// metrics to every report.
+  void count_op(EntryPoint entry, std::size_t bytes);
+
+  std::array<obs::Counter*, kEntryPoints> calls_{};
+  obs::Counter* bytes_ = nullptr;
 };
 
 }  // namespace han::coll

@@ -93,12 +93,10 @@ Plan build_ring_reduce_scatter(int comm_size, const BuildSpec& spec) {
       [=](int c) { return (count * (c + 1) / n - count * c / n) * elem; });
 }
 
-Plan build_ring_reduce_scatter_strided(int comm_size, const BuildSpec& spec,
-                                       std::size_t chunk_stride,
-                                       std::size_t chunk_bytes) {
+Plan build_ring_reduce_scatter_strided(int comm_size, const BuildSpec& spec) {
   return ring_rs_plan(
-      comm_size, spec, [=](int c) { return c * chunk_stride; },
-      [=](int) { return chunk_bytes; });
+      comm_size, spec, [&](int c) { return c * spec.stride; },
+      [&](int) { return spec.block; });
 }
 
 Plan build_ring_allgather(int comm_size, const BuildSpec& spec) {

@@ -21,16 +21,14 @@ namespace han::coll {
 Plan build_ring_reduce_scatter(int comm_size, const BuildSpec& spec);
 
 /// Reduce-scatter over a *strided* chunk set: chunk c is the
-/// `chunk_bytes`-long range at offset `c * chunk_stride` of slot 0, and
+/// `spec.block`-long range at offset `c * spec.stride` of slot 0, and
 /// rank r ends up owning the fully reduced chunk r in slot 1. This is the
 /// geometry HAN's hierarchical reduce-scatter pipelines on: slot 0 is a
 /// node-leader's partially reduced vector and chunk c is one slice of node
 /// c's region, so a slice's inter-node ring can run while the intra level
 /// reduces the next slice. `spec.segment` pipelines within chunks as in
 /// build_ring_reduce_scatter.
-Plan build_ring_reduce_scatter_strided(int comm_size, const BuildSpec& spec,
-                                       std::size_t chunk_stride,
-                                       std::size_t chunk_bytes);
+Plan build_ring_reduce_scatter_strided(int comm_size, const BuildSpec& spec);
 
 /// Allgather via ring. Slots: 0 = sendbuf (`bytes`), 1 = recvbuf
 /// (`bytes * comm_size`).

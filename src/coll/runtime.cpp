@@ -77,65 +77,88 @@ void CollRuntime::set_level_label(int context, const std::string& label) {
 }
 
 mpi::Request CollRuntime::start(const mpi::Comm& comm, int comm_rank,
-                                const std::function<Plan()>& build,
+                                PlanBuilder builder, const BuildSpec& spec,
                                 std::vector<mpi::BufView> user_bufs) {
   auto& seqs = call_seq_[comm.context()];
   if (seqs.empty()) seqs.resize(comm.size(), 0);
   const std::uint64_t seq = seqs.at(comm_rank)++;
 
-  InstancePtr inst = get_or_create(comm, seq, build);
+  InstancePtr inst = get_or_create(comm, seq, builder, spec);
   mpi::Request req = mpi::make_request(world_->engine());
   arrive(inst, comm_rank, std::move(user_bufs), req);
   return req;
 }
 
-CollRuntime::InstancePtr CollRuntime::get_or_create(
-    const mpi::Comm& comm, std::uint64_t seq,
-    const std::function<Plan()>& build) {
-  const auto key = std::make_pair(comm.context(), seq);
-  auto it = instances_.find(key);
-  if (it != instances_.end()) return it->second;
-
-  auto inst = std::make_shared<Instance>();
-  inst->comm = &comm;
-  inst->seq = seq;
-  inst->plan = build();
-  const std::string defect = validate_plan(inst->plan, comm.size());
+CollRuntime::TemplatePtr CollRuntime::build_template(
+    PlanBuilder builder, int n, const BuildSpec& spec) const {
+  auto t = std::make_shared<Template>();
+  t->plan = build_plan(builder, n, spec);
+  const std::string defect = validate_plan(t->plan, n);
   HAN_ASSERT_MSG(defect.empty(), defect.c_str());
   if (plan_checker_) {
-    const std::string verdict = plan_checker_(inst->plan, comm.size());
+    const std::string verdict = plan_checker_(t->plan, n);
     HAN_ASSERT_MSG(verdict.empty(), verdict.c_str());
   }
 
-  const int n = comm.size();
-  inst->ranks.resize(n);
-  inst->dependents.resize(n);
-  inst->ranks_not_arrived = n;
+  // Wire dependency counters and reverse edges (indices are in range:
+  // validate_plan checked them).
+  t->base.assign(n + 1, 0);
   for (int r = 0; r < n; ++r) {
-    const auto& actions = inst->plan.ranks[r].actions;
-    inst->ranks[r].deps_left.assign(actions.size(), 0);
-    inst->ranks[r].launched.assign(actions.size(), 0);
-    inst->ranks[r].actions_left = static_cast<int>(actions.size());
-    inst->dependents[r].resize(actions.size());
-    inst->total_actions_left += static_cast<long>(actions.size());
+    t->base[r + 1] =
+        t->base[r] + static_cast<int>(t->plan.ranks[r].actions.size());
   }
-  // Wire reverse edges and dependency counters.
+  t->deps_left.assign(t->base[n], 0);
+  t->dependents.resize(t->base[n]);
   for (int r = 0; r < n; ++r) {
-    const auto& actions = inst->plan.ranks[r].actions;
+    const auto& actions = t->plan.ranks[r].actions;
     for (int a = 0; a < static_cast<int>(actions.size()); ++a) {
       for (const DepRef& d : actions[a].deps) {
         const int dr = d.rank == DepRef::kSameRank ? r : d.rank;
-        HAN_ASSERT(dr >= 0 && dr < n);
-        HAN_ASSERT(d.action >= 0 &&
-                   d.action <
-                       static_cast<int>(inst->plan.ranks[dr].actions.size()));
-        inst->dependents[dr][d.action].push_back(
+        t->dependents[t->node(dr, d.action)].push_back(
             DepRef{r, a, d.latency});
-        ++inst->ranks[r].deps_left[a];
+        ++t->deps_left[t->node(r, a)];
       }
     }
   }
-  instances_.emplace(key, inst);
+  return t;
+}
+
+CollRuntime::TemplatePtr CollRuntime::plan_template(PlanBuilder builder,
+                                                    int n,
+                                                    const BuildSpec& spec) {
+  // A checker must see every instance's plan: build fresh, cache nothing.
+  if (plan_checker_) return build_template(builder, n, spec);
+  TemplateKey key{builder, n, spec};
+  auto it = templates_.lower_bound(key);
+  if (it != templates_.end() && it->first == key) return it->second;
+  TemplatePtr t = build_template(builder, n, spec);
+  templates_.emplace_hint(it, std::move(key), t);
+  return t;
+}
+
+CollRuntime::InstancePtr CollRuntime::get_or_create(const mpi::Comm& comm,
+                                                    std::uint64_t seq,
+                                                    PlanBuilder builder,
+                                                    const BuildSpec& spec) {
+  const auto key = std::make_pair(comm.context(), seq);
+  auto it = instances_.lower_bound(key);
+  if (it != instances_.end() && it->first == key) return it->second;
+
+  const int n = comm.size();
+  auto inst = std::make_shared<Instance>();
+  inst->comm = &comm;
+  inst->seq = seq;
+  inst->tmpl = plan_template(builder, n, spec);
+  const Template& t = *inst->tmpl;
+  inst->ranks.resize(n);
+  for (int r = 0; r < n; ++r) {
+    inst->ranks[r].actions_left = t.base[r + 1] - t.base[r];
+  }
+  inst->deps_left = t.deps_left;
+  inst->launched.assign(t.deps_left.size(), 0);
+  inst->total_actions_left = t.base[n];
+  inst->ranks_not_arrived = n;
+  instances_.emplace_hint(it, key, inst);
   return inst;
 }
 
@@ -147,13 +170,13 @@ void CollRuntime::arrive(const InstancePtr& inst, int rank,
   rs.arrived = true;
   --inst->ranks_not_arrived;
   HAN_ASSERT_MSG(static_cast<int>(user_bufs.size()) >=
-                     inst->plan.num_user_slots,
+                     inst->plan().num_user_slots,
                  "missing user buffers for plan slots");
   rs.user_bufs = std::move(user_bufs);
   rs.req = std::move(req);
 
   // Allocate temp slot storage in data mode.
-  const auto& temp_sizes = inst->plan.ranks[rank].temp_slots;
+  const auto& temp_sizes = inst->plan().ranks[rank].temp_slots;
   if (world_->data_mode()) {
     rs.temps.resize(temp_sizes.size());
     for (std::size_t i = 0; i < temp_sizes.size(); ++i) {
@@ -166,19 +189,18 @@ void CollRuntime::arrive(const InstancePtr& inst, int rank,
     maybe_retire(inst);
     return;
   }
-  for (int a = 0; a < static_cast<int>(rs.deps_left.size()); ++a) {
-    try_launch(inst, rank, a);
-  }
+  const int count = inst->tmpl->base[rank + 1] - inst->tmpl->base[rank];
+  for (int a = 0; a < count; ++a) try_launch(inst, rank, a);
 }
 
 void CollRuntime::try_launch(const InstancePtr& inst, int rank, int action) {
-  RankState& rs = inst->ranks[rank];
-  if (!rs.arrived || rs.launched[action] != 0 ||
-      rs.deps_left[action] != 0) {
+  const int node = inst->tmpl->node(rank, action);
+  if (!inst->ranks[rank].arrived || inst->launched[node] != 0 ||
+      inst->deps_left[node] != 0) {
     return;
   }
-  rs.launched[action] = 1;
-  const Action& a = inst->plan.ranks[rank].actions[action];
+  inst->launched[node] = 1;
+  const Action& a = inst->plan().ranks[rank].actions[action];
   if (a.pre_delay > 0.0) {
     world_->engine().schedule_after(
         a.pre_delay, [this, inst, rank, action] { execute(inst, rank, action); });
@@ -192,7 +214,7 @@ mpi::BufView CollRuntime::slot_view(Instance& inst, int rank, SlotRef ref,
   RankState& rs = inst.ranks[rank];
   HAN_ASSERT_MSG(rs.arrived,
                  "slot access before rank arrival (missing cross-rank dep?)");
-  if (ref.slot < inst.plan.num_user_slots) {
+  if (ref.slot < inst.plan().num_user_slots) {
     const mpi::BufView& user = rs.user_bufs[ref.slot];
     if (user.has_data()) {
       HAN_ASSERT_MSG(ref.offset + bytes <= user.bytes,
@@ -201,8 +223,8 @@ mpi::BufView CollRuntime::slot_view(Instance& inst, int rank, SlotRef ref,
     return user.slice(ref.offset, bytes);
   }
   const std::size_t t = static_cast<std::size_t>(ref.slot) -
-                        static_cast<std::size_t>(inst.plan.num_user_slots);
-  HAN_ASSERT(t < inst.plan.ranks[rank].temp_slots.size());
+                        static_cast<std::size_t>(inst.plan().num_user_slots);
+  HAN_ASSERT(t < inst.plan().ranks[rank].temp_slots.size());
   if (!world_->data_mode()) {
     mpi::BufView v = mpi::BufView::timing_only(bytes);
     return v;
@@ -213,7 +235,7 @@ mpi::BufView CollRuntime::slot_view(Instance& inst, int rank, SlotRef ref,
 }
 
 void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
-  const Action& a = inst->plan.ranks[rank].actions[action];
+  const Action& a = inst->plan().ranks[rank].actions[action];
   const mpi::Comm& comm = *inst->comm;
   const mpi::Tag tag =
       static_cast<mpi::Tag>((inst->seq << kTagBits) |
@@ -244,7 +266,7 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
       const std::string name =
           std::string(kKindNames[kind]) + " " +
           sim::format_bytes(
-              inst->plan.ranks[rank].actions[action].bytes);
+              inst->plan().ranks[rank].actions[action].bytes);
       tracer_->span(wr, "coll", name, t0, now, world_->rank(wr).node);
     }
     complete_action(inst, rank, action);
@@ -254,7 +276,7 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
     case Action::Kind::Send: {
       mpi::BufView src = slot_view(*inst, rank, a.src, a.bytes);
       mpi::Request r = world_->isend_ctx(comm, comm.context(), rank, a.peer,
-                                         tag, src, inst->plan.rail);
+                                         tag, src, inst->plan().rail);
       r->on_complete(done);
       break;
     }
@@ -279,7 +301,7 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
                   static_cast<double>(a.bytes) * a.bus_factor),
           cap);
       r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan.ranks[rank].actions[action];
+        const Action& act = inst->plan().ranks[rank].actions[action];
         if (world_->data_mode()) {
           mpi::BufView src = slot_view(*inst, rank, act.src, act.bytes);
           mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
@@ -296,7 +318,7 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
       const int wr = comm.world_rank(rank);
       mpi::Request r = world_->reduce_compute(wr, a.bytes, a.avx);
       r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan.ranks[rank].actions[action];
+        const Action& act = inst->plan().ranks[rank].actions[action];
         if (world_->data_mode()) {
           mpi::BufView src = slot_view(*inst, rank, act.src, act.bytes);
           mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
@@ -336,7 +358,7 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
           static_cast<std::size_t>(static_cast<double>(a.bytes) * factor),
           cap);
       r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan.ranks[rank].actions[action];
+        const Action& act = inst->plan().ranks[rank].actions[action];
         if (world_->data_mode()) {
           mpi::BufView src = slot_view(*inst, act.peer, act.src, act.bytes);
           mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
@@ -356,7 +378,7 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
                      "CrossReduce peers must share a node");
       mpi::Request r = world_->reduce_compute(wr, a.bytes, a.avx);
       r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan.ranks[rank].actions[action];
+        const Action& act = inst->plan().ranks[rank].actions[action];
         if (world_->data_mode()) {
           mpi::BufView src = slot_view(*inst, act.peer, act.src, act.bytes);
           mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
@@ -381,10 +403,13 @@ void CollRuntime::complete_action(const InstancePtr& inst, int rank,
   RankState& rs = inst->ranks[rank];
   --rs.actions_left;
   --inst->total_actions_left;
-  for (const DepRef& d : inst->dependents[rank][action]) {
+  const Template& t = *inst->tmpl;
+  for (const DepRef& d : t.dependents[t.node(rank, action)]) {
     // d.rank/d.action name the *dependent* here (reverse edge).
     auto unblock = [this, inst, r = d.rank, a = d.action] {
-      if (--inst->ranks[r].deps_left[a] == 0) try_launch(inst, r, a);
+      if (--inst->deps_left[inst->tmpl->node(r, a)] == 0) {
+        try_launch(inst, r, a);
+      }
     };
     if (d.latency > 0.0) {
       world_->engine().schedule_after(d.latency, unblock);
@@ -401,6 +426,8 @@ void CollRuntime::complete_action(const InstancePtr& inst, int rank,
 void CollRuntime::maybe_retire(const InstancePtr& inst) {
   if (inst->total_actions_left == 0 && inst->ranks_not_arrived == 0) {
     instances_.erase(std::make_pair(inst->comm->context(), inst->seq));
+    // Quiescent: nothing can replay a template until the next start().
+    if (instances_.empty()) templates_.clear();
   }
 }
 

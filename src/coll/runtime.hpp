@@ -6,8 +6,17 @@
 // communicator are matched by per-rank call order, and a rank's request
 // completes when its own actions finish (not when the whole collective
 // does), exactly like Open MPI.
+//
+// A Plan is a pure function of (builder, comm size, BuildSpec), and HAN's
+// pipelines issue the same few sub-collectives over and over. The runtime
+// therefore keeps plan *templates* — the validated Plan plus its wired
+// reverse edges — keyed by exactly that triple, and every instance
+// replays one. Templates live while the runtime is busy: they are all
+// dropped when the last live instance retires, so a quiescent runtime
+// holds none and memory never grows with the number of distinct calls.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -15,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "coll/builders.hpp"
 #include "coll/plan.hpp"
 #include "simbase/trace.hpp"
 #include "simmpi/world.hpp"
@@ -29,17 +39,20 @@ class CollRuntime {
   CollRuntime& operator=(const CollRuntime&) = delete;
 
   /// Rank `comm_rank` of `comm` starts its part of the next collective in
-  /// its call order. The Plan is built once per instance, by the first
-  /// arriving rank's `build`; user buffers bind to plan slots
-  /// [0, num_user_slots).
+  /// its call order. The first arriving rank's (builder, spec) selects the
+  /// instance's plan template — built and validated on first use while
+  /// the runtime is busy, replayed afterwards; user buffers bind to plan
+  /// slots [0, num_user_slots).
   mpi::Request start(const mpi::Comm& comm, int comm_rank,
-                     const std::function<Plan()>& build,
+                     PlanBuilder builder, const BuildSpec& spec,
                      std::vector<mpi::BufView> user_bufs);
 
   mpi::SimWorld& world() { return *world_; }
 
   /// Live collective instances (diagnostics; 0 when quiescent).
   std::size_t live_instances() const { return instances_.size(); }
+  /// Cached plan templates (diagnostics; 0 when quiescent).
+  std::size_t live_templates() const { return templates_.size(); }
 
   /// Attach a tracer: every executed action emits a (rank, kind, bytes)
   /// span, grouped under the rank's simulated node. Pass nullptr to detach.
@@ -49,6 +62,8 @@ class CollRuntime {
   /// Install an extra pre-execution plan check, run on every freshly
   /// built Plan right after the structural validate_plan(). Returns "" to
   /// accept or a diagnostic to abort on (HAN_ASSERT with the message).
+  /// While a checker is installed templates are bypassed: every instance
+  /// builds its own Plan, so the checker sees exactly one per instance.
   /// han::verify::arm_plan_gate() installs its semantic analyzer here —
   /// dependency injection keeps coll/ below verify/ in the layer order.
   using PlanChecker = std::function<std::string(const Plan&, int comm_size)>;
@@ -82,27 +97,50 @@ class CollRuntime {
     bool arrived = false;
     std::vector<mpi::BufView> user_bufs;
     std::vector<std::vector<std::byte>> temps;
-    std::vector<int> deps_left;     // per action
-    std::vector<char> launched;     // per action
     int actions_left = 0;
     mpi::Request req;
+  };
+
+  /// A validated Plan and its wiring, shared read-only by the instances
+  /// replaying it. Per-action arrays are flat over node id base[r] + a.
+  struct Template {
+    Plan plan;
+    std::vector<int> base;       // comm_size + 1 node-id offsets
+    std::vector<int> deps_left;  // initial unmet dependencies per node
+    // Reverse edges: dependents[i] lists the (rank, action) pairs node i's
+    // completion unblocks.
+    std::vector<std::vector<DepRef>> dependents;
+
+    int node(int rank, int action) const { return base[rank] + action; }
+  };
+  using TemplatePtr = std::shared_ptr<const Template>;
+  struct TemplateKey {
+    PlanBuilder builder;
+    int comm_size;
+    BuildSpec spec;
+    friend auto operator<=>(const TemplateKey&, const TemplateKey&) = default;
   };
 
   struct Instance {
     const mpi::Comm* comm = nullptr;
     std::uint64_t seq = 0;
-    Plan plan;
+    TemplatePtr tmpl;
     std::vector<RankState> ranks;
-    // Reverse dependency edges: dependents[r][a] lists actions unblocked
-    // by completion of action a on rank r.
-    std::vector<std::vector<std::vector<DepRef>>> dependents;
+    std::vector<int> deps_left;  // per node
+    std::vector<char> launched;  // per node
     long total_actions_left = 0;
     int ranks_not_arrived = 0;
+
+    const Plan& plan() const { return tmpl->plan; }
   };
   using InstancePtr = std::shared_ptr<Instance>;
 
   InstancePtr get_or_create(const mpi::Comm& comm, std::uint64_t seq,
-                            const std::function<Plan()>& build);
+                            PlanBuilder builder, const BuildSpec& spec);
+  TemplatePtr plan_template(PlanBuilder builder, int comm_size,
+                            const BuildSpec& spec);
+  TemplatePtr build_template(PlanBuilder builder, int comm_size,
+                             const BuildSpec& spec) const;
   void arrive(const InstancePtr& inst, int rank,
               std::vector<mpi::BufView> user_bufs, mpi::Request req);
   void try_launch(const InstancePtr& inst, int rank, int action);
@@ -123,6 +161,7 @@ class CollRuntime {
   // Per-comm-context, per-comm-rank collective call counters.
   std::unordered_map<int, std::vector<std::uint64_t>> call_seq_;
   std::map<std::pair<int, std::uint64_t>, InstancePtr> instances_;
+  std::map<TemplateKey, TemplatePtr> templates_;  // cleared at quiescence
   // Observability (pointers into the world's registry; stable for life).
   KindStats kinds_[8];
   obs::Gauge* inflight_ = nullptr;

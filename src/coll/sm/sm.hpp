@@ -46,4 +46,18 @@ class SmModule : public CollModule {
   static double copy_efficiency(std::size_t bytes);
 };
 
+// SM plan builders. They read root, bytes, copy_bandwidth, flag_latency
+// and (reduce) dtype/op from the spec.
+
+/// Root stages into shm; every reader copies out after the flag. Slots:
+/// 0 = the user buffer.
+Plan build_sm_bcast(int comm_size, const BuildSpec& spec);
+
+/// Binomial tree of shm publishes and scalar cross-reduces. Slots:
+/// 0 = sendbuf, 1 = recvbuf (significant at the root).
+Plan build_sm_reduce(int comm_size, const BuildSpec& spec);
+
+/// Flag dissemination: ceil(log2 n) rounds of one flag hop each.
+Plan build_sm_barrier(int comm_size, const BuildSpec& spec);
+
 }  // namespace han::coll

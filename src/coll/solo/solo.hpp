@@ -41,4 +41,15 @@ class SoloModule : public CollModule {
   static constexpr sim::Time window_sync_cost() { return 9.0e-6; }
 };
 
+// SOLO plan builders. They read root, bytes, copy_bandwidth, flag_latency
+// and (reduce) dtype/op from the spec.
+
+/// Every reader copies straight from the root's exposed buffer. Slots:
+/// 0 = the user buffer.
+Plan build_solo_bcast(int comm_size, const BuildSpec& spec);
+
+/// Binomial tree of one-sided AVX cross-reduces. Slots: 0 = sendbuf,
+/// 1 = recvbuf (significant at the root).
+Plan build_solo_reduce(int comm_size, const BuildSpec& spec);
+
 }  // namespace han::coll

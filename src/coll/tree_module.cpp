@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "coll/ring/ring_builders.hpp"
 
 namespace han::coll {
 
@@ -35,9 +34,7 @@ mpi::Request TreeCollModule::ibcast(const mpi::Comm& comm, int me, int root,
                                     const CollConfig& cfg) {
   const BuildSpec spec =
       resolve(cfg, params_.bcast_algs, root, buf.bytes, dtype);
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_tree_bcast(n, spec); }, {buf});
+  return rt().start(comm, me, PlanBuilder::TreeBcast, spec, {buf});
 }
 
 mpi::Request TreeCollModule::ireduce(const mpi::Comm& comm, int me, int root,
@@ -46,10 +43,7 @@ mpi::Request TreeCollModule::ireduce(const mpi::Comm& comm, int me, int root,
                                      const CollConfig& cfg) {
   BuildSpec spec = resolve(cfg, params_.reduce_algs, root, send.bytes, dtype);
   spec.op = op;
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_tree_reduce(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, PlanBuilder::TreeReduce, spec, {send, recv});
 }
 
 mpi::Request TreeCollModule::iallreduce(const mpi::Comm& comm, int me,
@@ -58,12 +52,10 @@ mpi::Request TreeCollModule::iallreduce(const mpi::Comm& comm, int me,
                                         const CollConfig& cfg) {
   BuildSpec spec = resolve(cfg, params_.reduce_algs, 0, send.bytes, dtype);
   spec.op = op;
-  const int n = comm.size();
   // Libnbc/ADAPT style: recursive doubling (their default for commutative
   // operations); algorithm choice only affects the rooted trees.
-  return rt().start(
-      comm, me, [n, spec] { return build_recdoub_allreduce(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, PlanBuilder::RecdoubAllreduce, spec,
+                    {send, recv});
 }
 
 mpi::Request TreeCollModule::igather(const mpi::Comm& comm, int me, int root,
@@ -71,10 +63,7 @@ mpi::Request TreeCollModule::igather(const mpi::Comm& comm, int me, int root,
                                      const CollConfig& cfg) {
   BuildSpec spec = resolve(cfg, params_.bcast_algs, root, send.bytes,
                            mpi::Datatype::Byte);
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_linear_gather(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, PlanBuilder::LinearGather, spec, {send, recv});
 }
 
 mpi::Request TreeCollModule::iscatter(const mpi::Comm& comm, int me, int root,
@@ -82,10 +71,7 @@ mpi::Request TreeCollModule::iscatter(const mpi::Comm& comm, int me, int root,
                                       const CollConfig& cfg) {
   BuildSpec spec = resolve(cfg, params_.bcast_algs, root, recv.bytes,
                            mpi::Datatype::Byte);
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_linear_scatter(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, PlanBuilder::LinearScatter, spec, {send, recv});
 }
 
 mpi::Request TreeCollModule::iallgather(const mpi::Comm& comm, int me,
@@ -93,20 +79,15 @@ mpi::Request TreeCollModule::iallgather(const mpi::Comm& comm, int me,
                                         const CollConfig& cfg) {
   BuildSpec spec = resolve(cfg, params_.bcast_algs, 0, send.bytes,
                            mpi::Datatype::Byte);
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_ring_allgather(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, PlanBuilder::RingAllgather, spec, {send, recv});
 }
 
 mpi::Request TreeCollModule::ibarrier(const mpi::Comm& comm, int me) {
   BuildSpec spec;
   spec.action_pre_delay = params_.action_pre_delay;
   spec.op_setup = params_.op_setup;
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_dissemination_barrier(n, spec); },
-      {mpi::BufView::timing_only(0)});
+  return rt().start(comm, me, PlanBuilder::DisseminationBarrier, spec,
+                    {mpi::BufView::timing_only(0)});
 }
 
 TreeModuleParams libnbc_params() {

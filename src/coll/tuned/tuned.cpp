@@ -1,7 +1,5 @@
 #include "coll/tuned/tuned.hpp"
 
-#include "coll/ring/ring_builders.hpp"
-
 namespace han::coll {
 
 namespace {
@@ -96,10 +94,8 @@ mpi::Request TunedModule::iallreduce(const mpi::Comm& comm, int me,
     spec.dtype = dtype;
     spec.op = op;
     spec.op_setup = 0.2e-6;
-    const int n = comm.size();
-    return rt().start(
-        comm, me, [n, spec] { return build_ring_allreduce(n, spec); },
-        {send, recv});
+    return rt().start(comm, me, PlanBuilder::RingAllreduce, spec,
+                      {send, recv});
   }
   return TreeCollModule::iallreduce(comm, me, send, recv, dtype, op, cfg);
 }

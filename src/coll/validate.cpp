@@ -48,17 +48,20 @@ bool uses_peer(Action::Kind k) {
   }
 }
 
-/// Check one slot reference against the owning rank's slot table. Only
-/// temp-slot extents are knowable here (user buffers bind at start()).
+/// Check one slot reference of action (rank, action) against the owning
+/// rank's slot table. Only temp-slot extents are knowable here (user
+/// buffers bind at start()). `role` ("src"/"dst") names the operand; the
+/// message is formatted only when the check fails.
 std::string check_slot(const Plan& plan, int owner, const SlotRef& ref,
-                       std::size_t bytes, const std::string& where) {
+                       std::size_t bytes, int rank, int action,
+                       const char* role) {
   const std::size_t temps = plan.ranks[owner].temp_slots.size();
   const std::size_t total =
       static_cast<std::size_t>(plan.num_user_slots) + temps;
   if (ref.slot < 0 || static_cast<std::size_t>(ref.slot) >= total) {
-    return where + " references slot " + std::to_string(ref.slot) +
-           " but rank " + std::to_string(owner) + " has " +
-           std::to_string(total) + " slots";
+    return node_name(rank, action) + " " + role + " references slot " +
+           std::to_string(ref.slot) + " but rank " + std::to_string(owner) +
+           " has " + std::to_string(total) + " slots";
   }
   if (ref.slot >= plan.num_user_slots) {
     const std::size_t size =
@@ -66,9 +69,10 @@ std::string check_slot(const Plan& plan, int owner, const SlotRef& ref,
             .temp_slots[static_cast<std::size_t>(ref.slot) -
                         static_cast<std::size_t>(plan.num_user_slots)];
     if (ref.offset + bytes > size) {
-      return where + " overruns temp slot " + std::to_string(ref.slot) +
-             " (" + std::to_string(ref.offset) + " + " +
-             std::to_string(bytes) + " > " + std::to_string(size) + ")";
+      return node_name(rank, action) + " " + role + " overruns temp slot " +
+             std::to_string(ref.slot) + " (" + std::to_string(ref.offset) +
+             " + " + std::to_string(bytes) + " > " + std::to_string(size) +
+             ")";
     }
   }
   return "";
@@ -99,12 +103,14 @@ std::string validate_plan(const Plan& plan, int comm_size) {
     const auto& actions = plan.ranks[r].actions;
     for (int a = 0; a < static_cast<int>(actions.size()); ++a) {
       const Action& act = actions[a];
-      const std::string who = node_name(r, a);
+      // Messages are built only on failure: this runs for every action
+      // of every plan template.
       if (act.tag < 0) {
-        return who + " has negative tag " + std::to_string(act.tag);
+        return node_name(r, a) + " has negative tag " +
+               std::to_string(act.tag);
       }
       if (uses_peer(act.kind) && (act.peer < 0 || act.peer >= n)) {
-        return who + " peers with out-of-range rank " +
+        return node_name(r, a) + " peers with out-of-range rank " +
                std::to_string(act.peer);
       }
       // Cross* actions read the *peer's* src slot; everything else its own.
@@ -113,26 +119,30 @@ std::string validate_plan(const Plan& plan, int comm_size) {
       if (uses_src(act.kind)) {
         const int owner = cross ? act.peer : r;
         std::string err =
-            check_slot(plan, owner, act.src, act.bytes, who + " src");
+            check_slot(plan, owner, act.src, act.bytes, r, a, "src");
         if (!err.empty()) return err;
       }
       if (uses_dst(act.kind)) {
-        std::string err = check_slot(plan, r, act.dst, act.bytes, who + " dst");
+        std::string err = check_slot(plan, r, act.dst, act.bytes, r, a, "dst");
         if (!err.empty()) return err;
       }
       for (const DepRef& d : act.deps) {
         const int dr = d.rank == DepRef::kSameRank ? r : d.rank;
         if (dr < 0 || dr >= n) {
-          return who + " depends on out-of-range rank " +
+          return node_name(r, a) + " depends on out-of-range rank " +
                  std::to_string(d.rank);
         }
         const int dn = static_cast<int>(plan.ranks[dr].actions.size());
         if (d.action < 0 || d.action >= dn) {
-          return who + " depends on out-of-range action " +
+          return node_name(r, a) + " depends on out-of-range action " +
                  std::to_string(d.action) + " of rank " + std::to_string(dr);
         }
-        if (dr == r && d.action == a) return who + " depends on itself";
-        if (d.latency < 0.0) return who + " has a negative dep latency";
+        if (dr == r && d.action == a) {
+          return node_name(r, a) + " depends on itself";
+        }
+        if (d.latency < 0.0) {
+          return node_name(r, a) + " has a negative dep latency";
+        }
         const int from = base[dr] + d.action;
         dependents[from].push_back(base[r] + a);
         ++indegree[base[r] + a];

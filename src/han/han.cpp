@@ -4,7 +4,6 @@
 
 #include "han/synth/spec.hpp"
 #include "han/task/builders.hpp"
-#include "han/task/scheduler.hpp"
 
 namespace han::core {
 
@@ -19,7 +18,7 @@ using mpi::Request;
 
 HanModule::HanModule(mpi::SimWorld& world, coll::CollRuntime& rt,
                      coll::ModuleSet& mods)
-    : coll::CollModule(world, rt), mods_(&mods) {
+    : coll::CollModule(world, rt), mods_(&mods), sched_(rt) {
   // When a communicator dies, its cached ladders must die with it — the
   // context id is recycled, and a later comm reusing it would otherwise
   // inherit this comm's level splits. Freeing the splits re-enters
@@ -89,11 +88,28 @@ HanConfig HanModule::decide(CollKind kind, const mpi::Comm& comm,
       decider_ ? decider_(kind, hc.node_count(), hc.max_ppn(), bytes)
                : default_config(kind, hc.node_count(), hc.max_ppn(), bytes);
   obs::MetricsRegistry& m = world().metrics();
-  m.counter(std::string("han.decide.") + coll::coll_kind_name(kind)).add(1.0);
-  m.counter("han.decide.bytes").add(static_cast<double>(bytes));
-  m.counter("han.cfg.imod." + cfg.imod).add(1.0);
-  m.counter("han.cfg.smod." + cfg.smod).add(1.0);
+  obs::Counter*& per_kind = decide_kind_[static_cast<int>(kind)];
+  if (per_kind == nullptr) {
+    per_kind =
+        &m.counter(std::string("han.decide.") + coll::coll_kind_name(kind));
+  }
+  per_kind->add(1.0);
+  if (decide_bytes_ == nullptr) decide_bytes_ = &m.counter("han.decide.bytes");
+  decide_bytes_->add(static_cast<double>(bytes));
+  named_counter(cfg_imod_, "han.cfg.imod.", cfg.imod).add(1.0);
+  named_counter(cfg_smod_, "han.cfg.smod.", cfg.smod).add(1.0);
   return cfg;
+}
+
+obs::Counter& HanModule::named_counter(NamedCounters& cache,
+                                       std::string_view prefix,
+                                       const std::string& name) {
+  auto it = cache.find(name);
+  if (it == cache.end()) {
+    obs::Counter& c = world().metrics().counter(std::string(prefix) + name);
+    it = cache.emplace(name, &c).first;
+  }
+  return *it->second;
 }
 
 Hierarchy& HanModule::hierarchy(const mpi::Comm& comm,
@@ -172,9 +188,8 @@ bool node_contiguous(const Hierarchy& hc) {
 mpi::Request HanModule::ibcast_cfg(const mpi::Comm& comm, int me, int root,
                                    BufView buf, mpi::Datatype dtype,
                                    const HanConfig& cfg) {
-  return task::TaskScheduler::run(
-      rt(), task::build_bcast(*this, comm, me, root, buf, dtype, cfg),
-      cfg.window, comm.world_rank(me));
+  return sched_.run(task::build_bcast(*this, comm, me, root, buf, dtype, cfg),
+                    cfg.window, comm.world_rank(me));
 }
 
 mpi::Request HanModule::ibcast(const mpi::Comm& comm, int me, int root,
@@ -188,8 +203,7 @@ mpi::Request HanModule::ireduce_cfg(const mpi::Comm& comm, int me, int root,
                                     BufView send, BufView recv,
                                     mpi::Datatype dtype, mpi::ReduceOp op,
                                     const HanConfig& cfg) {
-  return task::TaskScheduler::run(
-      rt(),
+  return sched_.run(
       task::build_reduce(*this, comm, me, root, send, recv, dtype, op, cfg),
       cfg.window, comm.world_rank(me));
 }
@@ -206,8 +220,7 @@ mpi::Request HanModule::iallreduce_cfg(const mpi::Comm& comm, int me,
                                        BufView send, BufView recv,
                                        mpi::Datatype dtype, mpi::ReduceOp op,
                                        const HanConfig& cfg) {
-  return task::TaskScheduler::run(
-      rt(),
+  return sched_.run(
       task::build_allreduce(*this, comm, me, send, recv, dtype, op, cfg),
       cfg.window, comm.world_rank(me));
 }
@@ -248,9 +261,9 @@ mpi::Request HanModule::igather(const mpi::Comm& comm, int me, int root,
   HAN_ASSERT_MSG(node_contiguous(flat_hierarchy(comm)),
                  "HAN gather requires node-contiguous rank placement");
   const HanConfig cfg = decide(CollKind::Gather, comm, send.bytes);
-  return task::TaskScheduler::run(
-      rt(), task::build_gather(*this, comm, me, root, send, recv, cfg),
-      cfg.window, comm.world_rank(me));
+  return sched_.run(
+      task::build_gather(*this, comm, me, root, send, recv, cfg), cfg.window,
+      comm.world_rank(me));
 }
 
 mpi::Request HanModule::iscatter(const mpi::Comm& comm, int me, int root,
@@ -259,9 +272,9 @@ mpi::Request HanModule::iscatter(const mpi::Comm& comm, int me, int root,
   HAN_ASSERT_MSG(node_contiguous(flat_hierarchy(comm)),
                  "HAN scatter requires node-contiguous rank placement");
   const HanConfig cfg = decide(CollKind::Scatter, comm, recv.bytes);
-  return task::TaskScheduler::run(
-      rt(), task::build_scatter(*this, comm, me, root, send, recv, cfg),
-      cfg.window, comm.world_rank(me));
+  return sched_.run(
+      task::build_scatter(*this, comm, me, root, send, recv, cfg), cfg.window,
+      comm.world_rank(me));
 }
 
 mpi::Request HanModule::iallgather(const mpi::Comm& comm, int me,
@@ -270,9 +283,8 @@ mpi::Request HanModule::iallgather(const mpi::Comm& comm, int me,
   HAN_ASSERT_MSG(node_contiguous(flat_hierarchy(comm)),
                  "HAN allgather requires node-contiguous rank placement");
   const HanConfig cfg = decide(CollKind::Allgather, comm, send.bytes);
-  return task::TaskScheduler::run(
-      rt(), task::build_allgather(*this, comm, me, send, recv, cfg),
-      cfg.window, comm.world_rank(me));
+  return sched_.run(task::build_allgather(*this, comm, me, send, recv, cfg),
+                    cfg.window, comm.world_rank(me));
 }
 
 mpi::Request HanModule::ireduce_scatter_cfg(const mpi::Comm& comm, int me,
@@ -288,10 +300,8 @@ mpi::Request HanModule::ireduce_scatter_cfg(const mpi::Comm& comm, int me,
       "reduce_scatter: send must be comm_size equal blocks of recv.bytes");
   HAN_ASSERT_MSG(hc.node_count() * hc.max_ppn() == comm.size(),
                  "HAN reduce_scatter requires a uniform ppn");
-  return task::TaskScheduler::run(
-      rt(),
-      task::build_reduce_scatter(*this, comm, me, send, recv, dtype, op,
-                                 cfg),
+  return sched_.run(
+      task::build_reduce_scatter(*this, comm, me, send, recv, dtype, op, cfg),
       cfg.window, comm.world_rank(me));
 }
 
@@ -305,8 +315,8 @@ mpi::Request HanModule::ireduce_scatter(const mpi::Comm& comm, int me,
 }
 
 mpi::Request HanModule::ibarrier(const mpi::Comm& comm, int me) {
-  return task::TaskScheduler::run(rt(), task::build_barrier(*this, comm, me),
-                                  /*window=*/1, comm.world_rank(me));
+  return sched_.run(task::build_barrier(*this, comm, me), /*window=*/1,
+                    comm.world_rank(me));
 }
 
 }  // namespace han::core

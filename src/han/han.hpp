@@ -14,13 +14,19 @@
 // autotuner's lookup table (autotune/).
 #pragma once
 
+#include <array>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "coll/registry.hpp"
 #include "han/config.hpp"
 #include "han/hierarchy.hpp"
+#include "han/task/scheduler.hpp"
+#include "obs/metrics.hpp"
 
 namespace han::core {
 
@@ -134,8 +140,20 @@ class HanModule : public coll::CollModule {
   coll::ModuleSet& modules() { return *mods_; }
 
  private:
+  using NamedCounters = std::map<std::string, obs::Counter*, std::less<>>;
+  /// `prefix + name`'s counter, interned in `cache` on first use.
+  obs::Counter& named_counter(NamedCounters& cache, std::string_view prefix,
+                              const std::string& name);
+
   coll::ModuleSet* mods_;
   Decider decider_;
+  task::TaskScheduler sched_;
+  // decide()'s han.decide.* / han.cfg.* counters, interned on first use
+  // (creating them up front would add zero-valued metrics to reports).
+  std::array<obs::Counter*, static_cast<int>(coll::CollKind::ReduceScatter) + 1>
+      decide_kind_{};
+  obs::Counter* decide_bytes_ = nullptr;
+  NamedCounters cfg_imod_, cfg_smod_;
   // Ladders cached by parent context; a context holds one ladder per
   // distinct descriptor (flat + derived, typically). Vector scan keeps
   // lookup deterministic and the descriptor set is tiny.

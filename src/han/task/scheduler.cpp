@@ -1,6 +1,5 @@
 #include "han/task/scheduler.hpp"
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,11 +8,10 @@ namespace han::task {
 
 namespace {
 
-constexpr int kOpCount = static_cast<int>(Op::Barrier) + 1;
-
 /// Per-run execution state, kept alive by the completion callbacks.
 struct Exec : std::enable_shared_from_this<Exec> {
   coll::CollRuntime* rt = nullptr;
+  TaskScheduler::Metrics* m = nullptr;  // the scheduler's interned handles
   TaskGraph g;
   int window = 1;
   int trace_rank = 0;
@@ -26,11 +24,6 @@ struct Exec : std::enable_shared_from_this<Exec> {
   std::vector<long> step_total, step_done;
   int frontier = 0;
   int remaining = 0;
-
-  obs::Gauge* inflight = nullptr;
-  obs::Counter* c_issued = nullptr;
-  obs::Counter* c_completed = nullptr;
-  std::array<obs::Counter*, kOpCount> c_per_op{};  // cached off the hot loop
 
   void init() {
     const int n = static_cast<int>(g.nodes.size());
@@ -70,18 +63,23 @@ struct Exec : std::enable_shared_from_this<Exec> {
       ++frontier;
     }
 
-    obs::MetricsRegistry& m = rt->world().metrics();
-    inflight = &m.gauge("han.task.inflight");
-    c_issued = &m.counter("han.task.issued");
-    c_completed = &m.counter("han.task.completed");
+    if (m->inflight == nullptr) {
+      obs::MetricsRegistry& reg = rt->world().metrics();
+      m->inflight = &reg.gauge("han.task.inflight");
+      m->issued = &reg.counter("han.task.issued");
+      m->completed = &reg.counter("han.task.completed");
+      m->graphs = &reg.counter("han.task.graphs");
+      m->nodes = &reg.counter("han.task.nodes");
+    }
     for (const TaskNode& node : g.nodes) {
-      auto& slot = c_per_op[static_cast<int>(node.op)];
+      auto& slot = m->per_op[static_cast<int>(node.op)];
       if (slot == nullptr) {
-        slot = &m.counter(std::string("han.task.op.") + op_name(node.op));
+        slot = &rt->world().metrics().counter(std::string("han.task.op.") +
+                                              op_name(node.op));
       }
     }
-    m.counter("han.task.graphs").add(1.0);
-    m.counter("han.task.nodes").add(static_cast<double>(n));
+    m->graphs->add(1.0);
+    m->nodes->add(static_cast<double>(n));
   }
 
   bool issuable(int i) const {
@@ -97,10 +95,10 @@ struct Exec : std::enable_shared_from_this<Exec> {
     for (int i = 0; i < static_cast<int>(g.nodes.size()); ++i) {
       if (!issuable(i)) continue;
       issued[i] = 1;
-      c_issued->add(1.0);
-      c_per_op[static_cast<int>(g.nodes[i].op)]->add(1.0);
+      m->issued->add(1.0);
+      m->per_op[static_cast<int>(g.nodes[i].op)]->add(1.0);
       const double t0 = rt->world().now();
-      inflight->add(t0, 1.0);
+      m->inflight->add(t0, 1.0);
       mpi::Request req = g.nodes[i].issue();
       HAN_ASSERT_MSG(req != nullptr, "task issue returned a null request");
       req->on_complete([self = shared_from_this(), i, t0] {
@@ -111,8 +109,8 @@ struct Exec : std::enable_shared_from_this<Exec> {
 
   void finish(int i, double t0) {
     const double now = rt->world().now();
-    inflight->add(now, -1.0);
-    c_completed->add(1.0);
+    m->inflight->add(now, -1.0);
+    m->completed->add(1.0);
     if (sim::Tracer* tr = rt->tracer()) {
       const TaskNode& node = g.nodes[i];
       const std::string name = std::string("task.") + level_name(node.level) +
@@ -137,18 +135,18 @@ struct Exec : std::enable_shared_from_this<Exec> {
 
 }  // namespace
 
-mpi::Request TaskScheduler::run(coll::CollRuntime& rt, TaskGraph graph,
-                                int window, int trace_rank) {
+mpi::Request TaskScheduler::run(TaskGraph graph, int window, int trace_rank) {
   HAN_ASSERT_MSG(window >= 1, "scheduler window must be >= 1");
   const std::string defect = validate_graph(graph);
   HAN_ASSERT_MSG(defect.empty(), defect.c_str());
-  mpi::Request done = mpi::make_request(rt.world().engine());
+  mpi::Request done = mpi::make_request(rt_->world().engine());
   if (graph.empty()) {
     done->complete();  // degenerate: nothing to run
     return done;
   }
   auto exec = std::make_shared<Exec>();
-  exec->rt = &rt;
+  exec->rt = rt_;
+  exec->m = &metrics_;
   exec->g = std::move(graph);
   exec->window = window;
   exec->trace_rank = trace_rank;

@@ -12,19 +12,40 @@
 // as their data dependencies allow — a new tunable (HanConfig::window).
 #pragma once
 
+#include <array>
+
 #include "coll/runtime.hpp"
 #include "han/task/graph.hpp"
+#include "obs/metrics.hpp"
 
 namespace han::task {
 
 class TaskScheduler {
  public:
+  /// A scheduler issuing over `rt`; both must outlive every run.
+  explicit TaskScheduler(coll::CollRuntime& rt) : rt_(&rt) {}
+
   /// Execute `graph`. Returns a request that completes when every node
   /// has completed; an empty graph completes it synchronously. The graph
   /// is validated (HAN_ASSERT on malformed input). `trace_rank` labels
   /// tracer spans and is the owning rank's world rank.
-  static mpi::Request run(coll::CollRuntime& rt, TaskGraph graph, int window,
-                          int trace_rank);
+  mpi::Request run(TaskGraph graph, int window, int trace_rank);
+
+  /// han.task.* metric handles, interned on first use: a registry lookup
+  /// per graph is measurable on the issue path, and creating them up
+  /// front would add zero-valued metrics to every report.
+  struct Metrics {
+    obs::Gauge* inflight = nullptr;
+    obs::Counter* issued = nullptr;
+    obs::Counter* completed = nullptr;
+    obs::Counter* graphs = nullptr;
+    obs::Counter* nodes = nullptr;
+    std::array<obs::Counter*, static_cast<int>(Op::Barrier) + 1> per_op{};
+  };
+
+ private:
+  coll::CollRuntime* rt_;
+  Metrics metrics_;
 };
 
 }  // namespace han::task

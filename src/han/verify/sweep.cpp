@@ -126,11 +126,10 @@ void sweep_plans_for(SweepResult& out, int n) {
                   coll::build_ring_allreduce(n, rs), n);
         BuildSpec st = spec;
         st.bytes = static_cast<std::size_t>(n) * (32 << 10);
+        st.stride = 32 << 10;
+        st.block = 16 << 10;
         plan_case(out, "plan.ring_reduce_scatter_strided" + suffix,
-                  coll::build_ring_reduce_scatter_strided(
-                      n, st, /*chunk_stride=*/32 << 10,
-                      /*chunk_bytes=*/16 << 10),
-                  n);
+                  coll::build_ring_reduce_scatter_strided(n, st), n);
         plan_case(out, "plan.ring_allgather" + suffix,
                   coll::build_ring_allgather(n, spec), n);
       }

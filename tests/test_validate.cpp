@@ -157,22 +157,22 @@ TEST(ValidateDeath, SchedulerRejectsCyclicGraph) {
   task::TaskGraph g;
   g.add(noop_node(0, {1}));
   g.add(noop_node(0, {0}));
-  EXPECT_DEATH(
-      task::TaskScheduler::run(h.rt, std::move(g), /*window=*/1, 0),
-      "cycle");
+  task::TaskScheduler sched(h.rt);
+  EXPECT_DEATH(sched.run(std::move(g), /*window=*/1, 0), "cycle");
 }
 
 TEST(ValidateDeath, RuntimeRejectsMalformedPlan) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   test::CollHarness h(machine::make_aries(1, 2));
-  auto build = [&] {
-    Plan p(h.world.world_comm().size(), 1);
-    p.ranks[0].add(
-        coll::send_action(/*peer=*/99, /*tag=*/0, 8, SlotRef{0, 0}));
-    return p;
-  };
-  EXPECT_DEATH(h.rt.start(h.world.world_comm(), 0, build,
-                          {mpi::BufView::timing_only(8)}),
+  // A root outside the communicator: every rank sends its block to
+  // peer 99.
+  coll::BuildSpec spec;
+  spec.root = 99;
+  spec.bytes = 8;
+  EXPECT_DEATH(h.rt.start(h.world.world_comm(), 0,
+                          coll::PlanBuilder::LinearGather, spec,
+                          {mpi::BufView::timing_only(8),
+                           mpi::BufView::timing_only(16)}),
                "out-of-range");
 }
 
