@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <string_view>
 #include <vector>
 
-#include "han/han_util.hpp"
 #include "han/hierarchy.hpp"
 #include "han/synth/spec.hpp"
 #include "han/task/shapes.hpp"
@@ -23,17 +21,35 @@ using coll::CollModule;
 using coll::Segmenter;
 using core::HanConfig;
 using core::Hierarchy;
-using core::TempBuf;
-using core::seg_of;
 using mpi::BufView;
 using mpi::Datatype;
 using mpi::ReduceOp;
 
-std::shared_ptr<TempBuf> make_temp(TaskGraph& g, bool data_mode,
-                                   std::size_t bytes, Datatype t) {
-  auto buf = std::make_shared<TempBuf>(data_mode, bytes, t);
-  g.keepalive.push_back(buf);
-  return buf;
+BufView seg_of(BufView buf, const Segmenter& segs, int i) {
+  return buf.slice(segs.offset(i), segs.length(i));
+}
+
+/// The task record of one module call; fields the call does not take keep
+/// their defaults.
+TaskNode task(Op op, Level level, int step, std::vector<int> deps,
+              CollModule* mod, const mpi::Comm* comm, int me, int root,
+              BufView send, BufView recv, Datatype dtype = Datatype::Byte,
+              ReduceOp rop = ReduceOp::Sum, CollConfig cfg = {}) {
+  TaskNode n;
+  n.op = op;
+  n.level = level;
+  n.step = step;
+  n.deps = std::move(deps);
+  n.mod = mod;
+  n.comm = comm;
+  n.me = me;
+  n.root = root;
+  n.send = send;
+  n.recv = recv;
+  n.dtype = dtype;
+  n.rop = rop;
+  n.cfg = cfg;
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +246,6 @@ void emit_pipeline(TaskGraph& g, core::HanModule& m, const Pipeline& p,
                    const HanConfig& cfg, const CollConfig& ibcfg,
                    BufView send, BufView recv, Datatype dtype, ReduceOp op) {
   mpi::SimWorld& w = m.world_ref();
-  sim::Engine* eng = &w.engine();
   const int de = p.lads.front().de();
   const CollConfig ircfg{cfg.iralg, cfg.irs};
   const CollConfig mcfg{cfg.malg, cfg.ms};
@@ -240,8 +255,7 @@ void emit_pipeline(TaskGraph& g, core::HanModule& m, const Pipeline& p,
   // Per-level partials: level l reduces into part[l], which the next level
   // up forwards (han3's leaf_part/node_part, generalized). Only ranks that
   // participate at level l+1 in some stripe hold real data in part[l].
-  std::vector<std::shared_ptr<TempBuf>> part(
-      static_cast<std::size_t>(de - 1));
+  std::vector<BufView> part(static_cast<std::size_t>(de - 1));
   if (std::any_of(p.stages.begin(), p.stages.end(),
                   [](const StageSpec& s) { return s.op == Op::Reduce; })) {
     for (int l = 0; l + 1 < de; ++l) {
@@ -249,12 +263,11 @@ void emit_pipeline(TaskGraph& g, core::HanModule& m, const Pipeline& p,
           std::any_of(p.lads.begin(), p.lads.end(),
                       [l](const Ladder& lad) { return lad.member[l + 1]; });
       part[static_cast<std::size_t>(l)] =
-          make_temp(g, w.data_mode() && holds, send.bytes, dtype);
+          g.temp(w.data_mode() && holds, send.bytes, dtype);
     }
   }
   auto part_seg = [&](int l, int i) {
-    return part[static_cast<std::size_t>(l)]->view(segs.offset(i),
-                                                    segs.length(i));
+    return seg_of(part[static_cast<std::size_t>(l)], segs, i);
   };
 
   std::vector<std::vector<int>> red(de, std::vector<int>(u, -1));
@@ -263,52 +276,41 @@ void emit_pipeline(TaskGraph& g, core::HanModule& m, const Pipeline& p,
     const Ladder& lad = p.lad(i);
     const int l = s.tier;
     if (!lad.enabled[l]) return;
-    const mpi::Comm* c = lad.comm[l];
-    const int me_l = lad.rank[l], root_l = lad.root[l];
-    CollModule* mod = ladder_module(m, lad, l, cfg, send.bytes);
     const bool inter = lad.level[l] == Level::Inter;
-    std::vector<int> deps;
+    TaskNode n = task(s.op, s.level, t, {},
+                      ladder_module(m, lad, l, cfg, send.bytes), lad.comm[l],
+                      lad.rank[l], lad.root[l], {}, {}, dtype);
     if (s.op == Op::Reduce) {
-      const CollConfig lcfg = inter ? ircfg : l == 0 ? CollConfig{} : mcfg;
-      BufView src = seg_of(send, segs, i);
+      n.cfg = inter ? ircfg : l == 0 ? CollConfig{} : mcfg;
+      n.send = seg_of(send, segs, i);
       for (int j = l - 1; j >= 0; --j) {
         if (lad.enabled[j]) {
-          src = part_seg(j, i);
+          n.send = part_seg(j, i);
           break;
         }
       }
-      const BufView dst = l == de - 1        ? seg_of(recv, segs, i)
-                          : lad.member[l + 1] ? part_seg(l, i)
-                              : BufView::timing_only(segs.length(i), dtype);
-      for (int j = l - 1; j >= 0 && deps.empty(); --j) {
-        if (red[j][i] >= 0) deps.push_back(red[j][i]);
+      n.recv = l == de - 1 ? seg_of(recv, segs, i)
+               : lad.member[l + 1]
+                   ? part_seg(l, i)
+                   : BufView::timing_only(segs.length(i), dtype);
+      n.rop = op;
+      for (int j = l - 1; j >= 0 && n.deps.empty(); --j) {
+        if (red[j][i] >= 0) n.deps.push_back(red[j][i]);
       }
-      const int lsf =
-          inter ? effective_sf(p.sf, w.profile(), src.bytes, dtype) : 1;
-      red[l][i] = g.add({s.op, s.level, c, t, i, src.bytes, std::move(deps),
-                         [eng, mod, c, me_l, root_l, src, dst, dtype, op,
-                          lcfg, lsf] {
-                           return striped_ireduce(*eng, mod, *c, me_l,
-                                                  root_l, src, dst, dtype,
-                                                  op, lcfg, lsf);
-                         }});
+      if (inter) n.sf = effective_sf(p.sf, w.profile(), n.send.bytes, dtype);
+      red[l][i] = g.add(std::move(n));
     } else {
-      const CollConfig lcfg = inter ? ibcfg : l == 0 ? CollConfig{} : mcfg;
-      const BufView seg = seg_of(recv, segs, i);
+      n.cfg = inter ? ibcfg : l == 0 ? CollConfig{} : mcfg;
+      n.recv = seg_of(recv, segs, i);
       if (l == de - 1) {
-        if (red[l][i] >= 0) deps.push_back(red[l][i]);
+        if (red[l][i] >= 0) n.deps.push_back(red[l][i]);
       } else {
-        for (int j = l + 1; j < de && deps.empty(); ++j) {
-          if (bc[j][i] >= 0) deps.push_back(bc[j][i]);
+        for (int j = l + 1; j < de && n.deps.empty(); ++j) {
+          if (bc[j][i] >= 0) n.deps.push_back(bc[j][i]);
         }
       }
-      const int lsf =
-          inter ? effective_sf(p.sf, w.profile(), seg.bytes, dtype) : 1;
-      bc[l][i] = g.add({s.op, s.level, c, t, i, seg.bytes, std::move(deps),
-                        [eng, mod, c, me_l, root_l, seg, dtype, lcfg, lsf] {
-                          return striped_ibcast(*eng, mod, *c, me_l, root_l,
-                                                seg, dtype, lcfg, lsf);
-                        }});
+      if (inter) n.sf = effective_sf(p.sf, w.profile(), n.recv.bytes, dtype);
+      bc[l][i] = g.add(std::move(n));
     }
   });
 }
@@ -334,14 +336,9 @@ TaskGraph build_bcast(core::HanModule& m, const mpi::Comm& comm, int me,
     // Ladder collapsed to one intra level: a single unsegmented operation
     // (the seed's single-node path).
     if (lad.enabled[0]) {
-      CollModule* mod = ladder_module(m, lad, 0, cfg, buf.bytes);
-      const mpi::Comm* low = lad.comm[0];
-      const int me_l = lad.rank[0], root_l = lad.root[0];
-      g.add({Op::Bcast, lad.level[0], low, 0, -1, buf.bytes, {},
-             [mod, low, me_l, root_l, buf, dtype] {
-               return mod->ibcast(*low, me_l, root_l, buf, dtype,
-                                  CollConfig{});
-             }});
+      g.add(task(Op::Bcast, lad.level[0], 0, {},
+                 ladder_module(m, lad, 0, cfg, buf.bytes), lad.comm[0],
+                 lad.rank[0], lad.root[0], {}, buf, dtype));
     }
     return g;
   }
@@ -373,14 +370,9 @@ TaskGraph build_reduce(core::HanModule& m, const mpi::Comm& comm, int me,
   }
   if (lad.de() == 1) {
     if (lad.enabled[0]) {
-      CollModule* mod = ladder_module(m, lad, 0, cfg, send.bytes);
-      const mpi::Comm* low = lad.comm[0];
-      const int me_l = lad.rank[0], root_l = lad.root[0];
-      g.add({Op::Reduce, lad.level[0], low, 0, -1, send.bytes, {},
-             [mod, low, me_l, root_l, send, recv, dtype, op] {
-               return mod->ireduce(*low, me_l, root_l, send, recv, dtype, op,
-                                   CollConfig{});
-             }});
+      g.add(task(Op::Reduce, lad.level[0], 0, {},
+                 ladder_module(m, lad, 0, cfg, send.bytes), lad.comm[0],
+                 lad.rank[0], lad.root[0], send, recv, dtype, op));
     } else if (w.data_mode() && send.has_data() && recv.has_data()) {
       std::memcpy(recv.data, send.data, send.bytes);
     }
@@ -420,14 +412,9 @@ TaskGraph build_allreduce(core::HanModule& m, const mpi::Comm& comm, int me,
   }
   if (lad.de() == 1) {
     if (lad.enabled[0]) {
-      CollModule* mod = ladder_module(m, lad, 0, cfg, send.bytes);
-      const mpi::Comm* low = lad.comm[0];
-      const int me_l = lad.rank[0];
-      g.add({Op::Reduce, lad.level[0], low, 0, -1, send.bytes, {},
-             [mod, low, me_l, send, recv, dtype, op] {
-               return mod->iallreduce(*low, me_l, send, recv, dtype, op,
-                                      CollConfig{});
-             }});
+      g.add(task(Op::Allreduce, lad.level[0], 0, {},
+                 ladder_module(m, lad, 0, cfg, send.bytes), lad.comm[0],
+                 lad.rank[0], /*root=*/0, send, recv, dtype, op));
     } else if (w.data_mode() && send.has_data() && recv.has_data()) {
       std::memcpy(recv.data, send.data, send.bytes);
     }
@@ -466,19 +453,11 @@ TaskGraph build_reduce_scatter(core::HanModule& m, const mpi::Comm& comm,
   if (!has_inter) {
     if (has_intra) {
       // Single node: reduce to the leader, then scatter the blocks back.
-      auto full = make_temp(g, w.data_mode() && me_low == 0, total, dtype);
-      const BufView fullv = full->view(0, total);
-      const int red =
-          g.add({Op::Reduce, Level::Intra, low, 0, -1, total, {},
-                 [smod, low, me_low, send, fullv, dtype, op] {
-                   return smod->ireduce(*low, me_low, /*root=*/0, send,
-                                        fullv, dtype, op, CollConfig{});
-                 }});
-      g.add({Op::Scatter, Level::Intra, low, 1, -1, total, {red},
-             [libnbc, low, me_low, fullv, recv] {
-               return libnbc->iscatter(*low, me_low, /*root=*/0, fullv, recv,
-                                       CollConfig{});
-             }});
+      const BufView full = g.temp(w.data_mode() && me_low == 0, total, dtype);
+      const int red = g.add(task(Op::Reduce, Level::Intra, 0, {}, smod, low,
+                                 me_low, 0, send, full, dtype, op));
+      g.add(task(Op::Scatter, Level::Intra, 1, {red}, libnbc, low, me_low, 0,
+                 full, recv));
     } else if (w.data_mode() && send.has_data() && recv.has_data()) {
       std::memcpy(recv.data, send.data, send.bytes);
     }
@@ -495,123 +474,87 @@ TaskGraph build_reduce_scatter(core::HanModule& m, const mpi::Comm& comm,
   if (leader) {
     const mpi::Comm* up = hc.up(me);
     const int me_up = hc.up_rank(me);
-    auto partial = make_temp(g, w.data_mode() && has_intra, total, dtype);
-    auto node_region =
-        make_temp(g, w.data_mode() && has_intra, region, dtype);
+    const BufView partial = g.temp(w.data_mode() && has_intra, total, dtype);
     // Without an intra level the node's region is the caller's block.
     const BufView region_buf =
-        has_intra ? node_region->view(0, region) : recv;
+        has_intra ? g.temp(w.data_mode(), region, dtype) : recv;
     int inter_last = -1;  // node delivering this node's region
 
     if (ring) {
       const CollConfig ircfg{coll::Algorithm::Ring, cfg.irs};
       if (has_intra) {
-        coll::RingModule* rmod = &m.modules().ring();
         const int nodes = hc.node_count();
         int sr_last = -1, ring_prev = -1, ring_prev2 = -1;
         for_each_ring_slice(
             region, cfg.fs, dtype,
-            [&](int k, std::size_t s_off, std::size_t s_len) {
+            [&](int /*k*/, std::size_t s_off, std::size_t s_len) {
               for (int j = 0; j < nodes; ++j) {
                 const std::size_t off = j * region + s_off;
-                const BufView src = send.slice(off, s_len);
-                const BufView dst = partial->view(off, s_len);
                 std::vector<int> deps;
                 if (sr_last >= 0) deps.push_back(sr_last);
                 // Slice k's reduces start once ring(k-1) is *issued*
                 // (i.e. ring(k-2) completed) — they overlap ring(k-1),
                 // which is the point of the two-level pipeline.
                 if (j == 0 && ring_prev2 >= 0) deps.push_back(ring_prev2);
-                sr_last = g.add(
-                    {Op::Reduce, Level::Intra, low, 0, k, s_len,
-                     std::move(deps),
-                     [smod, low, me_low, src, dst, dtype, op] {
-                       return smod->ireduce(*low, me_low, /*root=*/0, src,
-                                            dst, dtype, op, CollConfig{});
-                     }});
+                sr_last = g.add(task(Op::Reduce, Level::Intra, 0,
+                                     std::move(deps), smod, low, me_low, 0,
+                                     send.slice(off, s_len),
+                                     partial.slice(off, s_len), dtype, op));
               }
-              const BufView src = partial->view(s_off, total - s_off);
-              const BufView dst = node_region->view(s_off, s_len);
               std::vector<int> deps{sr_last};
               if (ring_prev >= 0) deps.push_back(ring_prev);
               ring_prev2 = ring_prev;
-              ring_prev = g.add(
-                  {Op::ReduceScatter, Level::Inter, up, 0, k, src.bytes,
-                   std::move(deps),
-                   [rmod, up, me_up, src, dst, region, dtype, op, ircfg] {
-                     return rmod->ireduce_scatter_strided(
-                         *up, me_up, src, dst, region, dtype, op, ircfg);
-                   }});
+              TaskNode rs = task(Op::ReduceScatter, Level::Inter, 0,
+                                 std::move(deps), &m.modules().ring(), up,
+                                 me_up, 0, partial.slice(s_off, total - s_off),
+                                 region_buf.slice(s_off, s_len), dtype, op,
+                                 ircfg);
+              rs.stride = region;
+              ring_prev = g.add(std::move(rs));
             });
         inter_last = ring_prev;
       } else {
         // No intra level: one bandwidth-optimal ring reduce-scatter of
         // the whole vector — chunk j of the up comm is exactly node j's
         // region (node-contiguous placement).
-        inter_last =
-            g.add({Op::ReduceScatter, Level::Inter, up, 0, -1, total, {},
-                   [imod, up, me_up, send, region_buf, dtype, op, ircfg] {
-                     return imod->ireduce_scatter(*up, me_up, send,
-                                                  region_buf, dtype, op,
-                                                  ircfg);
-                   }});
+        inter_last = g.add(task(Op::ReduceScatter, Level::Inter, 0, {}, imod,
+                                up, me_up, 0, send, region_buf, dtype, op,
+                                ircfg));
       }
     } else {
       // Tree path: sr ⊕ ir pipeline reducing the whole vector to up-root
       // 0, then one inter scatter of the node regions.
       const CollConfig ircfg{cfg.iralg, cfg.irs};
-      auto full_red = make_temp(g, w.data_mode() && me_up == 0, total, dtype);
+      const BufView full_red =
+          g.temp(w.data_mode() && me_up == 0, total, dtype);
       std::vector<int> sr_node(u, -1);
       int ir_last = -1;
       for_each_task(
           reduce_scatter_tree_shape(has_intra), u,
           [&](int t, const StageSpec& s, int i) {
             if (std::string_view(s.role) == "sr") {
-              const BufView src = seg_of(send, segs, i);
-              const BufView dst =
-                  partial->view(segs.offset(i), segs.length(i));
-              sr_node[i] =
-                  g.add({s.op, s.level, low, t, i, src.bytes, {},
-                         [smod, low, me_low, src, dst, dtype, op] {
-                           return smod->ireduce(*low, me_low, /*root=*/0,
-                                                src, dst, dtype, op,
-                                                CollConfig{});
-                         }});
+              sr_node[i] = g.add(task(s.op, s.level, t, {}, smod, low, me_low,
+                                      0, seg_of(send, segs, i),
+                                      seg_of(partial, segs, i), dtype, op));
             } else {  // ir(i)
-              const BufView contrib =
-                  has_intra ? partial->view(segs.offset(i), segs.length(i))
-                            : seg_of(send, segs, i);
-              const BufView dst =
-                  full_red->view(segs.offset(i), segs.length(i));
               std::vector<int> deps;
               if (has_intra) deps.push_back(sr_node[i]);
-              ir_last = g.add(
-                  {s.op, s.level, up, t, i, contrib.bytes, std::move(deps),
-                   [imod, up, me_up, contrib, dst, dtype, op, ircfg] {
-                     return imod->ireduce(*up, me_up, /*root=*/0, contrib,
-                                          dst, dtype, op, ircfg);
-                   }});
+              ir_last = g.add(task(
+                  s.op, s.level, t, std::move(deps), imod, up, me_up, 0,
+                  seg_of(has_intra ? partial : send, segs, i),
+                  seg_of(full_red, segs, i), dtype, op, ircfg));
             }
           });
-      const BufView fullv = full_red->view(0, total);
-      const int tail = shape_steps(reduce_scatter_tree_shape(has_intra), u);
-      inter_last =
-          g.add({Op::Scatter, Level::Inter, up, tail, -1, total, {ir_last},
-                 [imod, up, me_up, fullv, region_buf] {
-                   return imod->iscatter(*up, me_up, /*root=*/0, fullv,
-                                         region_buf, CollConfig{});
-                 }});
+      inter_last = g.add(
+          task(Op::Scatter, Level::Inter,
+               shape_steps(reduce_scatter_tree_shape(has_intra), u),
+               {ir_last}, imod, up, me_up, 0, full_red, region_buf));
     }
 
     // ss: scatter the node's reduced region into per-rank blocks.
     if (has_intra) {
-      const BufView regionv = node_region->view(0, region);
-      const int tail = g.nodes[inter_last].step + 1;
-      g.add({Op::Scatter, Level::Intra, low, tail, -1, region, {inter_last},
-             [libnbc, low, me_low, regionv, recv] {
-               return libnbc->iscatter(*low, me_low, /*root=*/0, regionv,
-                                       recv, CollConfig{});
-             }});
+      g.add(task(Op::Scatter, Level::Intra, g.nodes[inter_last].step + 1,
+                 {inter_last}, libnbc, low, me_low, 0, region_buf, recv));
     }
   } else {
     // Non-leaders: contribute to every sr (in exactly the leader's issue
@@ -622,43 +565,30 @@ TaskGraph build_reduce_scatter(core::HanModule& m, const mpi::Comm& comm,
       const int nodes = hc.node_count();
       for_each_ring_slice(
           region, cfg.fs, dtype,
-          [&](int k, std::size_t s_off, std::size_t s_len) {
+          [&](int /*k*/, std::size_t s_off, std::size_t s_len) {
             for (int j = 0; j < nodes; ++j) {
-              const std::size_t off = j * region + s_off;
-              const BufView src = send.slice(off, s_len);
-              const BufView dst = BufView::timing_only(s_len, dtype);
               std::vector<int> deps;
               if (sr_last >= 0) deps.push_back(sr_last);
-              sr_last = g.add(
-                  {Op::Reduce, Level::Intra, low, 0, k, s_len,
-                   std::move(deps),
-                   [smod, low, me_low, src, dst, dtype, op] {
-                     return smod->ireduce(*low, me_low, /*root=*/0, src, dst,
-                                          dtype, op, CollConfig{});
-                   }});
+              sr_last = g.add(task(Op::Reduce, Level::Intra, 0,
+                                   std::move(deps), smod, low, me_low, 0,
+                                   send.slice(j * region + s_off, s_len),
+                                   BufView::timing_only(s_len, dtype), dtype,
+                                   op));
             }
           });
     } else {
       for (int i = 0; i < u; ++i) {
-        const BufView src = seg_of(send, segs, i);
-        const BufView dst = BufView::timing_only(segs.length(i), dtype);
-        sr_last = g.add({Op::Reduce, Level::Intra, low, i, i, src.bytes, {},
-                         [smod, low, me_low, src, dst, dtype, op] {
-                           return smod->ireduce(*low, me_low, /*root=*/0,
-                                                src, dst, dtype, op,
-                                                CollConfig{});
-                         }});
+        sr_last = g.add(task(Op::Reduce, Level::Intra, i, {}, smod, low,
+                             me_low, 0, seg_of(send, segs, i),
+                             BufView::timing_only(segs.length(i), dtype),
+                             dtype, op));
       }
     }
-    const BufView regionv = BufView::timing_only(region);
-    const int tail = sr_last >= 0 ? g.nodes[sr_last].step + 1 : 0;
     std::vector<int> deps;
     if (sr_last >= 0) deps.push_back(sr_last);
-    g.add({Op::Scatter, Level::Intra, low, tail, -1, region,
-           std::move(deps), [libnbc, low, me_low, regionv, recv] {
-             return libnbc->iscatter(*low, me_low, /*root=*/0, regionv, recv,
-                                     CollConfig{});
-           }});
+    g.add(task(Op::Scatter, Level::Intra,
+               sr_last >= 0 ? g.nodes[sr_last].step + 1 : 0, std::move(deps),
+               libnbc, low, me_low, 0, BufView::timing_only(region), recv));
   }
   return g;
 }
@@ -678,46 +608,28 @@ TaskGraph build_gather(core::HanModule& m, const mpi::Comm& comm, int me,
   const int me_low = hc.low_rank(me);
   const int root_low = hc.low_rank(root);
   const bool has_inter = hc.up(me) != nullptr;
-  const std::size_t block = send.bytes;
   CollModule* libnbc = &m.modules().libnbc();
 
   if (!has_inter) {
-    g.add({Op::Gather, Level::Intra, low, 0, -1, block, {},
-           [libnbc, low, me_low, root_low, send, recv] {
-             return libnbc->igather(*low, me_low, root_low, send, recv,
-                                    CollConfig{});
-           }});
+    g.add(task(Op::Gather, Level::Intra, 0, {}, libnbc, low, me_low, root_low,
+               send, recv));
     return g;
   }
 
-  CollModule* imod = m.inter_module(cfg);
   // sg: node-local gather to this operation's leaders. P2P gather over the
   // shm pipe — Open MPI similarly falls back to a P2P module here.
-  const std::size_t node_bytes = block * low->size();
-  auto node_block =
-      make_temp(g, w.data_mode(), node_bytes, mpi::Datatype::Byte);
+  const std::size_t node_bytes = send.bytes * low->size();
   const bool leader = me_low == root_low;
-  const BufView node_dst = leader ? node_block->view(0, node_bytes)
-                                  : BufView::timing_only(node_bytes);
-  const int sg = g.add({Op::Gather, Level::Intra, low, 0, -1, block, {},
-                        [libnbc, low, me_low, root_low, send, node_dst] {
-                          return libnbc->igather(*low, me_low, root_low,
-                                                 send, node_dst,
-                                                 CollConfig{});
-                        }});
+  const BufView node_block =
+      leader ? g.temp(w.data_mode(), node_bytes, Datatype::Byte)
+             : BufView::timing_only(node_bytes);
+  const int sg = g.add(task(Op::Gather, Level::Intra, 0, {}, libnbc, low,
+                            me_low, root_low, send, node_block));
   // ig: inter-node gather of node blocks to the root.
   if (leader) {
-    const mpi::Comm* up = hc.up(me);
-    const int me_up = hc.up_rank(me);
-    const int root_up = hc.up_rank(root);
-    const BufView node_src = node_block->view(0, node_bytes);
-    const BufView dst =
-        me == root ? recv : BufView::timing_only(recv.bytes);
-    g.add({Op::Gather, Level::Inter, up, 1, -1, node_bytes, {sg},
-           [imod, up, me_up, root_up, node_src, dst] {
-             return imod->igather(*up, me_up, root_up, node_src, dst,
-                                  CollConfig{});
-           }});
+    g.add(task(Op::Gather, Level::Inter, 1, {sg}, m.inter_module(cfg),
+               hc.up(me), hc.up_rank(me), hc.up_rank(root), node_block,
+               me == root ? recv : BufView::timing_only(recv.bytes)));
   }
   return g;
 }
@@ -732,45 +644,29 @@ TaskGraph build_scatter(core::HanModule& m, const mpi::Comm& comm, int me,
   const int me_low = hc.low_rank(me);
   const int root_low = hc.low_rank(root);
   const bool has_inter = hc.up(me) != nullptr;
-  const std::size_t block = recv.bytes;
   CollModule* libnbc = &m.modules().libnbc();
 
   if (!has_inter) {
-    g.add({Op::Scatter, Level::Intra, low, 0, -1, block, {},
-           [libnbc, low, me_low, root_low, send, recv] {
-             return libnbc->iscatter(*low, me_low, root_low, send, recv,
-                                     CollConfig{});
-           }});
+    g.add(task(Op::Scatter, Level::Intra, 0, {}, libnbc, low, me_low,
+               root_low, send, recv));
     return g;
   }
 
-  CollModule* imod = m.inter_module(cfg);
-  const std::size_t node_bytes = block * low->size();
-  auto node_block =
-      make_temp(g, w.data_mode(), node_bytes, mpi::Datatype::Byte);
+  const std::size_t node_bytes = recv.bytes * low->size();
   const bool leader = me_low == root_low;
+  const BufView node_block =
+      leader ? g.temp(w.data_mode(), node_bytes, Datatype::Byte)
+             : BufView::timing_only(node_bytes);
   std::vector<int> ss_deps;
   if (leader) {
-    const mpi::Comm* up = hc.up(me);
-    const int me_up = hc.up_rank(me);
-    const int root_up = hc.up_rank(root);
-    const BufView src =
-        me == root ? send : BufView::timing_only(send.bytes);
-    const BufView node_dst = node_block->view(0, node_bytes);
-    ss_deps.push_back(
-        g.add({Op::Scatter, Level::Inter, up, 0, -1, node_bytes, {},
-               [imod, up, me_up, root_up, src, node_dst] {
-                 return imod->iscatter(*up, me_up, root_up, src, node_dst,
-                                       CollConfig{});
-               }}));
+    ss_deps.push_back(g.add(
+        task(Op::Scatter, Level::Inter, 0, {}, m.inter_module(cfg), hc.up(me),
+             hc.up_rank(me), hc.up_rank(root),
+             me == root ? send : BufView::timing_only(send.bytes),
+             node_block)));
   }
-  const BufView node_src = leader ? node_block->view(0, node_bytes)
-                                  : BufView::timing_only(node_bytes);
-  g.add({Op::Scatter, Level::Intra, low, leader ? 1 : 0, -1, block,
-         std::move(ss_deps), [libnbc, low, me_low, root_low, node_src, recv] {
-           return libnbc->iscatter(*low, me_low, root_low, node_src, recv,
-                                   CollConfig{});
-         }});
+  g.add(task(Op::Scatter, Level::Intra, leader ? 1 : 0, std::move(ss_deps),
+             libnbc, low, me_low, root_low, node_block, recv));
   return g;
 }
 
@@ -782,53 +678,34 @@ TaskGraph build_allgather(core::HanModule& m, const mpi::Comm& comm, int me,
   const mpi::Comm* low = &hc.low(me);
   const int me_low = hc.low_rank(me);
   const bool has_inter = hc.up(me) != nullptr;
-  const std::size_t block = send.bytes;
   CollModule* libnbc = &m.modules().libnbc();
 
   if (!has_inter) {
-    g.add({Op::Allgather, Level::Intra, low, 0, -1, block, {},
-           [libnbc, low, me_low, send, recv] {
-             return libnbc->iallgather(*low, me_low, send, recv,
-                                       CollConfig{});
-           }});
+    g.add(task(Op::Allgather, Level::Intra, 0, {}, libnbc, low, me_low, 0,
+               send, recv));
     return g;
   }
 
-  CollModule* imod = m.inter_module(cfg);
-  CollModule* smod = m.intra_module(cfg);
   const bool leader = me_low == 0;
-  const std::size_t node_bytes = block * low->size();
-  auto node_block =
-      make_temp(g, w.data_mode(), node_bytes, mpi::Datatype::Byte);
+  const std::size_t node_bytes = send.bytes * low->size();
+  const BufView node_block =
+      leader ? g.temp(w.data_mode(), node_bytes, Datatype::Byte)
+             : BufView::timing_only(node_bytes);
 
   // sg: gather node block to the leader.
-  const BufView node_dst = leader ? node_block->view(0, node_bytes)
-                                  : BufView::timing_only(node_bytes);
-  const int sg = g.add({Op::Gather, Level::Intra, low, 0, -1, block, {},
-                        [libnbc, low, me_low, send, node_dst] {
-                          return libnbc->igather(*low, me_low, /*root=*/0,
-                                                 send, node_dst,
-                                                 CollConfig{});
-                        }});
+  const int sg = g.add(task(Op::Gather, Level::Intra, 0, {}, libnbc, low,
+                            me_low, 0, send, node_block));
   // iag: inter-node allgather of node blocks (leaders only) straight into
   // the final layout (node-contiguous placement).
   int sb_dep = sg;
   if (leader) {
-    const mpi::Comm* up = hc.up(me);
-    const int me_up = hc.up_rank(me);
-    const BufView node_src = node_block->view(0, node_bytes);
-    sb_dep = g.add({Op::Allgather, Level::Inter, up, 1, -1, node_bytes, {sg},
-                    [imod, up, me_up, node_src, recv] {
-                      return imod->iallgather(*up, me_up, node_src, recv,
-                                              CollConfig{});
-                    }});
+    sb_dep = g.add(task(Op::Allgather, Level::Inter, 1, {sg},
+                        m.inter_module(cfg), hc.up(me), hc.up_rank(me), 0,
+                        node_block, recv));
   }
   // sb: broadcast the assembled buffer within the node.
-  g.add({Op::Bcast, Level::Intra, low, leader ? 2 : 1, -1, recv.bytes,
-         {sb_dep}, [smod, low, me_low, recv] {
-           return smod->ibcast(*low, me_low, /*root=*/0, recv,
-                               mpi::Datatype::Byte, CollConfig{});
-         }});
+  g.add(task(Op::Bcast, Level::Intra, leader ? 2 : 1, {sb_dep},
+             m.intra_module(cfg), low, me_low, 0, {}, recv));
   return g;
 }
 
@@ -839,34 +716,27 @@ TaskGraph build_barrier(core::HanModule& m, const mpi::Comm& comm, int me) {
   const int me_low = hc.low_rank(me);
   const bool has_intra = low->size() > 1;
   const bool has_inter = hc.up(me) != nullptr;
-  coll::SmModule* sm = &m.modules().sm();
-  CollModule* libnbc = &m.modules().libnbc();
+  CollModule* sm = &m.modules().sm();
 
   // Fan-in: node barrier; leaders: inter barrier; fan-out: node signal.
   int prev = -1;
   if (has_intra) {
-    prev = g.add({Op::Barrier, Level::Intra, low, 0, -1, 0, {},
-                  [sm, low, me_low] { return sm->ibarrier(*low, me_low); }});
+    prev = g.add(task(Op::Barrier, Level::Intra, 0, {}, sm, low, me_low, 0,
+                      {}, {}));
   }
   if (has_inter && me_low == 0) {
-    const mpi::Comm* up = hc.up(me);
-    const int me_up = hc.up_rank(me);
     std::vector<int> deps;
     if (prev >= 0) deps.push_back(prev);
-    prev = g.add({Op::Barrier, Level::Inter, up, prev >= 0 ? 1 : 0, -1, 0,
-                  std::move(deps),
-                  [libnbc, up, me_up] { return libnbc->ibarrier(*up, me_up); }});
+    prev = g.add(task(Op::Barrier, Level::Inter, prev >= 0 ? 1 : 0,
+                      std::move(deps), &m.modules().libnbc(), hc.up(me),
+                      hc.up_rank(me), 0, {}, {}));
   }
   if (has_intra) {
-    const int step = prev >= 0 ? g.nodes[prev].step + 1 : 0;
     std::vector<int> deps;
     if (prev >= 0) deps.push_back(prev);
-    g.add({Op::Bcast, Level::Intra, low, step, -1, 0, std::move(deps),
-           [sm, low, me_low] {
-             return sm->ibcast(*low, me_low, /*root=*/0,
-                               BufView::timing_only(0), mpi::Datatype::Byte,
-                               CollConfig{});
-           }});
+    g.add(task(Op::Bcast, Level::Intra,
+               prev >= 0 ? g.nodes[prev].step + 1 : 0, std::move(deps), sm,
+               low, me_low, 0, {}, BufView::timing_only(0)));
   }
   return g;
 }

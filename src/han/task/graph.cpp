@@ -9,7 +9,6 @@ const char* level_name(Level level) {
     case Level::Intra: return "intra";
     case Level::Mid: return "mid";
     case Level::Inter: return "inter";
-    case Level::Local: return "local";
   }
   return "?";
 }
@@ -18,6 +17,7 @@ const char* op_name(Op op) {
   switch (op) {
     case Op::Bcast: return "bcast";
     case Op::Reduce: return "reduce";
+    case Op::Allreduce: return "allreduce";
     case Op::Gather: return "gather";
     case Op::Scatter: return "scatter";
     case Op::Allgather: return "allgather";
@@ -25,6 +25,12 @@ const char* op_name(Op op) {
     case Op::Barrier: return "barrier";
   }
   return "?";
+}
+
+mpi::BufView TaskGraph::temp(bool data_mode, std::size_t bytes,
+                             mpi::Datatype t) {
+  if (!data_mode || bytes == 0) return mpi::BufView::timing_only(bytes, t);
+  return mpi::BufView{temps.emplace_back(bytes).data(), bytes, t};
 }
 
 int TaskGraph::max_step() const {
@@ -38,8 +44,8 @@ std::string validate_graph(const TaskGraph& graph) {
   std::vector<int> indegree(n, 0);
   for (int i = 0; i < n; ++i) {
     const TaskNode& node = graph.nodes[i];
-    if (!node.issue) {
-      return "node " + std::to_string(i) + " has no issue closure";
+    if (node.mod == nullptr || node.comm == nullptr) {
+      return "node " + std::to_string(i) + " has no module / comm";
     }
     if (node.step < 0) {
       return "node " + std::to_string(i) + " has negative step " +

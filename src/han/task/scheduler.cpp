@@ -4,9 +4,46 @@
 #include <string>
 #include <vector>
 
+#include "coll/module.hpp"
+#include "coll/ring/ring.hpp"
+#include "han/task/stripe.hpp"
+
 namespace han::task {
 
 namespace {
+
+/// Make the module call `n` stands for.
+mpi::Request dispatch(sim::Engine& engine, const TaskNode& n) {
+  const mpi::Comm& c = *n.comm;
+  switch (n.op) {
+    case Op::Bcast:
+      return striped_ibcast(engine, n.mod, c, n.me, n.root, n.recv, n.dtype,
+                            n.cfg, n.sf);
+    case Op::Reduce:
+      return striped_ireduce(engine, n.mod, c, n.me, n.root, n.send, n.recv,
+                             n.dtype, n.rop, n.cfg, n.sf);
+    case Op::Allreduce:
+      return n.mod->iallreduce(c, n.me, n.send, n.recv, n.dtype, n.rop,
+                               n.cfg);
+    case Op::Gather:
+      return n.mod->igather(c, n.me, n.root, n.send, n.recv, n.cfg);
+    case Op::Scatter:
+      return n.mod->iscatter(c, n.me, n.root, n.send, n.recv, n.cfg);
+    case Op::Allgather:
+      return n.mod->iallgather(c, n.me, n.send, n.recv, n.cfg);
+    case Op::ReduceScatter:
+      if (n.stride) {
+        return static_cast<coll::RingModule*>(n.mod)->ireduce_scatter_strided(
+            c, n.me, n.send, n.recv, *n.stride, n.dtype, n.rop, n.cfg);
+      }
+      return n.mod->ireduce_scatter(c, n.me, n.send, n.recv, n.dtype, n.rop,
+                                    n.cfg);
+    case Op::Barrier:
+      return n.mod->ibarrier(c, n.me);
+  }
+  HAN_ASSERT_MSG(false, "task node has an unknown op");
+  return nullptr;
+}
 
 /// Per-run execution state, kept alive by the completion callbacks.
 struct Exec : std::enable_shared_from_this<Exec> {
@@ -99,7 +136,7 @@ struct Exec : std::enable_shared_from_this<Exec> {
       m->per_op[static_cast<int>(g.nodes[i].op)]->add(1.0);
       const double t0 = rt->world().now();
       m->inflight->add(t0, 1.0);
-      mpi::Request req = g.nodes[i].issue();
+      mpi::Request req = dispatch(rt->world().engine(), g.nodes[i]);
       HAN_ASSERT_MSG(req != nullptr, "task issue returned a null request");
       req->on_complete([self = shared_from_this(), i, t0] {
         self->finish(i, t0);
@@ -125,7 +162,7 @@ struct Exec : std::enable_shared_from_this<Exec> {
     }
     for (int j : dependents[i]) --deps_left[j];
     if (--remaining == 0) {
-      g.keepalive.clear();
+      g.temps.clear();
       done->complete();
       return;
     }

@@ -1,5 +1,6 @@
 // TaskScheduler: executes any acyclic TaskGraph over the CollModule
-// interface with a configurable in-flight step window.
+// interface with a configurable in-flight step window. Issuing a node
+// makes the CollModule call its record names.
 //
 // A node becomes issuable when (a) all its dependency nodes completed,
 // (b) its step lies inside the window: step < frontier + window, where

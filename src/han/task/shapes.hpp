@@ -4,8 +4,8 @@
 // stage list: stage s contributes the task for segment (t - lag_s) at
 // step t. The list order is the per-step emission order (which fixes the
 // FIFO order on the NIC / copy lanes, so it is semantically meaningful).
-// task/builders.cpp maps each emitted (step, stage, seg) to an issue
-// closure; autotune/costmodel.cpp walks the identical emission to sum
+// task/builders.cpp maps each emitted (step, stage, seg) to a task
+// record; autotune/costmodel.cpp walks the identical emission to sum
 // benchmarked task costs along the critical path — the executor and the
 // predictor can never disagree about structure.
 #pragma once

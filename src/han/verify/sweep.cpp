@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "autotune/search.hpp"
 #include "coll/builders.hpp"
@@ -192,98 +193,67 @@ tune::SearchSpace sweep_space(bool full_space) {
 
 constexpr std::size_t kGraphBytes = 1 << 20;
 
-/// One graph-family sweep job: every SearchSpace config of one collective
-/// kind on one topology. Owns its world — jobs share nothing.
-void graph_kind_job(SweepResult& out, const char* topo_tag, int topo_nodes,
-                    int topo_ppn, CollKind kind, bool full_kind,
-                    bool full_space, const std::vector<int>& windows) {
-  GraphWorld gw(machine::make_aries(topo_nodes, topo_ppn));
+/// Rank `me`'s graph of `kind` over kGraphBytes per rank, rooted at 0:
+/// Byte elements for bcast, Int32 for the reductions.
+task::TaskGraph build_graph(GraphWorld& gw, CollKind kind, int me,
+                            const HanConfig& cfg) {
   const mpi::Comm& wc = gw.world.world_comm();
-  const int n = wc.size();
-  const std::size_t kBytes = kGraphBytes;
-  const std::string tprefix = std::string("graph.") + topo_tag + ".";
-  tune::SearchSpace ks = sweep_space(full_space);
-  if (!full_kind) {
-    // The linear-phase collectives ignore the inter knobs.
-    ks.imods = {"libnbc"};
-    ks.include_ring = false;
+  const std::size_t n = static_cast<std::size_t>(wc.size());
+  const BufView one = BufView::timing_only(kGraphBytes);
+  const BufView all = BufView::timing_only(kGraphBytes * n);
+  switch (kind) {
+    case CollKind::Bcast:
+      return task::build_bcast(gw.han, wc, me, 0, one, Datatype::Byte, cfg);
+    case CollKind::Reduce:
+      return task::build_reduce(gw.han, wc, me, 0, one, one, Datatype::Int32,
+                                mpi::ReduceOp::Sum, cfg);
+    case CollKind::Allreduce:
+      return task::build_allreduce(gw.han, wc, me, one, one, Datatype::Int32,
+                                   mpi::ReduceOp::Sum, cfg);
+    case CollKind::ReduceScatter:
+      return task::build_reduce_scatter(
+          gw.han, wc, me, one, BufView::timing_only(kGraphBytes / n),
+          Datatype::Int32, mpi::ReduceOp::Sum, cfg);
+    case CollKind::Gather:
+      return task::build_gather(gw.han, wc, me, 0, one, all, cfg);
+    case CollKind::Scatter:
+      return task::build_scatter(gw.han, wc, me, 0, all, one, cfg);
+    case CollKind::Allgather:
+      return task::build_allgather(gw.han, wc, me, one, all, cfg);
+    case CollKind::Barrier:
+      return task::build_barrier(gw.han, wc, me);
   }
-  for (const HanConfig& cfg : ks.enumerate(kind)) {
-    const std::string name = tprefix + coll::coll_kind_name(kind) +
-                             "." + cfg.to_string();
-    std::vector<GraphSummary> summaries;
-    bool ok = true;
-    for (int me = 0; me < n && ok; ++me) {
-      task::TaskGraph g;
-      switch (kind) {
-        case CollKind::Bcast:
-          g = task::build_bcast(gw.han, wc, me, 0,
-                                BufView::timing_only(kBytes),
-                                Datatype::Byte, cfg);
-          break;
-        case CollKind::Reduce:
-          g = task::build_reduce(gw.han, wc, me, 0,
-                                 BufView::timing_only(kBytes),
-                                 BufView::timing_only(kBytes),
-                                 Datatype::Int32, mpi::ReduceOp::Sum,
-                                 cfg);
-          break;
-        case CollKind::Allreduce:
-          g = task::build_allreduce(gw.han, wc, me,
-                                    BufView::timing_only(kBytes),
-                                    BufView::timing_only(kBytes),
-                                    Datatype::Int32, mpi::ReduceOp::Sum,
-                                    cfg);
-          break;
-        case CollKind::ReduceScatter:
-          g = task::build_reduce_scatter(
-              gw.han, wc, me,
-              BufView::timing_only(kBytes),
-              BufView::timing_only(kBytes / static_cast<std::size_t>(n)),
-              Datatype::Int32, mpi::ReduceOp::Sum, cfg);
-          break;
-        case CollKind::Gather:
-          g = task::build_gather(
-              gw.han, wc, me, 0, BufView::timing_only(kBytes),
-              BufView::timing_only(kBytes * static_cast<std::size_t>(n)),
-              cfg);
-          break;
-        case CollKind::Scatter:
-          g = task::build_scatter(
-              gw.han, wc, me, 0,
-              BufView::timing_only(kBytes * static_cast<std::size_t>(n)),
-              BufView::timing_only(kBytes), cfg);
-          break;
-        case CollKind::Allgather:
-          g = task::build_allgather(
-              gw.han, wc, me, BufView::timing_only(kBytes),
-              BufView::timing_only(kBytes * static_cast<std::size_t>(n)),
-              cfg);
-          break;
-        default:
-          break;
-      }
-      ok = checked_summarize(out, name, me, std::move(g), summaries);
-    }
-    if (ok) graph_case(out, name, summaries, windows);
-  }
+  return {};
 }
 
-/// Barrier has no Table II knobs: one case per topology.
-void graph_barrier_job(SweepResult& out, const char* topo_tag,
-                       int topo_nodes, int topo_ppn,
+/// One graph case: every rank's graph of `kind` under `cfg`, validated,
+/// then analyzed at each scheduler window.
+void graph_config_case(SweepResult& out, GraphWorld& gw,
+                       const std::string& name, CollKind kind,
+                       const HanConfig& cfg,
                        const std::vector<int>& windows) {
-  GraphWorld gw(machine::make_aries(topo_nodes, topo_ppn));
-  const mpi::Comm& wc = gw.world.world_comm();
-  const int n = wc.size();
-  const std::string name = std::string("graph.") + topo_tag + ".barrier";
   std::vector<GraphSummary> summaries;
-  bool ok = true;
-  for (int me = 0; me < n && ok; ++me) {
-    ok = checked_summarize(out, name, me,
-                           task::build_barrier(gw.han, wc, me), summaries);
+  for (int me = 0; me < gw.world.world_comm().size(); ++me) {
+    if (!checked_summarize(out, name, me, build_graph(gw, kind, me, cfg),
+                           summaries)) {
+      return;
+    }
   }
-  if (ok) graph_case(out, name, summaries, windows);
+  graph_case(out, name, summaries, windows);
+}
+
+/// One graph-family sweep job: every `space` config of one collective kind
+/// on one machine, named `prefix` + config. Owns its world — jobs share
+/// nothing.
+void graph_space_job(SweepResult& out, machine::MachineProfile profile,
+                     const std::string& prefix, CollKind kind,
+                     const tune::SearchSpace& space,
+                     const std::vector<int>& windows) {
+  GraphWorld gw(std::move(profile));
+  for (const HanConfig& cfg : space.enumerate(kind)) {
+    graph_config_case(out, gw, prefix + cfg.to_string(), kind, cfg,
+                      windows);
+  }
 }
 
 /// Multi-leader allreduce (k = 2: the canonical schedule striped over two
@@ -292,125 +262,16 @@ void graph_ml2_job(SweepResult& out, const char* topo_tag, int topo_nodes,
                    int topo_ppn, bool full_space,
                    const std::vector<int>& windows) {
   GraphWorld gw(machine::make_aries(topo_nodes, topo_ppn));
-  const mpi::Comm& wc = gw.world.world_comm();
-  const int n = wc.size();
-  const std::size_t kBytes = kGraphBytes;
-  tune::SearchSpace space = sweep_space(full_space);
   synth::SynthSpec ml2 = synth::SynthSpec::canonical(CollKind::Allreduce);
   ml2.leaders = 2;
-  for (const HanConfig& cfg : space.enumerate(CollKind::Allreduce)) {
-    const std::string name = std::string("graph.") + topo_tag +
-                             ".allreduce_ml2." + cfg.to_string();
+  for (const HanConfig& cfg :
+       sweep_space(full_space).enumerate(CollKind::Allreduce)) {
     HanConfig striped = cfg;
     striped.sched = ml2.id();
-    std::vector<GraphSummary> summaries;
-    bool ok = true;
-    for (int me = 0; me < n && ok; ++me) {
-      ok = checked_summarize(
-          out, name, me,
-          task::build_allreduce(gw.han, wc, me, BufView::timing_only(kBytes),
-                                BufView::timing_only(kBytes), Datatype::Int32,
-                                mpi::ReduceOp::Sum, striped),
-          summaries);
-    }
-    if (ok) graph_case(out, name, summaries, windows);
-  }
-}
-
-/// Derived n-level builders on NUMA topologies: the machine's topology
-/// descriptor (numa < node < cluster) makes the generic bcast / reduce /
-/// allreduce builders emit the 3-level ladder pipelines that used to live
-/// in the hand-written bcast3/allreduce3. One job per (machine, kind).
-void graph_numa_job(SweepResult& out, const char* topo_tag,
-                    machine::MachineProfile profile, CollKind kind,
-                    bool full_space, const std::vector<int>& windows) {
-  GraphWorld gw(std::move(profile));
-  const mpi::Comm& wc = gw.world.world_comm();
-  const int n = wc.size();
-  const std::size_t kBytes = kGraphBytes;
-  tune::SearchSpace space = sweep_space(full_space);
-  for (const HanConfig& cfg : space.enumerate(kind)) {
-    const std::string name = std::string("graph.") + topo_tag + "." +
-                             coll::coll_kind_name(kind) + "_lvl3." +
-                             cfg.to_string();
-    std::vector<GraphSummary> summaries;
-    bool ok = true;
-    for (int me = 0; me < n && ok; ++me) {
-      task::TaskGraph g;
-      switch (kind) {
-        case CollKind::Bcast:
-          g = task::build_bcast(gw.han, wc, me, 0,
-                                BufView::timing_only(kBytes),
-                                Datatype::Byte, cfg);
-          break;
-        case CollKind::Reduce:
-          g = task::build_reduce(gw.han, wc, me, 0,
-                                 BufView::timing_only(kBytes),
-                                 BufView::timing_only(kBytes),
-                                 Datatype::Int32, mpi::ReduceOp::Sum, cfg);
-          break;
-        default:
-          g = task::build_allreduce(gw.han, wc, me,
-                                    BufView::timing_only(kBytes),
-                                    BufView::timing_only(kBytes),
-                                    Datatype::Int32, mpi::ReduceOp::Sum,
-                                    cfg);
-          break;
-      }
-      ok = checked_summarize(out, name, me, std::move(g), summaries);
-    }
-    if (ok) graph_case(out, name, summaries, windows);
-  }
-}
-
-/// Multi-rail variants of the stock machines: the stripe axis
-/// (HanConfig::sf, docs/FABRIC.md) is crossed into the space with the
-/// divisors of the machine's NIC count, so every striped slice set gets
-/// the same structural gate as the single-rail pipelines. One job per
-/// (machine, kind).
-void graph_rail_job(SweepResult& out, const char* topo_tag,
-                    machine::MachineProfile profile, CollKind kind,
-                    bool full_space, const std::vector<int>& windows) {
-  const int rails = profile.nics_per_node;
-  GraphWorld gw(std::move(profile));
-  const mpi::Comm& wc = gw.world.world_comm();
-  const int n = wc.size();
-  const std::size_t kBytes = kGraphBytes;
-  tune::SearchSpace space = sweep_space(full_space);
-  for (int d = 1; d <= rails; ++d) {
-    if (rails % d == 0) space.stripe_factors.push_back(d);
-  }
-  for (const HanConfig& cfg : space.enumerate(kind)) {
-    const std::string name = std::string("graph.") + topo_tag + "." +
-                             coll::coll_kind_name(kind) + "_rail." +
-                             cfg.to_string();
-    std::vector<GraphSummary> summaries;
-    bool ok = true;
-    for (int me = 0; me < n && ok; ++me) {
-      task::TaskGraph g;
-      switch (kind) {
-        case CollKind::Bcast:
-          g = task::build_bcast(gw.han, wc, me, 0,
-                                BufView::timing_only(kBytes),
-                                Datatype::Byte, cfg);
-          break;
-        case CollKind::Reduce:
-          g = task::build_reduce(gw.han, wc, me, 0,
-                                 BufView::timing_only(kBytes),
-                                 BufView::timing_only(kBytes),
-                                 Datatype::Int32, mpi::ReduceOp::Sum, cfg);
-          break;
-        default:
-          g = task::build_allreduce(gw.han, wc, me,
-                                    BufView::timing_only(kBytes),
-                                    BufView::timing_only(kBytes),
-                                    Datatype::Int32, mpi::ReduceOp::Sum,
-                                    cfg);
-          break;
-      }
-      ok = checked_summarize(out, name, me, std::move(g), summaries);
-    }
-    if (ok) graph_case(out, name, summaries, windows);
+    graph_config_case(out, gw,
+                      std::string("graph.") + topo_tag + ".allreduce_ml2." +
+                          cfg.to_string(),
+                      CollKind::Allreduce, striped, windows);
   }
 }
 
@@ -515,14 +376,25 @@ SweepResult run_sweep(const SweepOptions& opts) {
         {CollKind::Allgather, false},
     };
     for (const Topo& t : kTopos) {
+      const std::string tprefix = std::string("graph.") + t.tag + ".";
       for (const KindCase& kc : kKinds) {
-        jobs.push_back([&t, kc, &opts](SweepResult& frag) {
-          graph_kind_job(frag, t.tag, t.nodes, t.ppn, kc.kind, kc.full,
-                         opts.full_space, opts.windows);
+        tune::SearchSpace space = sweep_space(opts.full_space);
+        if (!kc.full) {
+          // The linear-phase collectives ignore the inter knobs.
+          space.imods = {"libnbc"};
+          space.include_ring = false;
+        }
+        jobs.push_back([&t, kc, tprefix, space, &opts](SweepResult& frag) {
+          graph_space_job(frag, machine::make_aries(t.nodes, t.ppn),
+                          tprefix + coll::coll_kind_name(kc.kind) + ".",
+                          kc.kind, space, opts.windows);
         });
       }
-      jobs.push_back([&t, &opts](SweepResult& frag) {
-        graph_barrier_job(frag, t.tag, t.nodes, t.ppn, opts.windows);
+      // Barrier has no Table II knobs: one case per topology.
+      jobs.push_back([&t, tprefix, &opts](SweepResult& frag) {
+        GraphWorld gw(machine::make_aries(t.nodes, t.ppn));
+        graph_config_case(frag, gw, tprefix + "barrier", CollKind::Barrier,
+                          HanConfig{}, opts.windows);
       });
       if (t.nodes > 1 && t.ppn >= 2) {
         jobs.push_back([&t, &opts](SweepResult& frag) {
@@ -532,27 +404,37 @@ SweepResult run_sweep(const SweepOptions& opts) {
       }
     }
     // NUMA variants of the stock machines: every registered numa-split
-    // profile is swept with the derived (3-level) builders by default.
+    // profile is swept with the derived (3-level) builders by default,
+    // which emit the ladder pipelines that used to live in the
+    // hand-written bcast3/allreduce3. Multi-rail variants cross the
+    // stripe axis (HanConfig::sf, docs/FABRIC.md) into the space with the
+    // divisors of the machine's NIC count, so every striped slice set gets
+    // the same structural gate as the single-rail pipelines. One job per
+    // (machine, kind).
     for (const machine::StockMachine& sm : machine::stock_machines()) {
-      if (sm.profile.numa_per_node <= 1) continue;
-      for (CollKind kind :
-           {CollKind::Bcast, CollKind::Reduce, CollKind::Allreduce}) {
-        jobs.push_back([&sm, kind, &opts](SweepResult& frag) {
-          graph_numa_job(frag, sm.name, sm.profile, kind, opts.full_space,
-                         opts.windows);
-        });
+      std::vector<std::pair<std::string, tune::SearchSpace>> variants;
+      if (sm.profile.numa_per_node > 1) {
+        variants.emplace_back("_lvl3.", sweep_space(opts.full_space));
       }
-    }
-    // Multi-rail variants: every registered multi-NIC profile is swept
-    // with the stripe axis crossed in, gating striped inter stages too.
-    for (const machine::StockMachine& sm : machine::stock_machines()) {
-      if (sm.profile.nics_per_node <= 1) continue;
-      for (CollKind kind :
-           {CollKind::Bcast, CollKind::Reduce, CollKind::Allreduce}) {
-        jobs.push_back([&sm, kind, &opts](SweepResult& frag) {
-          graph_rail_job(frag, sm.name, sm.profile, kind, opts.full_space,
-                         opts.windows);
-        });
+      const int rails = sm.profile.nics_per_node;
+      if (rails > 1) {
+        tune::SearchSpace space = sweep_space(opts.full_space);
+        for (int d = 1; d <= rails; ++d) {
+          if (rails % d == 0) space.stripe_factors.push_back(d);
+        }
+        variants.emplace_back("_rail.", std::move(space));
+      }
+      for (const auto& [suffix, space] : variants) {
+        for (CollKind kind :
+             {CollKind::Bcast, CollKind::Reduce, CollKind::Allreduce}) {
+          jobs.push_back([&sm, kind, suffix, space, &opts](
+                             SweepResult& frag) {
+            graph_space_job(frag, sm.profile,
+                            std::string("graph.") + sm.name + "." +
+                                coll::coll_kind_name(kind) + suffix,
+                            kind, space, opts.windows);
+          });
+        }
       }
     }
   }

@@ -36,6 +36,8 @@ struct BufView {
     return BufView{nullptr, bytes, t};
   }
 
+  friend bool operator==(const BufView&, const BufView&) = default;
+
   template <typename T>
   static BufView of(std::vector<T>& storage, Datatype t) {
     return BufView{reinterpret_cast<std::byte*>(storage.data()),

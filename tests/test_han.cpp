@@ -503,6 +503,33 @@ TEST(SchedulerWindow, DeepWindowCorrectAndNoSlower) {
       << "window=4 slower than lock-step";
 }
 
+// A single-node allreduce is one intra iallreduce task: the scheduler
+// counts and traces it as an allreduce, not as a reduce.
+TEST(SchedulerOps, SingleLevelAllreduceCountsAsAllreduce) {
+  HanHarness h(machine::make_aries(1, 4));
+  const int n = h.world.world_size();
+  const std::size_t count = 1024;
+  std::vector<std::vector<std::int32_t>> send(n), recv(n);
+  for (int r = 0; r < n; ++r) {
+    send[r] = pattern_vec(r, count);
+    recv[r].assign(count, -1);
+  }
+  const HanConfig cfg = make_cfg(4 << 10, "adapt", "sm", Algorithm::Binary, 0);
+  obs::MetricsRegistry& reg = h.world.metrics();
+  const double reduce0 = reg.counter("han.task.op.reduce").value();
+  run_collective(h.world, [&](mpi::Rank& rank) {
+    const int me = rank.world_rank;
+    return h.han.iallreduce_cfg(
+        h.world.world_comm(), me, BufView::of(send[me], Datatype::Int32),
+        BufView::of(recv[me], Datatype::Int32), Datatype::Int32,
+        ReduceOp::Sum, cfg);
+  });
+  const auto expect = expected_reduce(ReduceOp::Sum, n, count);
+  for (int r = 0; r < n; ++r) EXPECT_EQ(recv[r], expect) << "rank " << r;
+  EXPECT_EQ(reg.counter("han.task.op.allreduce").value(), n);
+  EXPECT_EQ(reg.counter("han.task.op.reduce").value(), reduce0);
+}
+
 // --- communicator destruction / context-id reuse ------------------------
 
 // Freeing a comm must evict the cached Hierarchy ladders and the

@@ -49,21 +49,13 @@ HanConfig base_cfg(std::size_t fs, int window) {
   return cfg;
 }
 
-/// Node-for-node graph equality (everything but the issue closures, which
-/// are not comparable).
+/// Node-for-node graph equality: op, level, step, deps and the whole call
+/// (module, comm, ranks, buffers, config, stripe).
 void expect_same_graph(const task::TaskGraph& a, const task::TaskGraph& b,
                        const std::string& label) {
   ASSERT_EQ(a.nodes.size(), b.nodes.size()) << label;
   for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    const task::TaskNode& na = a.nodes[i];
-    const task::TaskNode& nb = b.nodes[i];
-    EXPECT_EQ(na.op, nb.op) << label << " node " << i;
-    EXPECT_EQ(na.level, nb.level) << label << " node " << i;
-    EXPECT_EQ(na.comm, nb.comm) << label << " node " << i;
-    EXPECT_EQ(na.step, nb.step) << label << " node " << i;
-    EXPECT_EQ(na.seg, nb.seg) << label << " node " << i;
-    EXPECT_EQ(na.bytes, nb.bytes) << label << " node " << i;
-    EXPECT_EQ(na.deps, nb.deps) << label << " node " << i;
+    EXPECT_TRUE(a.nodes[i] == b.nodes[i]) << label << " node " << i;
   }
 }
 

@@ -103,11 +103,15 @@ TEST(PlanValidate, NegativeTag) {
 
 // --- TaskGraph validation ----------------------------------------------
 
+/// A node naming a real module and communicator; validation never
+/// issues it.
 task::TaskNode noop_node(int step, std::vector<int> deps = {}) {
+  static test::CollHarness h(machine::make_aries(1, 2));
   task::TaskNode n;
   n.step = step;
   n.deps = std::move(deps);
-  n.issue = [] { return mpi::Request{}; };
+  n.mod = &h.mods.libnbc();
+  n.comm = &h.world.world_comm();
   return n;
 }
 
@@ -118,13 +122,17 @@ TEST(GraphValidate, WellFormedPasses) {
   EXPECT_EQ(task::validate_graph(g), "");
 }
 
-TEST(GraphValidate, MissingIssueClosure) {
-  task::TaskGraph g;
-  task::TaskNode n;
-  n.step = 0;
-  g.add(std::move(n));
-  const std::string err = task::validate_graph(g);
-  EXPECT_NE(err.find("issue"), std::string::npos) << err;
+TEST(GraphValidate, MissingModuleOrComm) {
+  task::TaskNode no_mod = noop_node(0);
+  no_mod.mod = nullptr;
+  task::TaskNode no_comm = noop_node(0);
+  no_comm.comm = nullptr;
+  for (const task::TaskNode& n : {no_mod, no_comm}) {
+    task::TaskGraph g;
+    g.add(n);
+    const std::string err = task::validate_graph(g);
+    EXPECT_NE(err.find("no module / comm"), std::string::npos) << err;
+  }
 }
 
 TEST(GraphValidate, NegativeStep) {
