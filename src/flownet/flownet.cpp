@@ -110,7 +110,7 @@ FlowId FlowNet::start_flow(std::span<const ResourceId> resources, double bytes,
   flow.rate_cap = rate_cap;
   flow.last_update = engine_->now();
   flow.order = next_order_++;
-  flow.completion_gen = 0;
+  flow.completion = sim::EventId{};
   flow.resources.assign(resources.begin(), resources.end());
   if (flow.resources.size() == 2) {
     // Point-to-point paths (tx lane + rx lane) dominate; skip the
@@ -149,6 +149,7 @@ void FlowNet::abort_flow(FlowId id) {
   Flow* flow = lookup(id);
   if (flow == nullptr) return;
   if (flows_aborted_ != nullptr) flows_aborted_->add(1.0);
+  engine_->cancel(flow->completion);
   // Marking before detaching spares a copy of the path; it only records
   // dirty seeds (and schedules the one pending rebalance event).
   mark_dirty(flow->resources);
@@ -255,14 +256,14 @@ void FlowNet::settle_at(Flow& flow, sim::Time now) {
 }
 
 void FlowNet::schedule_completion(FlowId id, Flow& flow) {
-  const std::uint64_t generation = ++flow.completion_gen;
   HAN_ASSERT_MSG(flow.rate > 0.0, "active flow starved (rate == 0)");
   const sim::Time eta = flow.remaining / flow.rate;
-  engine_->schedule_after(eta, [this, id, generation] {
-    Flow* f = lookup(id);
-    if (f == nullptr || f->completion_gen != generation) return;
-    finish_flow(id, *f);  // already resolved: skip the second lookup
-  });
+  // Only the latest completion may fire, so its callback needs no validity
+  // check. Cancelling takes no sequence number: every live event keeps its
+  // (time, seq) firing order.
+  engine_->cancel(flow.completion);
+  flow.completion = engine_->schedule_after(
+      eta, [this, id] { finish_flow(id, slot_ref(slot_of(id)).flow); });
 }
 
 void FlowNet::finish_flow(FlowId id, Flow& flow) {

@@ -17,9 +17,11 @@
 // is an index plus a tag compare, and slots recycle through a free list so
 // steady-state churn never touches the allocator. The ≤4-resource path is
 // stored inline (SmallVec) and completion callbacks use the engine's SBO
-// callback type. Rate recomputation iterates component flows in creation
-// order, which keeps results bit-identical to the original map-based
-// implementation.
+// callback type. A flow keeps the EventId of its pending completion: a
+// rebalance that re-times the flow cancels that event before scheduling
+// its replacement, so a superseded completion never fires. Rate
+// recomputation iterates component flows in creation order, which keeps
+// results bit-identical to the original map-based implementation.
 #pragma once
 
 #include <cstddef>
@@ -124,7 +126,7 @@ class FlowNet {
     double rate_cap = 0.0;
     sim::Time last_update = 0.0;
     std::uint64_t order = 0;  // creation order: deterministic iteration
-    std::uint64_t completion_gen = 0;  // invalidates stale completion events
+    sim::EventId completion;  // pending completion; cancelled on reschedule
     sim::SmallVec<ResourceId, 4> resources;
     Callback on_complete;
   };
@@ -189,7 +191,8 @@ class FlowNet {
   void mark_dirty(std::span<const ResourceId> seeds);
 
   // Recompute max-min rates for the connected component containing the
-  // dirty set and reschedule completion events of affected flows.
+  // dirty set, cancel the affected flows' pending completion events, and
+  // schedule each one afresh at its new finish time.
   void rebalance();
 
   void collect_component(std::span<const ResourceId> seeds,

@@ -21,9 +21,12 @@
 //    one contiguous reverse-copy), while a trickle sifts into a small
 //    4-ary min-heap that is merged into the run when it outgrows it.
 //  * cancel() is O(1) and reclaims eagerly: the callback is destroyed and
-//    the slot returned to the free list immediately; the stale heap entry
+//    the slot returned to the free list immediately; the stale queue entry
 //    is recognized later by its mismatched sequence number (slots recycle,
-//    sequence numbers never do).
+//    sequence numbers never do), skipped when it reaches the head, and
+//    compacted away once dead entries dominate the queue. Cancellation is
+//    routine, not rare: FlowNet cancels a flow's pending completion every
+//    time a rebalance re-times the flow.
 //  * Same-timestamp batch draining: all entries due at the current time are
 //    popped into a FIFO batch in one pass; zero-delay events scheduled
 //    while the batch drains append to it directly, bypassing the heap.

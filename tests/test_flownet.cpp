@@ -136,6 +136,46 @@ TEST(FlowNet, AbortRemovesFlow) {
   EXPECT_NEAR(other_done, 5.5, 1e-9);
 }
 
+TEST(FlowNet, SupersededCompletionNeverFires) {
+  // 1 B and 2 B share a 1 B/s lane: both run at 0.5 B/s until the short
+  // flow finishes at 2 s, then the long one's last byte takes 1 s more.
+  // The rebalance at 2 s replaces the long flow's completion (due at 4 s)
+  // with one at 3 s; the superseded event is cancelled, so the clock stops
+  // at the last real event. Events: the rebalance at 0 s, the completion
+  // and rebalance at 2 s, the completion and (empty) rebalance at 3 s.
+  Engine e;
+  FlowNet fn(e);
+  const ResourceId r = fn.add_resource("link", 1.0);
+  const ResourceId path[] = {r};
+  std::vector<double> done;
+  fn.start_flow(path, 1.0, FlowNet::no_cap(), [&] { done.push_back(e.now()); });
+  fn.start_flow(path, 2.0, FlowNet::no_cap(), [&] { done.push_back(e.now()); });
+  e.run();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_DOUBLE_EQ(done[0], 2.0);
+  EXPECT_DOUBLE_EQ(done[1], 3.0);
+  EXPECT_DOUBLE_EQ(e.now(), 3.0);
+  EXPECT_EQ(e.events_processed(), 5u);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(FlowNet, AbortCancelsPendingCompletion) {
+  Engine e;
+  FlowNet fn(e);
+  const ResourceId r = fn.add_resource("link", 1.0);
+  const ResourceId path[] = {r};
+  bool fired = false;
+  const FlowId f =
+      fn.start_flow(path, 10.0, FlowNet::no_cap(), [&] { fired = true; });
+  e.schedule_at(1.0, [&] { fn.abort_flow(f); });
+  e.run_until(1.0);  // the abort and the rebalance it triggers
+  EXPECT_EQ(fn.active_flows(), 0u);
+  EXPECT_EQ(e.pending(), 0u);  // the completion due at 10 s is gone
+  e.run();
+  EXPECT_FALSE(fired);
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
+}
+
 TEST(FlowNet, SetCapacityRebalances) {
   Engine e;
   FlowNet fn(e);
@@ -244,20 +284,28 @@ TEST(FlowNet, MaxMinBottleneckProperty) {
 TEST(FlowNet, PoolRecyclesUnderChurn) {
   // Steady-state churn must recycle slots through the free list instead of
   // growing the slab: capacity is bounded by the peak live population.
+  // Staggered sizes make every completion speed up the flows still running,
+  // so each one is re-timed up to seven times per round; the superseded
+  // completion events must be cancelled, not left queued until they fire.
   Engine e;
   FlowNet fn(e);
   const ResourceId r = fn.add_resource("lane", 1e9);
   const ResourceId path[] = {r};
+  constexpr int kFlows = 8;
   for (int round = 0; round < 200; ++round) {
     int done = 0;
-    for (int i = 0; i < 8; ++i) {
-      fn.start_flow(path, 1e6, FlowNet::no_cap(), [&done] { ++done; });
+    for (int i = 0; i < kFlows; ++i) {
+      fn.start_flow(path, 1e6 * (i + 1), FlowNet::no_cap(),
+                    [&done] { ++done; });
     }
     e.run();
-    EXPECT_EQ(done, 8);
+    EXPECT_EQ(done, kFlows);
   }
   EXPECT_EQ(fn.active_flows(), 0u);
   EXPECT_LE(fn.flow_pool_capacity(), 8u);
+  // Live events: one completion per flow, the batched rebalance, and the
+  // firing event whose slot is released only after its callback returns.
+  EXPECT_LE(e.pool_capacity(), kFlows + 2u);
 }
 
 TEST(FlowNet, StaleFlowIdInertAfterSlotReuse) {

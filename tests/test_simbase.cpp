@@ -242,6 +242,34 @@ TEST(Engine, CancelReclaimsPoolSlots) {
   e.run();
   EXPECT_EQ(e.events_processed(), 0u);
   EXPECT_DOUBLE_EQ(e.now(), 0.0);
+
+  // Cancel-heavy shape, as left behind by flows re-timed on every
+  // rebalance: 4096 events over 257 timestamps, 75% cancelled before they
+  // fire. Only the survivors fire, and a second round on the same engine
+  // recycles the first round's slots instead of growing the pool.
+  constexpr int kEvents = 4096;
+  std::vector<EventId> ids;
+  int fired = 0;
+  std::size_t first_capacity = 0;
+  for (int round = 0; round < 2; ++round) {
+    ids.clear();
+    const Time base = e.now();
+    for (int i = 0; i < kEvents; ++i) {
+      ids.push_back(e.schedule_at(base + static_cast<double>(i % 257),
+                                  [&fired] { ++fired; }));
+    }
+    for (int i = 0; i < kEvents; ++i) {
+      if (i % 4 != 0) e.cancel(ids[i]);
+    }
+    e.run();
+    EXPECT_EQ(fired, (round + 1) * kEvents / 4);
+    EXPECT_EQ(e.events_processed(),
+              static_cast<std::uint64_t>((round + 1) * kEvents / 4));
+    EXPECT_EQ(e.pool_in_use(), 0u);
+    if (round == 0) first_capacity = e.pool_capacity();
+  }
+  EXPECT_LE(first_capacity, static_cast<std::size_t>(kEvents) + 16u);
+  EXPECT_EQ(e.pool_capacity(), first_capacity);
 }
 
 TEST(Engine, CancelInterleavedWithFiring) {
