@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "simbase/small_vec.hpp"
 #include "simbase/units.hpp"
 #include "simmpi/datatype.hpp"
 
@@ -71,7 +72,9 @@ struct Action {
                             // (cache-resident shared-memory reads < 1)
   sim::Time seconds = 0.0;  // Compute duration
   sim::Time pre_delay = 0.0;  // fixed latency before execution starts
-  std::vector<DepRef> deps;
+  // Inline: nearly every action waits on at most two others, and a plan
+  // template is rebuilt in every busy period of the runtime.
+  sim::SmallVec<DepRef, 2> deps;
 };
 
 struct RankPlan {

@@ -16,6 +16,9 @@ constexpr const char* kKindNames[] = {"send",    "recv", "copy",
                                       "reduce",  "compute", "noop",
                                       "cross_copy", "cross_reduce"};
 constexpr int kNumKinds = 8;
+// deps_left of a launched node: nonzero, so it never launches twice, and
+// never decremented again (all its dependencies have completed).
+constexpr int kLaunched = -1;
 }  // namespace
 
 CollRuntime::CollRuntime(mpi::SimWorld& world) : world_(&world) {
@@ -79,20 +82,35 @@ void CollRuntime::set_level_label(int context, const std::string& label) {
 mpi::Request CollRuntime::start(const mpi::Comm& comm, int comm_rank,
                                 PlanBuilder builder, const BuildSpec& spec,
                                 std::vector<mpi::BufView> user_bufs) {
-  auto& seqs = call_seq_[comm.context()];
-  if (seqs.empty()) seqs.resize(comm.size(), 0);
-  const std::uint64_t seq = seqs.at(comm_rank)++;
-
-  InstancePtr inst = get_or_create(comm, seq, builder, spec);
-  mpi::Request req = mpi::make_request(world_->engine());
-  arrive(inst, comm_rank, std::move(user_bufs), req);
-  return req;
+  const std::uint64_t seq = next_seq(comm, comm_rank);
+  Instance* inst = find_instance(comm, seq);
+  if (inst == nullptr) {
+    inst = &create_instance(comm, seq,
+                            plan_template(builder, comm.size(), spec));
+  }
+  return arrive(*inst, comm_rank, std::move(user_bufs));
 }
 
-CollRuntime::TemplatePtr CollRuntime::build_template(
-    PlanBuilder builder, int n, const BuildSpec& spec) const {
+mpi::Request CollRuntime::start_plan(const mpi::Comm& comm, int comm_rank,
+                                     const Plan& plan,
+                                     std::vector<mpi::BufView> user_bufs) {
+  const std::uint64_t seq = next_seq(comm, comm_rank);
+  Instance* inst = find_instance(comm, seq);
+  if (inst == nullptr) {
+    inst = &create_instance(comm, seq, wire_template(plan, comm.size()));
+  }
+  return arrive(*inst, comm_rank, std::move(user_bufs));
+}
+
+std::uint64_t CollRuntime::next_seq(const mpi::Comm& comm, int comm_rank) {
+  auto& seqs = call_seq_[comm.context()];
+  if (seqs.empty()) seqs.resize(comm.size(), 0);
+  return seqs.at(comm_rank)++;
+}
+
+CollRuntime::TemplatePtr CollRuntime::wire_template(Plan plan, int n) const {
   auto t = std::make_shared<Template>();
-  t->plan = build_plan(builder, n, spec);
+  t->plan = std::move(plan);
   const std::string defect = validate_plan(t->plan, n);
   HAN_ASSERT_MSG(defect.empty(), defect.c_str());
   if (plan_checker_) {
@@ -107,17 +125,34 @@ CollRuntime::TemplatePtr CollRuntime::build_template(
     t->base[r + 1] =
         t->base[r] + static_cast<int>(t->plan.ranks[r].actions.size());
   }
-  t->deps_left.assign(t->base[n], 0);
-  t->dependents.resize(t->base[n]);
-  for (int r = 0; r < n; ++r) {
-    const auto& actions = t->plan.ranks[r].actions;
-    for (int a = 0; a < static_cast<int>(actions.size()); ++a) {
-      for (const DepRef& d : actions[a].deps) {
-        const int dr = d.rank == DepRef::kSameRank ? r : d.rank;
-        t->dependents[t->node(dr, d.action)].push_back(
-            DepRef{r, a, d.latency});
-        ++t->deps_left[t->node(r, a)];
+  // Two passes over the edges: count each node's dependents, then fill
+  // the flat array in edge order (the order dependents are unblocked in).
+  const int total = t->base[n];
+  t->deps_left.assign(total, 0);
+  t->dependents_begin.assign(total + 1, 0);
+  std::vector<int> fill;  // pass 1: next free dependents slot per node
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int r = 0; r < n; ++r) {
+      const auto& actions = t->plan.ranks[r].actions;
+      for (int a = 0; a < static_cast<int>(actions.size()); ++a) {
+        for (const DepRef& d : actions[a].deps) {
+          const int from =
+              t->node(d.rank == DepRef::kSameRank ? r : d.rank, d.action);
+          if (pass == 0) {
+            ++t->dependents_begin[from + 1];
+            ++t->deps_left[t->node(r, a)];
+          } else {
+            t->dependents[fill[from]++] = DepRef{r, a, d.latency};
+          }
+        }
       }
+    }
+    if (pass == 0) {
+      for (int i = 0; i < total; ++i) {
+        t->dependents_begin[i + 1] += t->dependents_begin[i];
+      }
+      t->dependents.resize(t->dependents_begin[total]);
+      fill.assign(t->dependents_begin.begin(), t->dependents_begin.end() - 1);
     }
   }
   return t;
@@ -127,56 +162,65 @@ CollRuntime::TemplatePtr CollRuntime::plan_template(PlanBuilder builder,
                                                     int n,
                                                     const BuildSpec& spec) {
   // A checker must see every instance's plan: build fresh, cache nothing.
-  if (plan_checker_) return build_template(builder, n, spec);
+  if (plan_checker_) return wire_template(build_plan(builder, n, spec), n);
   TemplateKey key{builder, n, spec};
   auto it = templates_.lower_bound(key);
   if (it != templates_.end() && it->first == key) return it->second;
-  TemplatePtr t = build_template(builder, n, spec);
+  TemplatePtr t = wire_template(build_plan(builder, n, spec), n);
   templates_.emplace_hint(it, std::move(key), t);
   return t;
 }
 
-CollRuntime::InstancePtr CollRuntime::get_or_create(const mpi::Comm& comm,
-                                                    std::uint64_t seq,
-                                                    PlanBuilder builder,
-                                                    const BuildSpec& spec) {
-  const auto key = std::make_pair(comm.context(), seq);
-  auto it = instances_.lower_bound(key);
-  if (it != instances_.end() && it->first == key) return it->second;
+CollRuntime::Instance* CollRuntime::find_instance(const mpi::Comm& comm,
+                                                  std::uint64_t seq) {
+  auto it = instances_.find(std::make_pair(comm.context(), seq));
+  return it == instances_.end() ? nullptr : it->second.get();
+}
 
-  const int n = comm.size();
-  auto inst = std::make_shared<Instance>();
-  inst->comm = &comm;
-  inst->seq = seq;
-  inst->tmpl = plan_template(builder, n, spec);
-  const Template& t = *inst->tmpl;
-  inst->ranks.resize(n);
-  for (int r = 0; r < n; ++r) {
-    inst->ranks[r].actions_left = t.base[r + 1] - t.base[r];
+CollRuntime::Instance& CollRuntime::create_instance(const mpi::Comm& comm,
+                                                    std::uint64_t seq,
+                                                    TemplatePtr tmpl) {
+  std::unique_ptr<Instance> fresh;
+  if (spare_.empty()) {
+    fresh = std::make_unique<Instance>();
+  } else {
+    fresh = std::move(spare_.back());
+    spare_.pop_back();
   }
-  inst->deps_left = t.deps_left;
-  inst->launched.assign(t.deps_left.size(), 0);
-  inst->total_actions_left = t.base[n];
-  inst->ranks_not_arrived = n;
-  instances_.emplace_hint(it, key, inst);
+  Instance& inst = *fresh;
+  const int n = comm.size();
+  inst.comm = &comm;
+  inst.seq = seq;
+  inst.tmpl = std::move(tmpl);
+  inst.level = nullptr;
+  const Template& t = *inst.tmpl;
+  inst.ranks.resize(n);
+  for (int r = 0; r < n; ++r) {
+    inst.ranks[r].arrived = false;
+    inst.ranks[r].actions_left = t.base[r + 1] - t.base[r];
+  }
+  inst.deps_left.assign(t.deps_left.begin(), t.deps_left.end());
+  inst.total_actions_left = t.base[n];
+  inst.ranks_not_arrived = n;
+  instances_.emplace(std::make_pair(comm.context(), seq), std::move(fresh));
   return inst;
 }
 
-void CollRuntime::arrive(const InstancePtr& inst, int rank,
-                         std::vector<mpi::BufView> user_bufs,
-                         mpi::Request req) {
-  RankState& rs = inst->ranks.at(rank);
+mpi::Request CollRuntime::arrive(Instance& inst, int rank,
+                                 std::vector<mpi::BufView> user_bufs) {
+  RankState& rs = inst.ranks.at(rank);
   HAN_ASSERT_MSG(!rs.arrived, "rank started the same collective twice");
   rs.arrived = true;
-  --inst->ranks_not_arrived;
+  --inst.ranks_not_arrived;
   HAN_ASSERT_MSG(static_cast<int>(user_bufs.size()) >=
-                     inst->plan().num_user_slots,
+                     inst.plan().num_user_slots,
                  "missing user buffers for plan slots");
   rs.user_bufs = std::move(user_bufs);
-  rs.req = std::move(req);
+  rs.req = mpi::make_request(world_->engine());
+  mpi::Request req = rs.req;
 
   // Allocate temp slot storage in data mode.
-  const auto& temp_sizes = inst->plan().ranks[rank].temp_slots;
+  const auto& temp_sizes = inst.plan().ranks[rank].temp_slots;
   if (world_->data_mode()) {
     rs.temps.resize(temp_sizes.size());
     for (std::size_t i = 0; i < temp_sizes.size(); ++i) {
@@ -187,23 +231,22 @@ void CollRuntime::arrive(const InstancePtr& inst, int rank,
   if (rs.actions_left == 0) {
     rs.req->complete();
     maybe_retire(inst);
-    return;
+    return req;
   }
-  const int count = inst->tmpl->base[rank + 1] - inst->tmpl->base[rank];
+  const int count = inst.tmpl->base[rank + 1] - inst.tmpl->base[rank];
   for (int a = 0; a < count; ++a) try_launch(inst, rank, a);
+  return req;
 }
 
-void CollRuntime::try_launch(const InstancePtr& inst, int rank, int action) {
-  const int node = inst->tmpl->node(rank, action);
-  if (!inst->ranks[rank].arrived || inst->launched[node] != 0 ||
-      inst->deps_left[node] != 0) {
-    return;
-  }
-  inst->launched[node] = 1;
-  const Action& a = inst->plan().ranks[rank].actions[action];
+void CollRuntime::try_launch(Instance& inst, int rank, int action) {
+  const int node = inst.tmpl->node(rank, action);
+  if (!inst.ranks[rank].arrived || inst.deps_left[node] != 0) return;
+  inst.deps_left[node] = kLaunched;
+  const Action& a = inst.plan().ranks[rank].actions[action];
   if (a.pre_delay > 0.0) {
     world_->engine().schedule_after(
-        a.pre_delay, [this, inst, rank, action] { execute(inst, rank, action); });
+        a.pre_delay,
+        [this, in = &inst, rank, action] { execute(*in, rank, action); });
   } else {
     execute(inst, rank, action);
   }
@@ -234,61 +277,41 @@ mpi::BufView CollRuntime::slot_view(Instance& inst, int rank, SlotRef ref,
   return mpi::BufView{storage.data() + ref.offset, bytes, mpi::Datatype::Byte};
 }
 
-void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
-  const Action& a = inst->plan().ranks[rank].actions[action];
-  const mpi::Comm& comm = *inst->comm;
+void CollRuntime::execute(Instance& inst, int rank, int action) {
+  const Action& a = inst.plan().ranks[rank].actions[action];
+  const mpi::Comm& comm = *inst.comm;
   const mpi::Tag tag =
-      static_cast<mpi::Tag>((inst->seq << kTagBits) |
+      static_cast<mpi::Tag>((inst.seq << kTagBits) |
                             static_cast<std::uint64_t>(a.tag));
   HAN_ASSERT_MSG(a.tag >= 0 && a.tag < (1 << kTagBits),
                  "plan action tag out of range");
   const int kind = static_cast<int>(a.kind);
   const sim::Time t0 = world_->now();
   const double abytes = static_cast<double>(a.bytes);
-  LevelStats* level = level_stats(comm.context());
+  if (inst.level == nullptr) inst.level = level_stats(comm.context());
+  LevelStats* level = inst.level;
   kinds_[kind].actions->add(1.0);
   kinds_[kind].bytes->add(abytes);
   level->actions->add(1.0);
   level->bytes->add(abytes);
   inflight_->add(t0, 1.0);
   level->inflight->add(t0, 1.0);
-  std::function<void()> done = [this, inst, rank, action, kind, t0,
-                                level] {
-    const sim::Time now = world_->now();
-    const sim::Time dt = now - t0;
-    kinds_[kind].busy->add(dt);
-    level->busy->add(dt);
-    inflight_->add(now, -1.0);
-    level->inflight->add(now, -1.0);
-    action_seconds_->observe(dt);
-    if (tracer_ != nullptr) {
-      const int wr = inst->comm->world_rank(rank);
-      const std::string name =
-          std::string(kKindNames[kind]) + " " +
-          sim::format_bytes(
-              inst->plan().ranks[rank].actions[action].bytes);
-      tracer_->span(wr, "coll", name, t0, now, world_->rank(wr).node);
-    }
-    complete_action(inst, rank, action);
+  auto done = [this, in = &inst, rank, action, t0] {
+    finish_action(*in, rank, action, t0);
   };
 
+  mpi::Request r;
   switch (a.kind) {
-    case Action::Kind::Send: {
-      mpi::BufView src = slot_view(*inst, rank, a.src, a.bytes);
-      mpi::Request r = world_->isend_ctx(comm, comm.context(), rank, a.peer,
-                                         tag, src, inst->plan().rail);
-      r->on_complete(done);
+    case Action::Kind::Send:
+      r = world_->isend_ctx(comm, comm.context(), rank, a.peer, tag,
+                            slot_view(inst, rank, a.src, a.bytes),
+                            inst.plan().rail);
       break;
-    }
-    case Action::Kind::Recv: {
-      mpi::BufView dst = slot_view(*inst, rank, a.dst, a.bytes);
-      mpi::Request r = world_->irecv_ctx(comm, comm.context(), rank, a.peer,
-                                         tag, dst);
-      r->on_complete(done);
+    case Action::Kind::Recv:
+      r = world_->irecv_ctx(comm, comm.context(), rank, a.peer, tag,
+                            slot_view(inst, rank, a.dst, a.bytes));
       break;
-    }
     case Action::Kind::Copy: {
-      const int wr = comm.world_rank(rank);
       // bus_factor scales bytes and cap together: duration stays
       // bytes/cap while the memory bus is charged the discounted traffic
       // (L3-served shared-memory reads).
@@ -296,48 +319,19 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
                               ? a.copy_cap
                               : world_->profile().core_copy_bandwidth) *
                          a.bus_factor;
-      mpi::Request r = world_->copy_flow(
-          wr, static_cast<std::size_t>(
-                  static_cast<double>(a.bytes) * a.bus_factor),
+      r = world_->copy_flow(
+          comm.world_rank(rank),
+          static_cast<std::size_t>(static_cast<double>(a.bytes) *
+                                   a.bus_factor),
           cap);
-      r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan().ranks[rank].actions[action];
-        if (world_->data_mode()) {
-          mpi::BufView src = slot_view(*inst, rank, act.src, act.bytes);
-          mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
-          if (src.has_data() && dst.has_data() &&
-              dst.data != src.data) {  // in-place copies are no-ops
-            std::memcpy(dst.data, src.data, act.bytes);
-          }
-        }
-        done();
-      });
       break;
     }
-    case Action::Kind::Reduce: {
-      const int wr = comm.world_rank(rank);
-      mpi::Request r = world_->reduce_compute(wr, a.bytes, a.avx);
-      r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan().ranks[rank].actions[action];
-        if (world_->data_mode()) {
-          mpi::BufView src = slot_view(*inst, rank, act.src, act.bytes);
-          mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
-          if (src.has_data() && dst.has_data()) {
-            // Byte counts are element-aligned by the builder's contract.
-            const std::size_t count = act.bytes / type_size(act.dtype);
-            mpi::apply_reduce(act.op, act.dtype, dst.data, src.data, count);
-          }
-        }
-        done();
-      });
+    case Action::Kind::Reduce:
+      r = world_->reduce_compute(comm.world_rank(rank), a.bytes, a.avx);
       break;
-    }
-    case Action::Kind::Compute: {
-      const int wr = comm.world_rank(rank);
-      mpi::Request r = world_->compute(wr, a.seconds);
-      r->on_complete(done);
+    case Action::Kind::Compute:
+      r = world_->compute(comm.world_rank(rank), a.seconds);
       break;
-    }
     case Action::Kind::CrossCopy: {
       const int wr = comm.world_rank(rank);
       const int peer_wr = comm.world_rank(a.peer);
@@ -353,22 +347,10 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
                               ? a.copy_cap
                               : world_->profile().core_copy_bandwidth) *
                          factor;
-      mpi::Request r = world_->copy_flow_pair(
+      r = world_->copy_flow_pair(
           wr, peer_wr,
           static_cast<std::size_t>(static_cast<double>(a.bytes) * factor),
           cap);
-      r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan().ranks[rank].actions[action];
-        if (world_->data_mode()) {
-          mpi::BufView src = slot_view(*inst, act.peer, act.src, act.bytes);
-          mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
-          if (src.has_data() && dst.has_data() &&
-              dst.data != src.data) {  // in-place copies are no-ops
-            std::memcpy(dst.data, src.data, act.bytes);
-          }
-        }
-        done();
-      });
       break;
     }
     case Action::Kind::CrossReduce: {
@@ -376,39 +358,70 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
       HAN_ASSERT_MSG(world_->rank(wr).node ==
                          world_->rank(comm.world_rank(a.peer)).node,
                      "CrossReduce peers must share a node");
-      mpi::Request r = world_->reduce_compute(wr, a.bytes, a.avx);
-      r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan().ranks[rank].actions[action];
-        if (world_->data_mode()) {
-          mpi::BufView src = slot_view(*inst, act.peer, act.src, act.bytes);
-          mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
-          if (src.has_data() && dst.has_data()) {
-            const std::size_t count = act.bytes / type_size(act.dtype);
-            mpi::apply_reduce(act.op, act.dtype, dst.data, src.data, count);
-          }
-        }
-        done();
-      });
+      r = world_->reduce_compute(wr, a.bytes, a.avx);
       break;
     }
-    case Action::Kind::Noop: {
+    case Action::Kind::Noop:
       world_->engine().schedule_after(0.0, done);
-      break;
-    }
+      return;
   }
+  r->on_complete(done);
 }
 
-void CollRuntime::complete_action(const InstancePtr& inst, int rank,
-                                  int action) {
-  RankState& rs = inst->ranks[rank];
+void CollRuntime::finish_action(Instance& inst, int rank, int action,
+                                sim::Time t0) {
+  const Action& a = inst.plan().ranks[rank].actions[action];
+  using Kind = Action::Kind;
+  const bool copy = a.kind == Kind::Copy || a.kind == Kind::CrossCopy;
+  const bool reduce = a.kind == Kind::Reduce || a.kind == Kind::CrossReduce;
+  if (world_->data_mode() && (copy || reduce)) {
+    // Cross* actions read the peer's slot.
+    const bool cross = a.kind == Kind::CrossCopy || a.kind == Kind::CrossReduce;
+    const mpi::BufView src =
+        slot_view(inst, cross ? a.peer : rank, a.src, a.bytes);
+    const mpi::BufView dst = slot_view(inst, rank, a.dst, a.bytes);
+    if (src.has_data() && dst.has_data()) {
+      if (reduce) {
+        // Byte counts are element-aligned by the builder's contract.
+        const std::size_t count = a.bytes / type_size(a.dtype);
+        mpi::apply_reduce(a.op, a.dtype, dst.data, src.data, count);
+      } else if (dst.data != src.data) {  // in-place copies are no-ops
+        std::memcpy(dst.data, src.data, a.bytes);
+      }
+    }
+  }
+
+  const int kind = static_cast<int>(a.kind);
+  LevelStats* level = inst.level;
+  const sim::Time now = world_->now();
+  const sim::Time dt = now - t0;
+  kinds_[kind].busy->add(dt);
+  level->busy->add(dt);
+  inflight_->add(now, -1.0);
+  level->inflight->add(now, -1.0);
+  action_seconds_->observe(dt);
+  if (tracer_ != nullptr) {
+    const int wr = inst.comm->world_rank(rank);
+    const std::string name =
+        std::string(kKindNames[kind]) + " " + sim::format_bytes(a.bytes);
+    tracer_->span(wr, "coll", name, t0, now, world_->rank(wr).node);
+  }
+  complete_action(inst, rank, action);
+}
+
+void CollRuntime::complete_action(Instance& inst, int rank, int action) {
+  RankState& rs = inst.ranks[rank];
   --rs.actions_left;
-  --inst->total_actions_left;
-  const Template& t = *inst->tmpl;
-  for (const DepRef& d : t.dependents[t.node(rank, action)]) {
+  --inst.total_actions_left;
+  const Template& t = *inst.tmpl;
+  const int node = t.node(rank, action);
+  for (int i = t.dependents_begin[node]; i < t.dependents_begin[node + 1];
+       ++i) {
     // d.rank/d.action name the *dependent* here (reverse edge).
-    auto unblock = [this, inst, r = d.rank, a = d.action] {
-      if (--inst->deps_left[inst->tmpl->node(r, a)] == 0) {
-        try_launch(inst, r, a);
+    const DepRef& d = t.dependents[i];
+    auto unblock = [this, in = &inst, r = d.rank, a = d.action] {
+      if (--in->deps_left[in->tmpl->node(r, a)] == 0) {
+        try_launch(*in, r, a);
       }
     };
     if (d.latency > 0.0) {
@@ -423,11 +436,26 @@ void CollRuntime::complete_action(const InstancePtr& inst, int rank,
   }
 }
 
-void CollRuntime::maybe_retire(const InstancePtr& inst) {
-  if (inst->total_actions_left == 0 && inst->ranks_not_arrived == 0) {
-    instances_.erase(std::make_pair(inst->comm->context(), inst->seq));
-    // Quiescent: nothing can replay a template until the next start().
-    if (instances_.empty()) templates_.clear();
+void CollRuntime::maybe_retire(Instance& inst) {
+  if (inst.total_actions_left != 0 || inst.ranks_not_arrived != 0) return;
+  auto it = instances_.find(std::make_pair(inst.comm->context(), inst.seq));
+  HAN_ASSERT(it != instances_.end());
+  // Nothing refers to the instance any more: every action has completed.
+  // Keep its arrays for the next collective, drop what it holds (data-mode
+  // temp storage included: it is sized per plan, not per instance).
+  inst.tmpl.reset();
+  for (RankState& rs : inst.ranks) {
+    rs.user_bufs.clear();
+    rs.temps.clear();
+    rs.req.reset();
+  }
+  spare_.push_back(std::move(it->second));
+  instances_.erase(it);
+  // Quiescent: nothing can replay a template or reuse an instance until
+  // the next start(), so memory follows one busy period.
+  if (instances_.empty()) {
+    templates_.clear();
+    spare_.clear();
   }
 }
 

@@ -14,6 +14,16 @@
 // replays one. Templates live while the runtime is busy: they are all
 // dropped when the last live instance retires, so a quiescent runtime
 // holds none and memory never grows with the number of distinct calls.
+//
+// Hot-path note: executing an action subscribes one completion closure —
+// the runtime, the instance, rank, action and start time, within the
+// engine's inline callback storage — that routes every action kind to
+// finish_action (data-mode copy/reduce, accounting, dependents). Like
+// templates, retired instances live while the runtime is busy: they keep
+// their per-rank and per-node arrays on a free list for the next
+// collective, and the list is dropped at quiescence. In the steady state
+// executing an action touches no allocator: the requests, messages and
+// flows below it are pooled too (simmpi/request.hpp, simmpi/world.hpp).
 #pragma once
 
 #include <compare>
@@ -46,6 +56,13 @@ class CollRuntime {
   mpi::Request start(const mpi::Comm& comm, int comm_rank,
                      PlanBuilder builder, const BuildSpec& spec,
                      std::vector<mpi::BufView> user_bufs);
+
+  /// Same, for a hand-built plan that no named builder makes (tests and
+  /// diagnostics). The first arriving rank's plan is validated and wired
+  /// like a built one but never cached as a template.
+  mpi::Request start_plan(const mpi::Comm& comm, int comm_rank,
+                          const Plan& plan,
+                          std::vector<mpi::BufView> user_bufs);
 
   mpi::SimWorld& world() { return *world_; }
 
@@ -107,9 +124,11 @@ class CollRuntime {
     Plan plan;
     std::vector<int> base;       // comm_size + 1 node-id offsets
     std::vector<int> deps_left;  // initial unmet dependencies per node
-    // Reverse edges: dependents[i] lists the (rank, action) pairs node i's
+    // Reverse edges: dependents[dependents_begin[i] ..
+    // dependents_begin[i + 1]) lists the (rank, action) pairs node i's
     // completion unblocks.
-    std::vector<std::vector<DepRef>> dependents;
+    std::vector<int> dependents_begin;  // node count + 1 offsets
+    std::vector<DepRef> dependents;
 
     int node(int rank, int action) const { return base[rank] + action; }
   };
@@ -125,30 +144,34 @@ class CollRuntime {
     const mpi::Comm* comm = nullptr;
     std::uint64_t seq = 0;
     TemplatePtr tmpl;
+    LevelStats* level = nullptr;  // resolved at the first executed action
     std::vector<RankState> ranks;
-    std::vector<int> deps_left;  // per node
-    std::vector<char> launched;  // per node
+    std::vector<int> deps_left;  // per node; kLaunched once launched
     long total_actions_left = 0;
     int ranks_not_arrived = 0;
 
     const Plan& plan() const { return tmpl->plan; }
   };
-  using InstancePtr = std::shared_ptr<Instance>;
 
-  InstancePtr get_or_create(const mpi::Comm& comm, std::uint64_t seq,
-                            PlanBuilder builder, const BuildSpec& spec);
+  std::uint64_t next_seq(const mpi::Comm& comm, int comm_rank);
+  Instance* find_instance(const mpi::Comm& comm, std::uint64_t seq);
+  Instance& create_instance(const mpi::Comm& comm, std::uint64_t seq,
+                            TemplatePtr tmpl);
   TemplatePtr plan_template(PlanBuilder builder, int comm_size,
                             const BuildSpec& spec);
-  TemplatePtr build_template(PlanBuilder builder, int comm_size,
-                             const BuildSpec& spec) const;
-  void arrive(const InstancePtr& inst, int rank,
-              std::vector<mpi::BufView> user_bufs, mpi::Request req);
-  void try_launch(const InstancePtr& inst, int rank, int action);
-  void execute(const InstancePtr& inst, int rank, int action);
-  void complete_action(const InstancePtr& inst, int rank, int action);
+  /// Validate `plan` (and run the checker), then wire its reverse edges.
+  TemplatePtr wire_template(Plan plan, int comm_size) const;
+  mpi::Request arrive(Instance& inst, int rank,
+                      std::vector<mpi::BufView> user_bufs);
+  void try_launch(Instance& inst, int rank, int action);
+  void execute(Instance& inst, int rank, int action);
+  /// The one completion path of every action kind: applies a data-mode
+  /// copy or reduction, accounts the action, then completes it.
+  void finish_action(Instance& inst, int rank, int action, sim::Time t0);
+  void complete_action(Instance& inst, int rank, int action);
   mpi::BufView slot_view(Instance& inst, int rank, SlotRef ref,
                          std::size_t bytes) const;
-  void maybe_retire(const InstancePtr& inst);
+  void maybe_retire(Instance& inst);
   /// Drop per-context state when its communicator is destroyed: the
   /// recycled context id would otherwise hand a fresh comm the stale call
   /// sequence and level label.
@@ -160,7 +183,9 @@ class CollRuntime {
   int destroy_observer_ = -1;  // SimWorld comm-destroy observer token
   // Per-comm-context, per-comm-rank collective call counters.
   std::unordered_map<int, std::vector<std::uint64_t>> call_seq_;
-  std::map<std::pair<int, std::uint64_t>, InstancePtr> instances_;
+  std::map<std::pair<int, std::uint64_t>, std::unique_ptr<Instance>>
+      instances_;
+  std::vector<std::unique_ptr<Instance>> spare_;  // retired, arrays kept
   std::map<TemplateKey, TemplatePtr> templates_;  // cleared at quiescence
   // Observability (pointers into the world's registry; stable for life).
   KindStats kinds_[8];

@@ -97,7 +97,7 @@ std::string validate_plan(const Plan& plan, int comm_size) {
   }
   const int total = base[n];
   std::vector<int> indegree(total, 0);
-  std::vector<std::vector<int>> dependents(total);
+  std::vector<int> outdegree(total, 0);
 
   for (int r = 0; r < n; ++r) {
     const auto& actions = plan.ranks[r].actions;
@@ -143,9 +143,24 @@ std::string validate_plan(const Plan& plan, int comm_size) {
         if (d.latency < 0.0) {
           return node_name(r, a) + " has a negative dep latency";
         }
-        const int from = base[dr] + d.action;
-        dependents[from].push_back(base[r] + a);
+        ++outdegree[base[dr] + d.action];
         ++indegree[base[r] + a];
+      }
+    }
+  }
+
+  // Reverse edges, flat: dependents of node i are
+  // dependents[begin[i] .. begin[i + 1]).
+  std::vector<int> begin(total + 1, 0);
+  for (int i = 0; i < total; ++i) begin[i + 1] = begin[i] + outdegree[i];
+  std::vector<int> dependents(begin[total]);
+  for (int r = 0; r < n; ++r) {
+    const auto& actions = plan.ranks[r].actions;
+    for (int a = 0; a < static_cast<int>(actions.size()); ++a) {
+      for (const DepRef& d : actions[a].deps) {
+        const int dr = d.rank == DepRef::kSameRank ? r : d.rank;
+        const int from = base[dr] + d.action;
+        dependents[begin[from + 1] - outdegree[from]--] = base[r] + a;
       }
     }
   }
@@ -161,8 +176,8 @@ std::string validate_plan(const Plan& plan, int comm_size) {
     const int i = ready.back();
     ready.pop_back();
     ++visited;
-    for (int j : dependents[i]) {
-      if (--indegree[j] == 0) ready.push_back(j);
+    for (int k = begin[i]; k < begin[i + 1]; ++k) {
+      if (--indegree[dependents[k]] == 0) ready.push_back(dependents[k]);
     }
   }
   if (visited != total) {

@@ -112,20 +112,7 @@ FlowId FlowNet::start_flow(std::span<const ResourceId> resources, double bytes,
   flow.order = next_order_++;
   flow.completion = sim::EventId{};
   flow.resources.assign(resources.begin(), resources.end());
-  if (flow.resources.size() == 2) {
-    // Point-to-point paths (tx lane + rx lane) dominate; skip the
-    // generic sort/unique machinery for them.
-    if (flow.resources[0] > flow.resources[1]) {
-      std::swap(flow.resources[0], flow.resources[1]);
-    } else if (flow.resources[0] == flow.resources[1]) {
-      flow.resources.pop_back();
-    }
-  } else if (flow.resources.size() > 2) {
-    std::sort(flow.resources.begin(), flow.resources.end());
-    flow.resources.erase(
-        std::unique(flow.resources.begin(), flow.resources.end()),
-        flow.resources.end());
-  }
+  flow.resources.normalize();
   flow.on_complete = std::move(on_complete);
 
   if (flows_started_ != nullptr) flows_started_->add(1.0);

@@ -15,17 +15,20 @@
 // Hot-path design (see docs/PERFORMANCE.md): flow records live in a
 // generation-tagged slot map — a FlowId packs {generation, slot}, lookup
 // is an index plus a tag compare, and slots recycle through a free list so
-// steady-state churn never touches the allocator. The ≤4-resource path is
-// stored inline (SmallVec) and completion callbacks use the engine's SBO
-// callback type. A flow keeps the EventId of its pending completion: a
-// rebalance that re-times the flow cancels that event before scheduling
-// its replacement, so a superseded completion never fires. Rate
+// steady-state churn never touches the allocator. The flow's route is
+// stored inline (Route, sized to the longest path the machine fabric
+// emits) and completion callbacks use the engine's SBO callback type. A
+// flow keeps the EventId of its pending completion: a rebalance that
+// re-times the flow cancels that event before scheduling its
+// replacement, so a superseded completion never fires. Rate
 // recomputation iterates component flows in creation order, which keeps
 // results bit-identical to the original map-based implementation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <new>
@@ -46,6 +49,58 @@ using ResourceId = std::uint32_t;
 using FlowId = std::uint64_t;
 
 inline constexpr FlowId kInvalidFlow = 0;
+
+/// The resources one flow crosses, stored inline: routes are built and
+/// copied once per message, so they must never touch the allocator. The
+/// capacity is the longest route machine::ClusterFabric emits, an
+/// inter-node transfer (NIC tx, fabric rail, NIC rx, and the memory bus on
+/// each end); a longer route is a programming error and asserts.
+class Route {
+ public:
+  static constexpr std::size_t kCapacity = 5;
+
+  Route() = default;
+  Route(std::initializer_list<ResourceId> ids) {
+    assign(ids.begin(), ids.end());
+  }
+
+  ResourceId* data() { return ids_; }
+  const ResourceId* data() const { return ids_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  ResourceId* begin() { return ids_; }
+  ResourceId* end() { return ids_ + size_; }
+  const ResourceId* begin() const { return ids_; }
+  const ResourceId* end() const { return ids_ + size_; }
+  ResourceId& operator[](std::size_t i) {
+    HAN_ASSERT(i < size_);
+    return ids_[i];
+  }
+  ResourceId operator[](std::size_t i) const {
+    HAN_ASSERT(i < size_);
+    return ids_[i];
+  }
+
+  void clear() { size_ = 0; }
+  void push_back(ResourceId id) {
+    HAN_ASSERT_MSG(size_ < kCapacity, "route longer than Route::kCapacity");
+    ids_[size_++] = id;
+  }
+  template <typename It>
+  void assign(It first, It last) {
+    clear();
+    for (; first != last; ++first) push_back(*first);
+  }
+  /// Sort and drop duplicates (a flow charges each resource once).
+  void normalize() {
+    std::sort(begin(), end());
+    size_ = static_cast<std::uint32_t>(std::unique(begin(), end()) - begin());
+  }
+
+ private:
+  ResourceId ids_[kCapacity] = {};
+  std::uint32_t size_ = 0;
+};
 
 class FlowNet {
  public:
@@ -127,7 +182,7 @@ class FlowNet {
     sim::Time last_update = 0.0;
     std::uint64_t order = 0;  // creation order: deterministic iteration
     sim::EventId completion;  // pending completion; cancelled on reschedule
-    sim::SmallVec<ResourceId, 4> resources;
+    Route resources;
     Callback on_complete;
   };
 

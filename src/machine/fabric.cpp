@@ -67,32 +67,19 @@ void ClusterFabric::register_observability(net::FlowNet& net,
   }
 }
 
-void ClusterFabric::inter_path(int src_node, int dst_node, int rail,
-                               std::vector<net::ResourceId>& out) const {
+net::Route ClusterFabric::inter_path(int src_node, int dst_node,
+                                    int rail) const {
   HAN_ASSERT(src_node != dst_node);
   HAN_ASSERT(rail >= 0 && rail < rails_);
-  out.clear();
-  out.push_back(nic_tx(src_node, rail));
-  out.push_back(fabric_[rail]);
-  out.push_back(nic_rx(dst_node, rail));
-  out.push_back(membus(src_node, 0));
-  out.push_back(membus(dst_node, 0));
+  return net::Route{nic_tx(src_node, rail), fabric_[rail],
+                    nic_rx(dst_node, rail), membus(src_node, 0),
+                    membus(dst_node, 0)};
 }
 
-void ClusterFabric::intra_path(int node, int numa,
-                               std::vector<net::ResourceId>& out) const {
-  out.clear();
-  out.push_back(membus(node, numa));
-}
-
-void ClusterFabric::pair_path(int node, int numa_a, int numa_b,
-                              std::vector<net::ResourceId>& out) const {
-  out.clear();
-  out.push_back(membus(node, numa_a));
-  if (numa_a != numa_b) {
-    out.push_back(membus(node, numa_b));
-    out.push_back(numa_link_.at(node));
-  }
+net::Route ClusterFabric::pair_path(int node, int numa_a, int numa_b) const {
+  if (numa_a == numa_b) return net::Route{membus(node, numa_a)};
+  return net::Route{membus(node, numa_a), membus(node, numa_b),
+                    numa_link_.at(node)};
 }
 
 }  // namespace han::machine

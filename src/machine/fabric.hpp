@@ -45,24 +45,18 @@ class ClusterFabric {
   /// `rail`: sender NIC tx, fabric rail, receiver NIC rx, and the
   /// NIC-attached (domain 0) memory buses (the DMA on each end consumes
   /// bus bandwidth, which is the physical cause of the imperfect ib/sb
-  /// overlap the paper measures in Fig. 2).
-  void inter_path(int src_node, int dst_node, int rail,
-                  std::vector<net::ResourceId>& out) const;
-
-  /// Rail-0 convenience overload (single-rail call sites).
-  void inter_path(int src_node, int dst_node,
-                  std::vector<net::ResourceId>& out) const {
-    inter_path(src_node, dst_node, 0, out);
-  }
+  /// overlap the paper measures in Fig. 2). This is the fabric's longest
+  /// route: it fills net::Route exactly.
+  net::Route inter_path(int src_node, int dst_node, int rail = 0) const;
 
   /// Resource set of an intra-node copy on `node`, domain `numa`.
-  void intra_path(int node, int numa,
-                  std::vector<net::ResourceId>& out) const;
+  net::Route intra_path(int node, int numa) const {
+    return net::Route{membus(node, numa)};
+  }
 
   /// Resource set of a transfer between two domains of one node: both
   /// buses plus the inter-socket link when the domains differ.
-  void pair_path(int node, int numa_a, int numa_b,
-                 std::vector<net::ResourceId>& out) const;
+  net::Route pair_path(int node, int numa_a, int numa_b) const;
 
   /// Wire the fabric into a metrics registry already attached to `net`:
   /// records the machine shape as report metadata and tracks each fabric

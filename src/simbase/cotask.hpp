@@ -10,6 +10,7 @@
 #include <coroutine>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -56,9 +57,12 @@ class CoTask {
 
 /// One-shot completion object supporting multiple coroutine waiters and
 /// plain callback subscribers. Completion resumes/invokes everyone via the
-/// engine at the current simulated time. Subscribed callbacks are stored
-/// as the engine's SBO callback type, so completion fan-out stays
-/// allocation-free for small captures.
+/// engine at the current simulated time: waiters first, then callbacks,
+/// each in subscription order. Subscribed callbacks are stored as the
+/// engine's SBO callback type. The first waiter and the first callback
+/// live inline in the object and later ones in a separate overflow record:
+/// nearly every waitable has at most one of each, so subscribing and
+/// completing stay allocation-free and the object stays small.
 class Waitable {
  public:
   explicit Waitable(Engine& engine) : engine_(&engine) {}
@@ -72,8 +76,10 @@ class Waitable {
   void on_complete(Engine::Callback cb) {
     if (done_) {
       engine_->schedule_after(0.0, std::move(cb));
+    } else if (!first_callback_) {
+      first_callback_ = std::move(cb);
     } else {
-      callbacks_.push_back(std::move(cb));
+      overflow().callbacks.push_back(std::move(cb));
     }
   }
 
@@ -82,14 +88,23 @@ class Waitable {
   void complete() {
     HAN_ASSERT_MSG(!done_, "Waitable completed twice");
     done_ = true;
-    for (auto& h : waiters_) {
-      engine_->schedule_after(0.0, [h] { h.resume(); });
+    if (first_waiter_) {
+      engine_->schedule_after(0.0, [h = first_waiter_] { h.resume(); });
     }
-    waiters_.clear();
-    for (auto& cb : callbacks_) {
-      engine_->schedule_after(0.0, std::move(cb));
+    if (more_) {
+      for (auto h : more_->waiters) {
+        engine_->schedule_after(0.0, [h] { h.resume(); });
+      }
     }
-    callbacks_.clear();
+    if (first_callback_) {
+      engine_->schedule_after(0.0, std::move(first_callback_));
+    }
+    if (more_) {
+      for (auto& cb : more_->callbacks) {
+        engine_->schedule_after(0.0, std::move(cb));
+      }
+      more_.reset();
+    }
   }
 
   auto operator co_await() {
@@ -97,7 +112,11 @@ class Waitable {
       Waitable* w;
       bool await_ready() const noexcept { return w->done_; }
       void await_suspend(std::coroutine_handle<> h) {
-        w->waiters_.push_back(h);
+        if (!w->first_waiter_) {
+          w->first_waiter_ = h;
+        } else {
+          w->overflow().waiters.push_back(h);
+        }
       }
       void await_resume() const noexcept {}
     };
@@ -107,10 +126,21 @@ class Waitable {
   Engine& engine() { return *engine_; }
 
  private:
+  // Subscribers past the first waiter and the first callback.
+  struct Overflow {
+    std::vector<std::coroutine_handle<>> waiters;
+    std::vector<Engine::Callback> callbacks;
+  };
+  Overflow& overflow() {
+    if (!more_) more_ = std::make_unique<Overflow>();
+    return *more_;
+  }
+
   Engine* engine_;
-  bool done_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
-  std::vector<Engine::Callback> callbacks_;
+  std::coroutine_handle<> first_waiter_;
+  Engine::Callback first_callback_;
+  std::unique_ptr<Overflow> more_;
+  bool done_ = false;  // last: a derived class's fields share the padding
 };
 
 /// Awaitable timer: `co_await Delay{engine, dt};`

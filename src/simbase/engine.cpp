@@ -24,6 +24,7 @@ Engine::~Engine() {
   // Records are placement-constructed (see acquire_slot); only slots that
   // were ever handed out exist.
   for (std::uint32_t s = 0; s < pool_size_; ++s) slot_ref(s).~Event();
+  cells_->orphan();  // after the events: their closures may hold cells
 }
 
 void Engine::heap4_push(Entry e) {

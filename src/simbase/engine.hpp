@@ -30,6 +30,8 @@
 //  * Same-timestamp batch draining: all entries due at the current time are
 //    popped into a FIFO batch in one pass; zero-delay events scheduled
 //    while the batch drains append to it directly, bypassing the heap.
+//  * The engine also owns its world's CellPool: request states are pooled
+//    cells, so a message's requests recycle instead of hitting the heap.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "simbase/assert.hpp"
+#include "simbase/cell_pool.hpp"
 #include "simbase/inline_fn.hpp"
 #include "simbase/units.hpp"
 
@@ -135,6 +138,10 @@ class Engine {
   std::size_t pool_in_use() const { return live_; }
   std::size_t pool_capacity() const { return pool_size_; }
 
+  /// Pooled cells for the shared states of this engine's waitables
+  /// (mpi::make_request); outlives the engine while cells are live.
+  CellPool& cells() { return *cells_; }
+
  private:
   struct Event {
     Callback cb;
@@ -221,6 +228,7 @@ class Engine {
   bool refill_due();  // pop the next equal-time batch; false if queue empty
   void skip_stale_tops();
 
+  CellPool* cells_ = CellPool::create();  // orphaned, not deleted, by ~Engine
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

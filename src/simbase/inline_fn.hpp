@@ -7,8 +7,9 @@
 // we never use. InlineFn stores captures up to `Cap` bytes inline in the
 // wrapper itself — the common scheduling closures capture a pointer or
 // three and never touch the allocator — and transparently falls back to a
-// single heap cell for the rare large capture (deep protocol closures
-// carrying buffers/paths). Move-only by design: simulator callbacks are
+// single heap cell for a rare large capture (the simulator's own hot
+// closures all fit: protocol steps capture a pooled record's index, not
+// its contents). Move-only by design: simulator callbacks are
 // consumed exactly once, so copyability would only force every capture to
 // be copyable too.
 #pragma once

@@ -19,10 +19,10 @@ class SerialLane {
   /// Invoked by a task to free the lane; must be called exactly once.
   using Release = InlineFn<void(), 16>;
   /// `task` runs when the lane frees up; it must eventually invoke the
-  /// passed release callback exactly once. 80 bytes of inline capture
-  /// covers the protocol closures (engine pointer + duration + completion
-  /// callback); bulk-data closures carrying paths spill to one heap cell.
-  using Task = InlineFn<void(Release), 80>;
+  /// passed release callback exactly once. 16 bytes of inline capture
+  /// covers the simulator's one task shape: a world pointer and the index
+  /// of the pooled message record that holds everything else.
+  using Task = InlineFn<void(Release), 16>;
 
   void submit(Task task) {
     queue_.push_back(std::move(task));

@@ -1,12 +1,14 @@
 // SmallVec: a vector with inline storage for the first N elements,
 // restricted to trivially copyable types.
 //
-// Flow paths through the fluid network are at most four resources for
-// every machine shape we simulate (tx lane, fabric, rx lane, memory bus),
-// and a flow starts/finishes millions of times per figure sweep. Keeping
-// the path inline in the Flow record removes one heap allocation plus a
-// pointer chase per flow lifetime; the heap spill path exists only for
-// synthetic topologies in tests.
+// For short lists built and dropped at simulator rate whose length is
+// usually, but not always, small: a resource's active flows in the fluid
+// network (single-digit queue depths, spilling at hot spots) and a plan
+// action's dependencies (rarely more than two, and plan templates are
+// rebuilt in every busy period of the collective runtime). The common
+// case never touches the allocator; longer lists spill to one heap
+// buffer. (A flow's route has a hard maximum and uses the fixed-capacity
+// net::Route instead.)
 #pragma once
 
 #include <algorithm>

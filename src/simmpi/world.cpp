@@ -154,61 +154,116 @@ int SimWorld::resolve_rail(int src_world, int dst_world, int rail) {
   return ranks_[src_world].local_rank % rails;  // LeaderAffine
 }
 
-void SimWorld::start_data_flow(int src_world, int dst_world,
-                               std::size_t bytes, int rail,
-                               sim::Engine::Callback done) {
-  const sim::Time lat = path_latency(src_world, dst_world);
-  std::vector<net::ResourceId> path;
-  double flow_bytes = static_cast<double>(bytes);
-  double cap = net::FlowNet::no_cap();
-  SerialLane* lane = nullptr;
+std::uint32_t SimWorld::acquire_msg() {
+  if (free_msg_ == kNoMsg) {
+    if ((msg_count_ & (kMsgChunk - 1)) == 0) {
+      msg_chunks_.push_back(std::make_unique<Msg[]>(kMsgChunk));
+    }
+    ++live_msgs_;
+    return msg_count_++;
+  }
+  ++live_msgs_;
+  const std::uint32_t m = free_msg_;
+  free_msg_ = rec(m).next_free;
+  return m;
+}
+
+void SimWorld::release_msg(std::uint32_t m) {
+  Msg& msg = rec(m);
+  msg.payload = {};  // data mode: free it, a record may next carry 8 bytes
+  msg.send_req.reset();
+  msg.recv_req.reset();
+  msg.recv_buf = BufView{};
+  msg.next_free = free_msg_;
+  free_msg_ = m;
+  --live_msgs_;
+}
+
+void SimWorld::start_data_flow(std::uint32_t m) {
+  Msg& msg = rec(m);
+  const int src_world = msg.src_world;
+  const int dst_world = msg.dst_world;
+  msg.flow_bytes = static_cast<double>(msg.bytes);
 
   if (src_world == dst_world) {
-    fabric_.intra_path(ranks_[src_world].node, ranks_[src_world].numa, path);
-    cap = profile_.core_copy_bandwidth;
-    lane = &copy_lane_[src_world];
+    msg.route = fabric_.intra_path(ranks_[src_world].node,
+                                   ranks_[src_world].numa);
+    msg.cap = profile_.core_copy_bandwidth;
+    msg.lane = &copy_lane_[src_world];
   } else if (same_node(src_world, dst_world)) {
     // Shared-memory pipe: copy-in + copy-out through a hot (mostly
     // L3-resident) staging buffer. Pair bandwidth tops out at about half
     // the core copy rate; DRAM traffic is the fraction that misses cache.
     // Cross-NUMA pipes additionally cross the inter-socket link (and are
     // never cache-resident: full bus charge).
-    fabric_.pair_path(ranks_[src_world].node, ranks_[src_world].numa,
-                      ranks_[dst_world].numa, path);
+    msg.route = fabric_.pair_path(ranks_[src_world].node,
+                                  ranks_[src_world].numa,
+                                  ranks_[dst_world].numa);
     const bool cross = ranks_[src_world].numa != ranks_[dst_world].numa;
-    flow_bytes *= cross ? 2.0 : 1.2;
-    cap = (cross ? 0.5 : 0.6) * profile_.core_copy_bandwidth;
-    lane = &copy_lane_[src_world];
+    msg.flow_bytes *= cross ? 2.0 : 1.2;
+    msg.cap = (cross ? 0.5 : 0.6) * profile_.core_copy_bandwidth;
+    msg.lane = &copy_lane_[src_world];
   } else {
-    fabric_.inter_path(ranks_[src_world].node, ranks_[dst_world].node, rail,
-                       path);
+    msg.route = fabric_.inter_path(ranks_[src_world].node,
+                                   ranks_[dst_world].node, msg.rail);
     // Streams of queued messages run at the peak protocol efficiency; the
     // size-dependent dip of Fig. 11 is charged as a per-message stall in
     // the rendezvous handshake (see start_rendezvous), where back-to-back
     // segments can overlap it.
-    cap = profile_.nic_bandwidth *
-          p2p_.net_efficiency.at(std::max<std::size_t>(bytes, 64u << 20));
-    lane = &net_tx_lane_[static_cast<std::size_t>(src_world) *
-                             profile_.nics_per_node +
-                         rail];
+    msg.cap = profile_.nic_bandwidth *
+              p2p_.net_efficiency.at(std::max<std::size_t>(msg.bytes,
+                                                           64u << 20));
+    msg.lane = &net_tx_lane_[static_cast<std::size_t>(src_world) *
+                                 profile_.nics_per_node +
+                             msg.rail];
   }
 
   // Wire latency runs concurrently; the transfer itself is FIFO-serialized
   // per sender (NIC injection order / the one memcpy core).
-  engine_.schedule_after(
-      lat, [this, lane, path = std::move(path), flow_bytes, cap,
-            done = std::move(done)]() mutable {
-        lane->submit([this, path = std::move(path), flow_bytes, cap,
-                      done = std::move(done)](
-                         SerialLane::Release release) mutable {
-          flownet_.start_flow(path, flow_bytes, cap,
-                              [done = std::move(done),
-                               release = std::move(release)]() mutable {
-                                done();
-                                release();
-                              });
-        });
-      });
+  engine_.schedule_after(path_latency(src_world, dst_world),
+                         [this, m] { submit_flow(m); });
+}
+
+void SimWorld::submit_flow(std::uint32_t m) {
+  rec(m).lane->submit([this, m](SerialLane::Release release) {
+    const Msg& msg = rec(m);
+    flownet_.start_flow(msg.route, msg.flow_bytes, msg.cap,
+                        [this, m, release = std::move(release)]() mutable {
+                          land(m);
+                          release();
+                        });
+  });
+}
+
+void SimWorld::land(std::uint32_t m) {
+  Msg& msg = rec(m);
+  switch (msg.landing) {
+    case Landing::Eager: {
+      Request sreq = std::move(msg.send_req);
+      deliver(m);
+      sreq->complete();
+      break;
+    }
+    case Landing::Rendezvous: {
+      if (!msg.payload.empty() && msg.recv_buf.has_data()) {
+        HAN_ASSERT_MSG(msg.recv_buf.bytes >= msg.bytes,
+                       "rendezvous truncation");
+        std::memcpy(msg.recv_buf.data, msg.payload.data(), msg.bytes);
+      }
+      msg.send_req->complete();
+      ranks_[msg.dst_world].cpu.exec(
+          engine_, p2p_.recv_overhead,
+          [req = std::move(msg.recv_req)] { req->complete(); });
+      release_msg(m);
+      break;
+    }
+    case Landing::Copy:
+      if (--msg.parts_left == 0) {
+        msg.send_req->complete();
+        release_msg(m);
+      }
+      break;
+  }
 }
 
 Request SimWorld::isend(const Comm& comm, int src, int dst, Tag tag,
@@ -225,37 +280,30 @@ Request SimWorld::isend_ctx(const Comm& comm, int ctx, int src, int dst,
   msg_counter_->add(1.0);
   msg_bytes_counter_->add(static_cast<double>(buf.bytes));
 
-  ArrivedMsg msg;
+  const std::uint32_t m = acquire_msg();
+  Msg& msg = rec(m);
   msg.ctx = ctx;
   msg.src_world = s;
   msg.dst_world = d;
   msg.tag = tag;
   msg.bytes = buf.bytes;
   msg.rail = resolve_rail(s, d, rail);
-  msg.order = 0;  // stamped at delivery
   if (options_.data_mode && buf.has_data()) {
-    msg.payload = std::make_shared<std::vector<std::byte>>(
-        buf.data, buf.data + buf.bytes);
+    msg.payload.assign(buf.data, buf.data + buf.bytes);
   }
+  msg.landing = buf.bytes > p2p_.eager_limit ? Landing::Rendezvous
+                                              : Landing::Eager;
+  msg.send_req = sreq;
 
-  const bool eager = buf.bytes <= p2p_.eager_limit;
-  msg.rndv = !eager;
-  if (!eager) msg.send_req = sreq;
-
-  ranks_[s].cpu.exec(engine_, jittered(p2p_.send_overhead),
-                     [this, msg = std::move(msg),
-                                                   sreq, eager, s, d]() {
-    if (eager) {
-      start_data_flow(s, d, msg.bytes, msg.rail, [this, msg, sreq]() mutable {
-        deliver(std::move(msg));
-        sreq->complete();
-      });
+  ranks_[s].cpu.exec(engine_, jittered(p2p_.send_overhead), [this, m] {
+    const Msg& sent = rec(m);
+    if (sent.landing == Landing::Eager) {
+      start_data_flow(m);
     } else {
       // Rendezvous: only the RTS envelope travels now; the data flow starts
       // once the receiver matches and the CTS returns.
-      engine_.schedule_after(path_latency(s, d), [this, msg]() mutable {
-        deliver(std::move(msg));
-      });
+      engine_.schedule_after(path_latency(sent.src_world, sent.dst_world),
+                             [this, m] { deliver(m); });
     }
   });
   return sreq;
@@ -271,24 +319,18 @@ Request SimWorld::irecv_ctx(const Comm& comm, int ctx, int dst, int src,
   const int s = comm.world_rank(src);
   const int d = comm.world_rank(dst);
   Request rreq = make_request(engine_);
-
-  PostedRecv pr;
-  pr.ctx = ctx;
-  pr.src_world = s;
-  pr.tag = tag;
-  pr.buf = buf;
-  pr.req = rreq;
-  pr.order = match_order_++;
+  PostedRecv pr{ctx, s, tag, buf, rreq};
 
   auto& mq = matching_[d];
   for (auto it = mq.unexpected.begin(); it != mq.unexpected.end(); ++it) {
-    if (it->ctx == ctx && it->src_world == s && it->tag == tag) {
-      ArrivedMsg msg = std::move(*it);
+    const Msg& msg = rec(*it);
+    if (msg.ctx == ctx && msg.src_world == s && msg.tag == tag) {
+      const std::uint32_t m = *it;
       mq.unexpected.erase(it);
-      if (msg.rndv) {
-        start_rendezvous(msg, std::move(pr));
+      if (msg.landing == Landing::Rendezvous) {
+        start_rendezvous(m, pr);
       } else {
-        match_eager(msg, pr);
+        match_eager(m, pr);
       }
       return rreq;
     }
@@ -297,40 +339,42 @@ Request SimWorld::irecv_ctx(const Comm& comm, int ctx, int dst, int src,
   return rreq;
 }
 
-void SimWorld::deliver(ArrivedMsg msg) {
-  msg.order = match_order_++;
+void SimWorld::deliver(std::uint32_t m) {
+  const Msg& msg = rec(m);
   auto& mq = matching_[msg.dst_world];
   for (auto it = mq.posted.begin(); it != mq.posted.end(); ++it) {
     if (it->ctx == msg.ctx && it->src_world == msg.src_world &&
         it->tag == msg.tag) {
       PostedRecv pr = std::move(*it);
       mq.posted.erase(it);
-      if (msg.rndv) {
-        start_rendezvous(msg, std::move(pr));
+      if (msg.landing == Landing::Rendezvous) {
+        start_rendezvous(m, pr);
       } else {
-        match_eager(msg, pr);
+        match_eager(m, pr);
       }
       return;
     }
   }
-  mq.unexpected.push_back(std::move(msg));
+  mq.unexpected.push_back(m);
 }
 
-void SimWorld::match_eager(const ArrivedMsg& msg, PostedRecv& pr) {
+void SimWorld::match_eager(std::uint32_t m, PostedRecv& pr) {
+  const Msg& msg = rec(m);
   // Unpacking an eager message is a CPU-side copy on the receiver.
   const sim::Time unpack =
       static_cast<double>(msg.bytes) / profile_.core_copy_bandwidth;
-  if (msg.payload && pr.buf.has_data()) {
+  if (!msg.payload.empty() && pr.buf.has_data()) {
     HAN_ASSERT_MSG(pr.buf.bytes >= msg.bytes, "eager receive truncation");
-    std::memcpy(pr.buf.data, msg.payload->data(), msg.bytes);
+    std::memcpy(pr.buf.data, msg.payload.data(), msg.bytes);
   }
-  Request req = pr.req;
   ranks_[msg.dst_world].cpu.exec(engine_,
                                  jittered(p2p_.recv_overhead + unpack),
-                                 [req] { req->complete(); });
+                                 [req = std::move(pr.req)] { req->complete(); });
+  release_msg(m);
 }
 
-void SimWorld::start_rendezvous(const ArrivedMsg& msg, PostedRecv pr) {
+void SimWorld::start_rendezvous(std::uint32_t m, PostedRecv& pr) {
+  Msg& msg = rec(m);
   const int s = msg.src_world;
   const int d = msg.dst_world;
   const bool inter = !same_node(s, d);
@@ -347,31 +391,11 @@ void SimWorld::start_rendezvous(const ArrivedMsg& msg, PostedRecv pr) {
   }
   const sim::Time handshake =
       path_latency(s, d) + (inter ? p2p_.rndv_rtt_extra + stall : 0.2e-6);
+  msg.recv_buf = pr.buf;
+  msg.recv_req = std::move(pr.req);
 
-  auto payload = msg.payload;
-  auto send_req = msg.send_req;
-  const std::size_t bytes = msg.bytes;
-  const int rail = msg.rail;
-  auto recv_buf = pr.buf;
-  auto recv_req = pr.req;
-
-  ranks_[d].cpu.exec(engine_, p2p_.match_overhead, [this, s, d, handshake,
-                                                    payload, send_req, bytes,
-                                                    rail, recv_buf,
-                                                    recv_req]() {
-    engine_.schedule_after(handshake, [this, s, d, payload, send_req, bytes,
-                                       rail, recv_buf, recv_req]() {
-      start_data_flow(s, d, bytes, rail, [this, d, payload, send_req, bytes,
-                                          recv_buf, recv_req]() {
-        if (payload && recv_buf.has_data()) {
-          HAN_ASSERT_MSG(recv_buf.bytes >= bytes, "rendezvous truncation");
-          std::memcpy(recv_buf.data, payload->data(), bytes);
-        }
-        send_req->complete();
-        ranks_[d].cpu.exec(engine_, p2p_.recv_overhead,
-                           [recv_req] { recv_req->complete(); });
-      });
-    });
+  ranks_[d].cpu.exec(engine_, p2p_.match_overhead, [this, m, handshake] {
+    engine_.schedule_after(handshake, [this, m] { start_data_flow(m); });
   });
 }
 
@@ -382,33 +406,28 @@ Request SimWorld::copy_flow(int world_rank, std::size_t bytes, double cap) {
 Request SimWorld::copy_flow_pair(int world_rank, int peer_world,
                                  std::size_t bytes, double cap) {
   Request req = make_request(engine_);
-  std::vector<net::ResourceId> path;
   HAN_ASSERT(same_node(world_rank, peer_world));
-  fabric_.pair_path(ranks_[world_rank].node, ranks_[world_rank].numa,
-                    ranks_[peer_world].numa, path);
-  if (cap <= 0.0) cap = profile_.core_copy_bandwidth;
+  const std::uint32_t m = acquire_msg();
+  Msg& msg = rec(m);
+  msg.landing = Landing::Copy;
+  msg.send_req = req;
+  msg.route = fabric_.pair_path(ranks_[world_rank].node,
+                                ranks_[world_rank].numa,
+                                ranks_[peer_world].numa);
+  msg.flow_bytes = static_cast<double>(bytes);
+  msg.cap = cap > 0.0 ? cap : profile_.core_copy_bandwidth;
+  msg.lane = &copy_lane_[world_rank];
   // A shared-memory copy charges the memory bus (FIFO per rank — one
   // memcpy engine) AND occupies a slice of the single-threaded progression
   // CPU: real progress engines interleave protocol work between copy
   // fragments, so the CPU is partially, not fully, held. Both effects
   // together produce the imperfect ib/sb overlap of paper Fig. 2.
-  auto remaining = std::make_shared<int>(2);
-  auto part_done = [req, remaining] {
-    if (--*remaining == 0) req->complete();
-  };
-  copy_lane_[world_rank].submit(
-      [this, path = std::move(path), bytes, cap,
-       part_done](SerialLane::Release release) mutable {
-        flownet_.start_flow(path, static_cast<double>(bytes), cap,
-                            [part_done, release = std::move(release)]() mutable {
-                              part_done();
-                              release();
-                            });
-      });
+  msg.parts_left = 2;
+  submit_flow(m);
   const sim::Time cpu_slice =
       static_cast<double>(bytes) /
       (profile_.core_copy_bandwidth / kCopyCpuShare);
-  ranks_[world_rank].cpu.exec(engine_, cpu_slice, part_done);
+  ranks_[world_rank].cpu.exec(engine_, cpu_slice, [this, m] { land(m); });
   return req;
 }
 
@@ -436,6 +455,13 @@ void SimWorld::run(const Program& program) {
   HAN_ASSERT_MSG(*live == 0,
                  "deadlock: rank programs still blocked after event queue "
                  "drained");
+  // Quiescent: hand idle pools back, so memory follows a run's peak.
+  engine_.cells().trim();
+  if (live_msgs_ == 0) {
+    msg_chunks_.clear();
+    msg_count_ = 0;
+    free_msg_ = kNoMsg;
+  }
 }
 
 }  // namespace han::mpi

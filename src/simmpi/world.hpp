@@ -5,6 +5,16 @@
 // and the tag-matched P2P layer (eager + rendezvous protocols). Rank
 // programs are C++20 coroutines spawned one per world rank; `run()` drives
 // the engine until every program returns.
+//
+// Hot-path note: every in-flight message and shared-memory copy keeps its
+// state — envelope, payload, requests, route, rate cap, lane, part count —
+// in one pooled record addressed by index, and its requests are cells of
+// the engine's CellPool. Both recycle through free lists, so they grow to
+// the peak number of live messages of a run, and run() hands them back
+// once the world is quiescent. Every protocol closure captures only the
+// world and the record's index, so a message's steps from send overhead
+// to the last byte landing fit the engine's inline callback storage and
+// touch no allocator.
 #pragma once
 
 #include <cstdint>
@@ -206,20 +216,39 @@ class SimWorld {
     Tag tag;
     BufView buf;
     Request req;
-    std::uint64_t order;
   };
 
-  struct ArrivedMsg {
-    int ctx;
-    int src_world;
-    int dst_world;
-    Tag tag;
-    std::size_t bytes;
-    std::shared_ptr<std::vector<std::byte>> payload;  // null timing-only
-    bool rndv = false;
-    int rail = 0;      // fabric rail carrying the bulk data (inter-node)
-    Request send_req;  // rendezvous: completes when the data flow finishes
-    std::uint64_t order;
+  /// A record's protocol, which fixes what happens when its bulk data
+  /// has landed.
+  enum class Landing : std::uint8_t {
+    Eager,       // deliver the envelope; the send request completes
+    Rendezvous,  // the receive buffer is filled; both requests complete
+    Copy,        // one of a shared-memory copy's two parts is done
+  };
+
+  /// One in-flight message or shared-memory copy (pooled; see the header).
+  struct Msg {
+    // Envelope: matched by (ctx, src_world, tag) at dst_world.
+    int ctx = 0;
+    int src_world = 0;
+    int dst_world = 0;
+    Tag tag = 0;
+    std::size_t bytes = 0;
+    int rail = 0;                    // fabric rail of the bulk data
+    std::vector<std::byte> payload;  // data mode only
+    // Eager: completes when the payload has left the sender. Rendezvous:
+    // when the data flow finishes. Copy: when both parts are done.
+    Request send_req;
+    BufView recv_buf;  // rendezvous, once matched
+    Request recv_req;
+    int parts_left = 0;  // copy: the memory-bus flow and the CPU slice
+    Landing landing = Landing::Eager;
+    // The bulk data movement.
+    net::Route route;
+    double flow_bytes = 0.0;
+    double cap = 0.0;
+    SerialLane* lane = nullptr;
+    std::uint32_t next_free = 0;
   };
 
   // Match queues are contiguous vectors, not deques: they are searched
@@ -228,7 +257,7 @@ class SimWorld {
   // erase preserves the MPI first-match semantics.
   struct RankMatch {
     std::vector<PostedRecv> posted;
-    std::vector<ArrivedMsg> unexpected;
+    std::vector<std::uint32_t> unexpected;  // Msg indices
   };
 
   sim::Time path_latency(int src_world, int dst_world) const;
@@ -242,12 +271,16 @@ class SimWorld {
     return ranks_[a].node == ranks_[b].node;
   }
 
-  /// Start the bulk-data movement for a message and invoke `done` when the
-  /// last byte lands. Chooses shm vs network path and applies the
-  /// efficiency curve. `rail` is the (already resolved) fabric rail of an
-  /// inter-node transfer; ignored on shm paths.
-  void start_data_flow(int src_world, int dst_world, std::size_t bytes,
-                       int rail, sim::Engine::Callback done);
+  std::uint32_t acquire_msg();
+  void release_msg(std::uint32_t m);
+
+  /// Start message `m`'s bulk-data movement (its `bytes` from src_world to
+  /// dst_world over `rail`); land(m) runs when the last byte lands.
+  /// Chooses shm vs network path and applies the efficiency curve.
+  void start_data_flow(std::uint32_t m);
+  /// Queue `m`'s flow on its lane (FIFO per sender) and start it there.
+  void submit_flow(std::uint32_t m);
+  void land(std::uint32_t m);
 
   /// Resolve a message's fabric rail: explicit requests are clamped into
   /// range (striped configs degrade cleanly on machines with fewer
@@ -255,9 +288,9 @@ class SimWorld {
   /// RailPolicy. Always 0 on single-rail machines.
   int resolve_rail(int src_world, int dst_world, int rail);
 
-  void deliver(ArrivedMsg msg);
-  void match_eager(const ArrivedMsg& msg, PostedRecv& pr);
-  void start_rendezvous(const ArrivedMsg& msg, PostedRecv pr);
+  void deliver(std::uint32_t m);
+  void match_eager(std::uint32_t m, PostedRecv& pr);
+  void start_rendezvous(std::uint32_t m, PostedRecv& pr);
 
   machine::MachineProfile profile_;
   Options options_;
@@ -276,7 +309,17 @@ class SimWorld {
   std::vector<std::pair<int, std::function<void(int)>>> destroy_observers_;
   int next_observer_token_ = 0;
   std::vector<RankMatch> matching_;
-  std::uint64_t match_order_ = 0;
+  // Pooled message records: fixed chunks (stable addresses, no
+  // relocation on growth) recycled through a free list.
+  static constexpr std::uint32_t kNoMsg = 0xffffffffu;
+  static constexpr std::uint32_t kMsgChunk = 64;
+  Msg& rec(std::uint32_t m) {
+    return msg_chunks_[m / kMsgChunk][m % kMsgChunk];
+  }
+  std::vector<std::unique_ptr<Msg[]>> msg_chunks_;
+  std::uint32_t msg_count_ = 0;  // records created since the last trim
+  std::uint32_t live_msgs_ = 0;
+  std::uint32_t free_msg_ = kNoMsg;
   std::uint64_t messages_sent_ = 0;
   std::unique_ptr<SyncDomain> world_sync_;
   sim::Rng jitter_rng_;
@@ -287,7 +330,6 @@ class SimWorld {
   std::vector<SerialLane> net_tx_lane_;
   std::vector<SerialLane> copy_lane_;
   std::vector<std::uint32_t> rail_rr_;  // per-rank round-robin cursors
-  std::vector<net::ResourceId> path_scratch_;
 };
 
 }  // namespace han::mpi

@@ -1,0 +1,149 @@
+// Heap-allocation budget of the steady-state collective path: a collective
+// action down through its messages to the fluid-network flows.
+//
+// This binary replaces the global operator new/delete with counting
+// versions, which is why it is an executable of its own: the counter must
+// touch no other test. It replays one fixed round twice on a 2x4 aries
+// machine in timing mode (an SM bcast on each node, a rendezvous-size
+// ADAPT allreduce, eager point-to-point messages around a ring, and a ring
+// reduce-scatter). The first round warms every pool; the second must stay
+// within kBudgetPerAction heap allocations per executed collective action.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "coll/registry.hpp"
+#include "coll/runtime.hpp"
+#include "simmpi/world.hpp"
+
+namespace {
+std::atomic<long> g_allocations{0};
+
+void* counted_malloc(std::size_t bytes) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(bytes == 0 ? 1 : bytes);
+}
+void* counted_new(std::size_t bytes) {
+  if (void* p = counted_malloc(bytes)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+// Every form that pairs with the replaced deletes, so no allocation comes
+// from a new the sanitizers (or the library) supply while free() frees it.
+void* operator new(std::size_t bytes) { return counted_new(bytes); }
+void* operator new[](std::size_t bytes) { return counted_new(bytes); }
+void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
+  return counted_malloc(bytes);
+}
+void* operator new[](std::size_t bytes, const std::nothrow_t&) noexcept {
+  return counted_malloc(bytes);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace han::coll {
+namespace {
+
+using mpi::BufView;
+using mpi::Datatype;
+using mpi::ReduceOp;
+
+constexpr double kBudgetPerAction = 2.0;
+
+constexpr const char* kActionKinds[] = {
+    "send", "recv", "copy", "reduce", "compute", "noop", "cross_copy",
+    "cross_reduce"};
+
+double actions_executed(obs::MetricsRegistry& m) {
+  double total = 0.0;
+  for (const char* kind : kActionKinds) {
+    total += m.counter(std::string("coll.actions.") + kind).value();
+  }
+  return total;
+}
+
+struct Round {
+  explicit Round(mpi::SimWorld& w) : world(w), rt(w), mods(w, rt) {
+    node_comms = world.comm_split_shared(world.world_comm());
+  }
+
+  sim::CoTask rank_program(mpi::Rank& rank) {
+    const int r = rank.world_rank;
+    const int n = world.world_size();
+    const mpi::Comm& all = world.world_comm();
+    const mpi::Comm& node = *node_comms[r];
+    const CollConfig cfg;
+    // SM bcast within each node.
+    co_await *mods.sm().ibcast(node, rank.local_rank, 0,
+                               BufView::timing_only(4096), Datatype::Byte,
+                               cfg);
+    // Rendezvous-size ADAPT allreduce across the machine.
+    co_await *mods.adapt().iallreduce(
+        all, r, BufView::timing_only(64 << 10, Datatype::Int32),
+        BufView::timing_only(64 << 10, Datatype::Int32), Datatype::Int32,
+        ReduceOp::Sum, cfg);
+    // Eager messages around the ring of world ranks.
+    for (int i = 0; i < 4; ++i) {
+      std::vector<mpi::Request> pair;
+      pair.push_back(
+          world.isend(all, r, (r + 1) % n, i, BufView::timing_only(1024)));
+      pair.push_back(world.irecv(all, r, (r + n - 1) % n, i,
+                                 BufView::timing_only(1024)));
+      co_await mpi::wait_all(world.engine(), std::move(pair));
+    }
+    // Ring reduce-scatter across the machine.
+    co_await *mods.ring().ireduce_scatter(
+        all, r, BufView::timing_only(64 << 10, Datatype::Int32),
+        BufView::timing_only((64 << 10) / 8, Datatype::Int32),
+        Datatype::Int32, ReduceOp::Sum, cfg);
+  }
+
+  void run() {
+    world.run([this](mpi::Rank& rank) { return rank_program(rank); });
+  }
+
+  mpi::SimWorld& world;
+  CollRuntime rt;
+  ModuleSet mods;
+  std::vector<mpi::Comm*> node_comms;
+};
+
+TEST(AllocBudget, WarmRoundStaysWithinBudgetPerAction) {
+  mpi::SimWorld world(machine::make_aries(2, 4));
+  ASSERT_FALSE(world.data_mode());
+  Round round(world);
+  round.run();  // cold: templates, pools and match queues grow here
+
+  const double actions_before = actions_executed(world.metrics());
+  const std::uint64_t messages_before = world.messages_sent();
+  const long allocations_before = g_allocations.load();
+  round.run();
+  const long allocations = g_allocations.load() - allocations_before;
+  const double actions = actions_executed(world.metrics()) - actions_before;
+  const std::uint64_t messages = world.messages_sent() - messages_before;
+
+  ASSERT_GT(actions, 0.0);
+  ASSERT_GT(messages, 0u);
+  const double per_action = static_cast<double>(allocations) / actions;
+  std::printf("warm round: %ld allocations, %.0f actions, %llu messages: "
+              "%.3f allocations per action\n",
+              allocations, actions,
+              static_cast<unsigned long long>(messages), per_action);
+  RecordProperty("allocations_per_action", std::to_string(per_action));
+  EXPECT_LE(per_action, kBudgetPerAction);
+}
+
+}  // namespace
+}  // namespace han::coll

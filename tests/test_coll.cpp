@@ -540,5 +540,110 @@ TEST(ArrivalSemantics, LateLeafDoesNotBlockRootBcast) {
   EXPECT_LT(done[0], 100e-6);
 }
 
+// --- one completion path for every action kind -------------------------
+
+/// A 4-rank allreduce on one NUMA-split node (ranks 0,1 | 2,3) built by
+/// hand to use every action kind: rank r computes, swaps its input with
+/// its same-domain pair by rendezvous send/recv, copies its input into the
+/// result and reduces the pair's in, cross-reduces the input of rank r^2
+/// straight from its window, cross-copies rank r^3's input and folds it
+/// in, and swaps an eager message with rank r^2; a noop joins the ends.
+/// Compute times differ per rank, so completion times do too.
+/// Result: slot 1 holds the sum of all four inputs, slot 2 the first
+/// `eager` bytes of rank r^2's input.
+Plan every_kind_plan(std::size_t bytes, std::size_t eager) {
+  constexpr int kRanks = 4;
+  Plan plan(kRanks, /*user_slots=*/3);
+  const SlotRef in{0, 0}, out{1, 0}, landing{2, 0};
+  const SlotRef lo{3, 0}, hi{3, bytes};  // one temp: two halves
+  for (int r = 0; r < kRanks; ++r) {
+    const int pair = r ^ 1, across = r ^ 2, diagonal = r ^ 3;
+    RankPlan& rp = plan.ranks[r];
+    rp.temp_slots = {2 * bytes};
+    const int compute = rp.add(compute_action(1e-6 * (r + 1)));
+    Action send = send_action(pair, 1, bytes, in);
+    send.deps = {dep(compute)};
+    rp.add(send);
+    const int recv = rp.add(recv_action(pair, 1, bytes, lo));
+    Action copy = copy_action(bytes, in, out);
+    copy.deps = {dep(compute)};
+    const int copied = rp.add(copy);
+    Action reduce = reduce_action(bytes, lo, out, ReduceOp::Sum,
+                                  Datatype::Int32, /*avx=*/false);
+    reduce.deps = {dep(recv), dep(copied)};
+    const int reduced = rp.add(reduce);
+    Action xreduce = cross_reduce_action(across, bytes, in, out, ReduceOp::Sum,
+                                         Datatype::Int32, /*avx=*/true);
+    xreduce.deps = {dep(reduced), cross_dep(across, compute, 1e-7)};
+    const int xreduced = rp.add(xreduce);
+    Action xcopy = cross_copy_action(diagonal, bytes, in, hi);
+    xcopy.deps = {cross_dep(diagonal, compute, 1e-7)};
+    const int xcopied = rp.add(xcopy);
+    Action fold = reduce_action(bytes, hi, out, ReduceOp::Sum,
+                                Datatype::Int32, /*avx=*/true);
+    fold.deps = {dep(xreduced), dep(xcopied)};
+    const int folded = rp.add(fold);
+    rp.add(send_action(across, 2, eager, in));
+    const int landed = rp.add(recv_action(across, 2, eager, landing));
+    Action join;
+    join.kind = Action::Kind::Noop;
+    join.deps = {dep(folded), dep(landed)};
+    rp.add(join);
+  }
+  return plan;
+}
+
+TEST(CollRuntime, EveryActionKindCompletesThroughOnePath) {
+  CollHarness h(machine::with_numa(machine::make_aries(1, 4), 2));
+  constexpr std::size_t kCount = 4096, kBytes = kCount * 4, kEager = 1024;
+  ASSERT_GT(kBytes, h.world.p2p().eager_limit);  // one rendezvous swap
+  ASSERT_LE(kEager, h.world.p2p().eager_limit);  // one eager swap
+  const Plan plan = every_kind_plan(kBytes, kEager);
+  std::vector<std::vector<std::int32_t>> in(4), out(4), landing(4);
+  for (int r = 0; r < 4; ++r) {
+    in[r] = pattern_vec(r, kCount);
+    out[r].assign(kCount, -1);
+    landing[r].assign(kEager / 4, -1);
+  }
+  const auto done = run_collective(h.world, [&](mpi::Rank& rank) {
+    const int r = rank.world_rank;
+    return h.rt.start_plan(
+        h.world.world_comm(), r, plan,
+        {BufView{reinterpret_cast<std::byte*>(in[r].data()), kBytes,
+                 Datatype::Int32},
+         BufView{reinterpret_cast<std::byte*>(out[r].data()), kBytes,
+                 Datatype::Int32},
+         BufView{reinterpret_cast<std::byte*>(landing[r].data()), kEager,
+                 Datatype::Int32}});
+  });
+
+  const std::vector<std::int32_t> sum = expected_reduce(ReduceOp::Sum, 4,
+                                                        kCount);
+  for (int r = 0; r < 4; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(in[r], pattern_vec(r, kCount));  // inputs are read-only
+    EXPECT_EQ(out[r], sum);
+    const std::vector<std::int32_t> across = pattern_vec(r ^ 2, kCount);
+    EXPECT_EQ(landing[r], std::vector<std::int32_t>(
+                              across.begin(), across.begin() + kEager / 4));
+  }
+  // Every action kind ran, each once per rank per use in the plan.
+  obs::MetricsRegistry& m = h.world.metrics();
+  const std::pair<const char*, double> kinds[] = {
+      {"send", 8},   {"recv", 8},       {"copy", 4},         {"reduce", 8},
+      {"compute", 4}, {"noop", 4}, {"cross_copy", 4}, {"cross_reduce", 4}};
+  for (const auto& [kind, count] : kinds) {
+    EXPECT_EQ(m.counter(std::string("coll.actions.") + kind).value(), count)
+        << kind;
+  }
+  // Each rank's completion time, pinned to the values of the per-kind
+  // completion closures this path replaced: merging them must keep every
+  // event's time and order.
+  const double want[] = {2.3412354208754204e-05, 1.9657175757575755e-05,
+                         2.3144044444444443e-05, 2.4168556228956225e-05};
+  for (int r = 0; r < 4; ++r) EXPECT_DOUBLE_EQ(done[r], want[r]) << r;
+  EXPECT_EQ(h.rt.live_instances(), 0u);
+}
+
 }  // namespace
 }  // namespace han::coll

@@ -331,18 +331,23 @@ TEST(FlowNet, StaleFlowIdInertAfterSlotReuse) {
   EXPECT_EQ(fn.active_flows(), 0u);
 }
 
-TEST(FlowNet, ManyResourcePathSpillsAndCompletes) {
-  // Paths wider than the SmallVec inline capacity (synthetic topologies)
-  // must still sort/dedup and complete correctly through the spill path.
+TEST(FlowNet, RepeatedRouteResourceIsChargedOnce) {
+  // A route naming a resource twice charges it once: start_flow sorts the
+  // route and drops the duplicate before the flow joins any resource.
   Engine e;
   FlowNet fn(e);
   std::vector<ResourceId> path;
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < 4; ++i) {
     path.push_back(fn.add_resource("r" + std::to_string(i), 1e9));
   }
-  path.push_back(path[3]);  // duplicate must be dropped
+  path.push_back(path[2]);  // a full Route, one entry repeated
+  ASSERT_EQ(path.size(), Route::kCapacity);
   bool done = false;
-  fn.start_flow(path, 1e9, FlowNet::no_cap(), [&] { done = true; });
+  const FlowId id =
+      fn.start_flow(path, 1e9, FlowNet::no_cap(), [&] { done = true; });
+  e.run_until(0.5);
+  EXPECT_DOUBLE_EQ(fn.flow_rate(id), 1e9);  // not halved on r2
+  EXPECT_DOUBLE_EQ(fn.resource_usage(path[2]), 1e9);
   e.run();
   EXPECT_TRUE(done);
   EXPECT_DOUBLE_EQ(e.now(), 1.0);  // one full second at 1 GB/s

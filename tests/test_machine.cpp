@@ -88,8 +88,7 @@ TEST(ClusterFabric, InterPathCrossesBothBuses) {
   const MachineProfile m = make_aries(4, 8);
   ClusterFabric fabric(fn, m);
 
-  std::vector<net::ResourceId> path;
-  fabric.inter_path(0, 2, path);
+  net::Route path = fabric.inter_path(0, 2);
   ASSERT_EQ(path.size(), 5u);
   EXPECT_EQ(path[0], fabric.nic_tx(0));
   EXPECT_EQ(path[1], fabric.fabric());
@@ -97,9 +96,25 @@ TEST(ClusterFabric, InterPathCrossesBothBuses) {
   EXPECT_EQ(path[3], fabric.membus(0));
   EXPECT_EQ(path[4], fabric.membus(2));
 
-  fabric.intra_path(1, 0, path);
+  path = fabric.intra_path(1, 0);
   ASSERT_EQ(path.size(), 1u);
   EXPECT_EQ(path[0], fabric.membus(1));
+}
+
+TEST(ClusterFabric, LongestPathFillsRoute) {
+  // net::Route is sized to the longest route the fabric emits, so every
+  // flow path stays inline. The inter-node route is that longest one; a
+  // cross-domain pair path (both buses and the socket link) is shorter.
+  sim::Engine e;
+  net::FlowNet fn(e);
+  const MachineProfile m = with_rails(with_numa(make_opath(2, 8), 2), 4);
+  ClusterFabric fabric(fn, m);
+  for (int rail = 0; rail < fabric.rails(); ++rail) {
+    EXPECT_EQ(fabric.inter_path(0, 1, rail).size(), net::Route::kCapacity);
+  }
+  EXPECT_EQ(fabric.pair_path(1, 0, 1).size(), 3u);
+  EXPECT_EQ(fabric.pair_path(1, 1, 1).size(), 1u);
+  EXPECT_EQ(fabric.intra_path(0, 1).size(), 1u);
 }
 
 }  // namespace

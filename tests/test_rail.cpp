@@ -108,9 +108,8 @@ TEST(RailFabric, RailsGetDisjointInterPaths) {
       machine::with_rails(machine::make_aries(2, 4), 4);
   machine::ClusterFabric fabric(net, m);
   EXPECT_EQ(fabric.rails(), 4);
-  std::vector<net::ResourceId> p0, p2;
-  fabric.inter_path(0, 1, 0, p0);
-  fabric.inter_path(0, 1, 2, p2);
+  const net::Route p0 = fabric.inter_path(0, 1, 0);
+  const net::Route p2 = fabric.inter_path(0, 1, 2);
   ASSERT_EQ(p0.size(), p2.size());
   // NIC tx, fabric, NIC rx differ per rail; the DMA memory buses are
   // shared (the physical cross-rail coupling).

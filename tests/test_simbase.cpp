@@ -3,6 +3,7 @@
 
 #include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "simbase/cotask.hpp"
@@ -501,6 +502,41 @@ TEST(WaitableTest, CallbackAfterCompletionStillFires) {
   w.on_complete([&] { fired = true; });
   e.run();
   EXPECT_TRUE(fired);
+}
+
+CoTask logging_waiter(Waitable& w, std::vector<std::string>& log,
+                      const char* name) {
+  co_await w;
+  log.push_back(name);
+}
+
+TEST(WaitableTest, SubscribersFireInSubscriptionOrder) {
+  // The first waiter and callback live in inline slots, later ones in
+  // vectors; completion must still wake waiters first, then callbacks,
+  // each in subscription order, all as 0-delay events at completion time.
+  Engine e;
+  Waitable w(e);
+  std::vector<std::string> log;
+  auto note = [&](const char* what) {
+    log.push_back(std::string(what) + "@" + std::to_string(e.now()));
+  };
+  w.on_complete([&] { note("cb0"); });
+  logging_waiter(w, log, "waiter0").start();
+  w.on_complete([&] { note("cb1"); });
+  logging_waiter(w, log, "waiter1").start();
+  w.on_complete([&] { note("cb2"); });
+  e.schedule_at(1.5, [&] {
+    w.complete();
+    log.push_back("completed");  // nothing fires synchronously
+    e.schedule_after(0.0, [&] { note("other"); });
+    w.on_complete([&] { note("late"); });  // a 0-delay event from here
+  });
+  e.run();
+  const std::vector<std::string> want = {
+      "completed",         "waiter0",           "waiter1",
+      "cb0@1.500000",      "cb1@1.500000",      "cb2@1.500000",
+      "other@1.500000",    "late@1.500000"};
+  EXPECT_EQ(log, want);
 }
 
 // --- table ------------------------------------------------------------
