@@ -174,20 +174,14 @@ CollRuntime::TemplatePtr CollRuntime::plan_template(PlanBuilder builder,
 CollRuntime::Instance* CollRuntime::find_instance(const mpi::Comm& comm,
                                                   std::uint64_t seq) {
   auto it = instances_.find(std::make_pair(comm.context(), seq));
-  return it == instances_.end() ? nullptr : it->second.get();
+  return it == instances_.end() ? nullptr : &instance_pool_[it->second];
 }
 
 CollRuntime::Instance& CollRuntime::create_instance(const mpi::Comm& comm,
                                                     std::uint64_t seq,
                                                     TemplatePtr tmpl) {
-  std::unique_ptr<Instance> fresh;
-  if (spare_.empty()) {
-    fresh = std::make_unique<Instance>();
-  } else {
-    fresh = std::move(spare_.back());
-    spare_.pop_back();
-  }
-  Instance& inst = *fresh;
+  const std::uint32_t slot = instance_pool_.acquire();
+  Instance& inst = instance_pool_[slot];
   const int n = comm.size();
   inst.comm = &comm;
   inst.seq = seq;
@@ -202,7 +196,7 @@ CollRuntime::Instance& CollRuntime::create_instance(const mpi::Comm& comm,
   inst.deps_left.assign(t.deps_left.begin(), t.deps_left.end());
   inst.total_actions_left = t.base[n];
   inst.ranks_not_arrived = n;
-  instances_.emplace(std::make_pair(comm.context(), seq), std::move(fresh));
+  instances_.emplace(std::make_pair(comm.context(), seq), slot);
   return inst;
 }
 
@@ -449,13 +443,13 @@ void CollRuntime::maybe_retire(Instance& inst) {
     rs.temps.clear();
     rs.req.reset();
   }
-  spare_.push_back(std::move(it->second));
+  instance_pool_.release(it->second);
   instances_.erase(it);
   // Quiescent: nothing can replay a template or reuse an instance until
   // the next start(), so memory follows one busy period.
   if (instances_.empty()) {
     templates_.clear();
-    spare_.clear();
+    instance_pool_.trim();
   }
 }
 

@@ -19,9 +19,9 @@
 // the runtime, the instance, rank, action and start time, within the
 // engine's inline callback storage — that routes every action kind to
 // finish_action (data-mode copy/reduce, accounting, dependents). Like
-// templates, retired instances live while the runtime is busy: they keep
-// their per-rank and per-node arrays on a free list for the next
-// collective, and the list is dropped at quiescence. In the steady state
+// templates, retired instances live while the runtime is busy: their
+// sim::SlotPool slots keep the per-rank and per-node arrays for the next
+// collective, and the pool is trimmed at quiescence. In the steady state
 // executing an action touches no allocator: the requests, messages and
 // flows below it are pooled too (simmpi/request.hpp, simmpi/world.hpp).
 #pragma once
@@ -36,6 +36,7 @@
 
 #include "coll/builders.hpp"
 #include "coll/plan.hpp"
+#include "simbase/slot_pool.hpp"
 #include "simbase/trace.hpp"
 #include "simmpi/world.hpp"
 
@@ -183,9 +184,10 @@ class CollRuntime {
   int destroy_observer_ = -1;  // SimWorld comm-destroy observer token
   // Per-comm-context, per-comm-rank collective call counters.
   std::unordered_map<int, std::vector<std::uint64_t>> call_seq_;
-  std::map<std::pair<int, std::uint64_t>, std::unique_ptr<Instance>>
-      instances_;
-  std::vector<std::unique_ptr<Instance>> spare_;  // retired, arrays kept
+  // Live instances by (context, seq), as slots of instance_pool_; a
+  // retired slot keeps its arrays for the next collective.
+  std::map<std::pair<int, std::uint64_t>, std::uint32_t> instances_;
+  sim::SlotPool<Instance> instance_pool_;
   std::map<TemplateKey, TemplatePtr> templates_;  // cleared at quiescence
   // Observability (pointers into the world's registry; stable for life).
   KindStats kinds_[8];

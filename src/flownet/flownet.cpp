@@ -57,42 +57,23 @@ const std::string& FlowNet::resource_name(ResourceId id) const {
   return resources_[id].name;
 }
 
-FlowNet::~FlowNet() {
-  // Slots are placement-constructed in acquire_flow; only slots that were
-  // ever handed out exist.
-  for (std::uint32_t s = 0; s < pool_size_; ++s) slot_ref(s).~FlowSlot();
-}
-
 FlowId FlowNet::acquire_flow() {
-  std::uint32_t slot;
-  if (free_head_ != kNoSlot) {
-    slot = free_head_;
-    free_head_ = slot_ref(slot).next_free;
-  } else {
-    if ((pool_size_ & (kFlowChunkSize - 1)) == 0) {
-      chunks_.emplace_back(new std::byte[sizeof(FlowSlot) * kFlowChunkSize]);
-    }
-    slot = pool_size_++;
-    new (&slot_ref(slot)) FlowSlot();
-    flow_mark_.push_back(0);
-  }
-  FlowSlot& fs = slot_ref(slot);
+  const std::uint32_t slot = slots_.acquire();
+  if (slot == flow_mark_.size()) flow_mark_.push_back(0);  // a new slot
+  FlowSlot& fs = slots_[slot];
   ++fs.generation;  // >= 1 from the first use, so no live id is 0
   fs.live = true;
-  ++live_flows_;
   return make_id(fs.generation, slot);
 }
 
 void FlowNet::release_flow(FlowId id) {
   const std::uint32_t slot = slot_of(id);
-  FlowSlot& fs = slot_ref(slot);
+  FlowSlot& fs = slots_[slot];
   HAN_ASSERT(fs.live && fs.generation == gen_of(id));
   fs.live = false;
   fs.flow.on_complete = nullptr;  // destroy the capture eagerly
   fs.flow.resources.clear();
-  fs.next_free = free_head_;
-  free_head_ = slot;
-  --live_flows_;
+  slots_.release(slot);
 }
 
 FlowId FlowNet::start_flow(std::span<const ResourceId> resources, double bytes,
@@ -104,7 +85,7 @@ FlowId FlowNet::start_flow(std::span<const ResourceId> resources, double bytes,
   }
 
   const FlowId id = acquire_flow();
-  Flow& flow = slot_ref(slot_of(id)).flow;
+  Flow& flow = slots_[slot_of(id)].flow;
   flow.remaining = bytes;
   flow.rate = 0.0;  // assigned by the batched rebalance at this timestamp
   flow.rate_cap = rate_cap;
@@ -193,7 +174,7 @@ void FlowNet::collect_component(std::span<const ResourceId> seeds,
       if (flow_mark_[fs] != 0) continue;
       flow_mark_[fs] = 1;
       // Ids in resource lists are live by invariant: skip the full lookup.
-      const Flow& flow = slot_ref(fs).flow;
+      const Flow& flow = slots_[fs].flow;
       comp_keys_.push_back(flow.order);
       comp_flows.push_back(fid);
       for (ResourceId other : flow.resources) {
@@ -250,7 +231,7 @@ void FlowNet::schedule_completion(FlowId id, Flow& flow) {
   // (time, seq) firing order.
   engine_->cancel(flow.completion);
   flow.completion = engine_->schedule_after(
-      eta, [this, id] { finish_flow(id, slot_ref(slot_of(id)).flow); });
+      eta, [this, id] { finish_flow(id, slots_[slot_of(id)].flow); });
 }
 
 void FlowNet::finish_flow(FlowId id, Flow& flow) {
@@ -289,14 +270,14 @@ void FlowNet::rebalance() {
   collect_component(seeds, comp_resources, comp_flows);
   if (comp_flows.empty()) return;
 
-  // Records never move (chunked slab), so resolve each component flow once
+  // Records never move (SlotPool), so resolve each component flow once
   // and run every loop below on raw pointers. Account progress under the
   // outgoing allocation before changing rates.
   const std::size_t n = comp_flows.size();
   const sim::Time now = engine_->now();
   comp_ptrs_.clear();
   for (FlowId fid : comp_flows) {
-    Flow* flow = &slot_ref(slot_of(fid)).flow;
+    Flow* flow = &slots_[slot_of(fid)].flow;
     comp_ptrs_.push_back(flow);
     settle_at(*flow, now);
   }
@@ -387,7 +368,7 @@ void FlowNet::rebalance() {
     account(r);
     double sum = 0.0;
     for (FlowId fid : resources_[r].flows) {
-      sum += slot_ref(slot_of(fid)).flow.rate;
+      sum += slots_[slot_of(fid)].flow.rate;
     }
     robs_[r].rate_sum = sum;
     refresh_gauges(r);

@@ -13,13 +13,13 @@
 // collectives caused by the shared memory bus.
 //
 // Hot-path design (see docs/PERFORMANCE.md): flow records live in a
-// generation-tagged slot map — a FlowId packs {generation, slot}, lookup
-// is an index plus a tag compare, and slots recycle through a free list so
-// steady-state churn never touches the allocator. The flow's route is
-// stored inline (Route, sized to the longest path the machine fabric
-// emits) and completion callbacks use the engine's SBO callback type. A
-// flow keeps the EventId of its pending completion: a rebalance that
-// re-times the flow cancels that event before scheduling its
+// generation-tagged slot map over a sim::SlotPool — a FlowId packs
+// {generation, slot}, lookup is an index plus a tag compare, and slots
+// recycle so steady-state churn never touches the allocator. The flow's
+// route is stored inline (Route, sized to the longest path the machine
+// fabric emits) and completion callbacks use the engine's SBO callback
+// type. A flow keeps the EventId of its pending completion: a rebalance
+// that re-times the flow cancels that event before scheduling its
 // replacement, so a superseded completion never fires. Rate
 // recomputation iterates component flows in creation order, which keeps
 // results bit-identical to the original map-based implementation.
@@ -30,14 +30,13 @@
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
-#include <memory>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "simbase/engine.hpp"
+#include "simbase/slot_pool.hpp"
 #include "simbase/small_vec.hpp"
 #include "simbase/units.hpp"
 
@@ -107,7 +106,6 @@ class FlowNet {
   using Callback = sim::Engine::Callback;
 
   explicit FlowNet(sim::Engine& engine) : engine_(&engine) {}
-  ~FlowNet();
   FlowNet(const FlowNet&) = delete;
   FlowNet& operator=(const FlowNet&) = delete;
 
@@ -137,7 +135,7 @@ class FlowNet {
   /// flow already completed (stale ids stay inert across slot reuse).
   void abort_flow(FlowId id);
 
-  std::size_t active_flows() const { return live_flows_; }
+  std::size_t active_flows() const { return slots_.live(); }
 
   /// Current rate of an active flow (bytes/sec); 0 if unknown/finished.
   double flow_rate(FlowId id) const;
@@ -149,7 +147,7 @@ class FlowNet {
 
   /// Slot-map diagnostics: slots allocated so far (tests assert the pool
   /// recycles instead of growing under churn).
-  std::size_t flow_pool_capacity() const { return pool_size_; }
+  std::size_t flow_pool_capacity() const { return slots_.capacity(); }
 
   /// Attach a metrics registry: every resource gets a utilization gauge
   /// (`net.res.<name>.util`, fraction of capacity), an active-flow gauge
@@ -189,16 +187,8 @@ class FlowNet {
   struct FlowSlot {
     Flow flow;
     std::uint32_t generation = 0;  // bumped on allocation; 0 = never used
-    std::uint32_t next_free = kNoSlot;
     bool live = false;
   };
-
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  // 64 slots (~10 KB) per chunk: chunk addresses are stable, so growth
-  // never relocates flow records, and records are placement-constructed on
-  // first use (slots are handed out sequentially).
-  static constexpr std::uint32_t kFlowChunkShift = 6;
-  static constexpr std::uint32_t kFlowChunkSize = 1u << kFlowChunkShift;
 
   static std::uint32_t slot_of(FlowId id) {
     return static_cast<std::uint32_t>(id & 0xffffffffu);
@@ -210,21 +200,10 @@ class FlowNet {
     return (static_cast<FlowId>(gen) << 32) | slot;
   }
 
-  FlowSlot& slot_ref(std::uint32_t s) {
-    auto* slots =
-        reinterpret_cast<FlowSlot*>(chunks_[s >> kFlowChunkShift].get());
-    return slots[s & (kFlowChunkSize - 1)];
-  }
-  const FlowSlot& slot_ref(std::uint32_t s) const {
-    auto* slots =
-        reinterpret_cast<const FlowSlot*>(chunks_[s >> kFlowChunkShift].get());
-    return slots[s & (kFlowChunkSize - 1)];
-  }
-
   Flow* lookup(FlowId id) {
     const std::uint32_t s = slot_of(id);
-    if (s >= pool_size_) return nullptr;
-    FlowSlot& fs = slot_ref(s);
+    if (s >= slots_.capacity()) return nullptr;
+    FlowSlot& fs = slots_[s];
     if (!fs.live || fs.generation != gen_of(id)) return nullptr;
     return &fs.flow;
   }
@@ -284,11 +263,7 @@ class FlowNet {
   obs::Counter* flows_aborted_ = nullptr;
   std::vector<ResourceObs> robs_;
   std::vector<Resource> resources_;
-  // Flow slot map: chunked slab + free list.
-  std::vector<std::unique_ptr<std::byte[]>> chunks_;
-  std::uint32_t pool_size_ = 0;  // slots ever created
-  std::uint32_t free_head_ = kNoSlot;
-  std::size_t live_flows_ = 0;
+  sim::SlotPool<FlowSlot> slots_;  // flow slot map
   std::uint64_t next_order_ = 1;
   bool rebalance_pending_ = false;
   std::vector<ResourceId> dirty_;

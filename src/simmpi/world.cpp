@@ -154,33 +154,17 @@ int SimWorld::resolve_rail(int src_world, int dst_world, int rail) {
   return ranks_[src_world].local_rank % rails;  // LeaderAffine
 }
 
-std::uint32_t SimWorld::acquire_msg() {
-  if (free_msg_ == kNoMsg) {
-    if ((msg_count_ & (kMsgChunk - 1)) == 0) {
-      msg_chunks_.push_back(std::make_unique<Msg[]>(kMsgChunk));
-    }
-    ++live_msgs_;
-    return msg_count_++;
-  }
-  ++live_msgs_;
-  const std::uint32_t m = free_msg_;
-  free_msg_ = rec(m).next_free;
-  return m;
-}
-
 void SimWorld::release_msg(std::uint32_t m) {
-  Msg& msg = rec(m);
+  Msg& msg = msgs_[m];
   msg.payload = {};  // data mode: free it, a record may next carry 8 bytes
   msg.send_req.reset();
   msg.recv_req.reset();
   msg.recv_buf = BufView{};
-  msg.next_free = free_msg_;
-  free_msg_ = m;
-  --live_msgs_;
+  msgs_.release(m);
 }
 
 void SimWorld::start_data_flow(std::uint32_t m) {
-  Msg& msg = rec(m);
+  Msg& msg = msgs_[m];
   const int src_world = msg.src_world;
   const int dst_world = msg.dst_world;
   msg.flow_bytes = static_cast<double>(msg.bytes);
@@ -225,8 +209,8 @@ void SimWorld::start_data_flow(std::uint32_t m) {
 }
 
 void SimWorld::submit_flow(std::uint32_t m) {
-  rec(m).lane->submit([this, m](SerialLane::Release release) {
-    const Msg& msg = rec(m);
+  msgs_[m].lane->submit([this, m](SerialLane::Release release) {
+    const Msg& msg = msgs_[m];
     flownet_.start_flow(msg.route, msg.flow_bytes, msg.cap,
                         [this, m, release = std::move(release)]() mutable {
                           land(m);
@@ -236,7 +220,7 @@ void SimWorld::submit_flow(std::uint32_t m) {
 }
 
 void SimWorld::land(std::uint32_t m) {
-  Msg& msg = rec(m);
+  Msg& msg = msgs_[m];
   switch (msg.landing) {
     case Landing::Eager: {
       Request sreq = std::move(msg.send_req);
@@ -280,8 +264,8 @@ Request SimWorld::isend_ctx(const Comm& comm, int ctx, int src, int dst,
   msg_counter_->add(1.0);
   msg_bytes_counter_->add(static_cast<double>(buf.bytes));
 
-  const std::uint32_t m = acquire_msg();
-  Msg& msg = rec(m);
+  const std::uint32_t m = msgs_.acquire();
+  Msg& msg = msgs_[m];
   msg.ctx = ctx;
   msg.src_world = s;
   msg.dst_world = d;
@@ -296,7 +280,7 @@ Request SimWorld::isend_ctx(const Comm& comm, int ctx, int src, int dst,
   msg.send_req = sreq;
 
   ranks_[s].cpu.exec(engine_, jittered(p2p_.send_overhead), [this, m] {
-    const Msg& sent = rec(m);
+    const Msg& sent = msgs_[m];
     if (sent.landing == Landing::Eager) {
       start_data_flow(m);
     } else {
@@ -323,7 +307,7 @@ Request SimWorld::irecv_ctx(const Comm& comm, int ctx, int dst, int src,
 
   auto& mq = matching_[d];
   for (auto it = mq.unexpected.begin(); it != mq.unexpected.end(); ++it) {
-    const Msg& msg = rec(*it);
+    const Msg& msg = msgs_[*it];
     if (msg.ctx == ctx && msg.src_world == s && msg.tag == tag) {
       const std::uint32_t m = *it;
       mq.unexpected.erase(it);
@@ -340,7 +324,7 @@ Request SimWorld::irecv_ctx(const Comm& comm, int ctx, int dst, int src,
 }
 
 void SimWorld::deliver(std::uint32_t m) {
-  const Msg& msg = rec(m);
+  const Msg& msg = msgs_[m];
   auto& mq = matching_[msg.dst_world];
   for (auto it = mq.posted.begin(); it != mq.posted.end(); ++it) {
     if (it->ctx == msg.ctx && it->src_world == msg.src_world &&
@@ -359,7 +343,7 @@ void SimWorld::deliver(std::uint32_t m) {
 }
 
 void SimWorld::match_eager(std::uint32_t m, PostedRecv& pr) {
-  const Msg& msg = rec(m);
+  const Msg& msg = msgs_[m];
   // Unpacking an eager message is a CPU-side copy on the receiver.
   const sim::Time unpack =
       static_cast<double>(msg.bytes) / profile_.core_copy_bandwidth;
@@ -374,7 +358,7 @@ void SimWorld::match_eager(std::uint32_t m, PostedRecv& pr) {
 }
 
 void SimWorld::start_rendezvous(std::uint32_t m, PostedRecv& pr) {
-  Msg& msg = rec(m);
+  Msg& msg = msgs_[m];
   const int s = msg.src_world;
   const int d = msg.dst_world;
   const bool inter = !same_node(s, d);
@@ -407,8 +391,8 @@ Request SimWorld::copy_flow_pair(int world_rank, int peer_world,
                                  std::size_t bytes, double cap) {
   Request req = make_request(engine_);
   HAN_ASSERT(same_node(world_rank, peer_world));
-  const std::uint32_t m = acquire_msg();
-  Msg& msg = rec(m);
+  const std::uint32_t m = msgs_.acquire();
+  Msg& msg = msgs_[m];
   msg.landing = Landing::Copy;
   msg.send_req = req;
   msg.route = fabric_.pair_path(ranks_[world_rank].node,
@@ -457,11 +441,7 @@ void SimWorld::run(const Program& program) {
                  "drained");
   // Quiescent: hand idle pools back, so memory follows a run's peak.
   engine_.cells().trim();
-  if (live_msgs_ == 0) {
-    msg_chunks_.clear();
-    msg_count_ = 0;
-    free_msg_ = kNoMsg;
-  }
+  msgs_.trim();
 }
 
 }  // namespace han::mpi

@@ -8,13 +8,13 @@
 //
 // Hot-path note: every in-flight message and shared-memory copy keeps its
 // state — envelope, payload, requests, route, rate cap, lane, part count —
-// in one pooled record addressed by index, and its requests are cells of
-// the engine's CellPool. Both recycle through free lists, so they grow to
-// the peak number of live messages of a run, and run() hands them back
-// once the world is quiescent. Every protocol closure captures only the
-// world and the record's index, so a message's steps from send overhead
-// to the last byte landing fit the engine's inline callback storage and
-// touch no allocator.
+// in one record of a sim::SlotPool, addressed by index, and its requests
+// are cells of the engine's CellPool. Both recycle freed slots, so they
+// grow to the peak number of live messages of a run, and run() hands them
+// back once the world is quiescent. Every protocol closure captures only
+// the world and the record's index, so a message's steps from send
+// overhead to the last byte landing fit the engine's inline callback
+// storage and touch no allocator.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +30,7 @@
 #include "simbase/cotask.hpp"
 #include "simbase/engine.hpp"
 #include "simbase/serial_lane.hpp"
+#include "simbase/slot_pool.hpp"
 #include "simmpi/buffer.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/cpulane.hpp"
@@ -248,7 +249,6 @@ class SimWorld {
     double flow_bytes = 0.0;
     double cap = 0.0;
     SerialLane* lane = nullptr;
-    std::uint32_t next_free = 0;
   };
 
   // Match queues are contiguous vectors, not deques: they are searched
@@ -271,7 +271,7 @@ class SimWorld {
     return ranks_[a].node == ranks_[b].node;
   }
 
-  std::uint32_t acquire_msg();
+  /// Drop a finished record's payload and requests and free its slot.
   void release_msg(std::uint32_t m);
 
   /// Start message `m`'s bulk-data movement (its `bytes` from src_world to
@@ -309,17 +309,7 @@ class SimWorld {
   std::vector<std::pair<int, std::function<void(int)>>> destroy_observers_;
   int next_observer_token_ = 0;
   std::vector<RankMatch> matching_;
-  // Pooled message records: fixed chunks (stable addresses, no
-  // relocation on growth) recycled through a free list.
-  static constexpr std::uint32_t kNoMsg = 0xffffffffu;
-  static constexpr std::uint32_t kMsgChunk = 64;
-  Msg& rec(std::uint32_t m) {
-    return msg_chunks_[m / kMsgChunk][m % kMsgChunk];
-  }
-  std::vector<std::unique_ptr<Msg[]>> msg_chunks_;
-  std::uint32_t msg_count_ = 0;  // records created since the last trim
-  std::uint32_t live_msgs_ = 0;
-  std::uint32_t free_msg_ = kNoMsg;
+  sim::SlotPool<Msg> msgs_;  // pooled message records
   std::uint64_t messages_sent_ = 0;
   std::unique_ptr<SyncDomain> world_sync_;
   sim::Rng jitter_rng_;

@@ -119,6 +119,13 @@ struct BcastCase {
   std::size_t segment;  // bytes
 };
 
+// Named ctest cases: without a printer, gtest prints the raw struct bytes.
+void PrintTo(const BcastCase& c, std::ostream* os) {
+  *os << c.module << " alg=" << algorithm_name(c.alg) << " nodes=" << c.nodes
+      << " ppn=" << c.ppn << " root=" << c.root << " count=" << c.count
+      << " segment=" << c.segment;
+}
+
 class BcastCorrectness : public ::testing::TestWithParam<BcastCase> {};
 
 TEST_P(BcastCorrectness, DataArrivesEverywhere) {
@@ -183,6 +190,12 @@ struct ReduceCase {
   std::size_t segment;
   ReduceOp op;
 };
+
+void PrintTo(const ReduceCase& c, std::ostream* os) {
+  *os << c.module << " alg=" << algorithm_name(c.alg) << " nodes=" << c.nodes
+      << " ppn=" << c.ppn << " root=" << c.root << " count=" << c.count
+      << " segment=" << c.segment << " op=" << mpi::op_name(c.op);
+}
 
 class ReduceCorrectness : public ::testing::TestWithParam<ReduceCase> {};
 
@@ -256,6 +269,11 @@ struct AllreduceCase {
   std::size_t count;
   ReduceOp op;
 };
+
+void PrintTo(const AllreduceCase& c, std::ostream* os) {
+  *os << c.module << " nodes=" << c.nodes << " ppn=" << c.ppn
+      << " count=" << c.count << " op=" << mpi::op_name(c.op);
+}
 
 class AllreduceCorrectness : public ::testing::TestWithParam<AllreduceCase> {
 };

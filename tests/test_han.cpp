@@ -144,6 +144,12 @@ struct HanBcastCase {
   HanConfig cfg;
 };
 
+// Named ctest cases: without a printer, gtest prints the raw struct bytes.
+void PrintTo(const HanBcastCase& c, std::ostream* os) {
+  *os << "nodes=" << c.nodes << " ppn=" << c.ppn << " root=" << c.root
+      << " count=" << c.count << " " << c.cfg.to_string();
+}
+
 HanConfig make_cfg(std::size_t fs, const char* imod, const char* smod,
                    Algorithm alg, std::size_t inter_seg) {
   HanConfig c;

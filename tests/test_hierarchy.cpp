@@ -298,6 +298,13 @@ struct DegenCase {
   bool expect_top_null;  // top family nulled for every rank
 };
 
+// Named ctest cases: without a printer, gtest prints the raw struct bytes.
+void PrintTo(const DegenCase& c, std::ostream* os) {
+  *os << c.tag << " nodes=" << c.nodes << " ppn=" << c.ppn
+      << " domains=" << c.domains << " depth=" << c.expect_depth
+      << " top_null=" << c.expect_top_null;
+}
+
 class DegenerateLadder : public ::testing::TestWithParam<DegenCase> {};
 
 machine::MachineProfile degen_profile(const DegenCase& c) {

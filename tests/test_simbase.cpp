@@ -1,8 +1,12 @@
 // Unit tests for simbase: units, stats, RNG, event engine, coroutine glue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,6 +14,7 @@
 #include "simbase/engine.hpp"
 #include "simbase/inline_fn.hpp"
 #include "simbase/rng.hpp"
+#include "simbase/slot_pool.hpp"
 #include "simbase/small_vec.hpp"
 #include "simbase/stats.hpp"
 #include "simbase/table.hpp"
@@ -237,7 +242,6 @@ TEST(Engine, CancelReclaimsPoolSlots) {
     e.cancel(id);
   }
   EXPECT_EQ(e.pending(), 0u);
-  EXPECT_EQ(e.pool_in_use(), 0u);
   // Eager reclamation: one slot is recycled 10k times.
   EXPECT_LE(e.pool_capacity(), 16u);
   e.run();
@@ -266,7 +270,7 @@ TEST(Engine, CancelReclaimsPoolSlots) {
     EXPECT_EQ(fired, (round + 1) * kEvents / 4);
     EXPECT_EQ(e.events_processed(),
               static_cast<std::uint64_t>((round + 1) * kEvents / 4));
-    EXPECT_EQ(e.pool_in_use(), 0u);
+    EXPECT_EQ(e.pending(), 0u);
     if (round == 0) first_capacity = e.pool_capacity();
   }
   EXPECT_LE(first_capacity, static_cast<std::size_t>(kEvents) + 16u);
@@ -291,8 +295,7 @@ TEST(Engine, CancelInterleavedWithFiring) {
   }
   EXPECT_EQ(fired, 100 * 50);
   EXPECT_EQ(e.pending(), 0u);
-  EXPECT_EQ(e.pool_in_use(), 0u);
-  EXPECT_LE(e.pool_capacity(), 256u);  // one chunk covers the peak of 100
+  EXPECT_LE(e.pool_capacity(), 256u);  // bounded by the peak of 100
 }
 
 TEST(Engine, StaleEventIdIsInertAfterSlotReuse) {
@@ -320,7 +323,7 @@ TEST(Engine, SelfCancelInsideCallbackIsNoop) {
   });
   e.run();
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(e.pool_in_use(), 0u);
+  EXPECT_EQ(e.pending(), 0u);
 }
 
 TEST(Engine, CancelWithinDueBatch) {
@@ -334,7 +337,6 @@ TEST(Engine, CancelWithinDueBatch) {
   e.run();
   EXPECT_FALSE(victim_fired);
   EXPECT_EQ(e.pending(), 0u);
-  EXPECT_EQ(e.pool_in_use(), 0u);
 }
 
 TEST(Engine, CancelHeavyPurgeKeepsOrder) {
@@ -358,7 +360,207 @@ TEST(Engine, CancelHeavyPurgeKeepsOrder) {
     EXPECT_TRUE(a % 31 < b % 31 || (a % 31 == b % 31 && a < b))
         << "out of order: " << a << " then " << b;
   }
-  EXPECT_EQ(e.pool_in_use(), 0u);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(Engine, MatchesReferenceOrderUnderRandomOps) {
+  // Model check against a reference that keeps the live events in a
+  // std::set ordered by (t, seq): every firing must be the model's minimum
+  // at the engine's now(). Random schedule / cancel / step / run_until
+  // traffic over six timestamps on a 0.5 grid makes ties the rule.
+  // Callbacks schedule zero-delay and future children and cancel pending
+  // events, often same-time victims already in the due batch. Deadlines
+  // fall below now() (a partly drained batch sits beyond them), on batch
+  // times and between them. Cancel bursts push the stale count past the
+  // purge threshold (64) many times while the queue still holds live
+  // events.
+  struct Key {
+    Time t;
+    std::uint64_t seq;
+    int id;
+    bool operator<(const Key& o) const {
+      return t != o.t ? t < o.t : seq < o.seq;
+    }
+  };
+  constexpr Time kNoDeadline = std::numeric_limits<Time>::infinity();
+  Engine e;
+  Rng rng(0x5EED2026ull);
+  std::set<Key> model;
+  std::vector<Key> key_of;         // by id
+  std::vector<EventId> handle;     // by id
+  std::vector<int> live_ids;       // ids pending in the model
+  std::vector<std::size_t> pos_of; // index into live_ids, by id
+  std::uint64_t seq = 0;
+  Time model_now = 0.0;
+  Time deadline = kNoDeadline;  // inside run_until, nothing fires past it
+  std::size_t fired = 0;
+  std::size_t cancelled = 0;
+
+  const auto forget = [&](int id) {
+    model.erase(key_of[id]);
+    const int last = live_ids.back();
+    live_ids[pos_of[id]] = last;
+    pos_of[last] = pos_of[id];
+    live_ids.pop_back();
+  };
+  const auto cancel_random = [&](bool same_time) {
+    if (live_ids.empty()) return;
+    int victim = live_ids[rng.next_below(live_ids.size())];
+    if (same_time) {
+      std::vector<int> at_now;
+      for (auto it = model.lower_bound(Key{e.now(), 0, 0});
+           it != model.end() && it->t == e.now(); ++it) {
+        at_now.push_back(it->id);
+      }
+      if (!at_now.empty()) victim = at_now[rng.next_below(at_now.size())];
+    }
+    e.cancel(handle[victim]);
+    forget(victim);
+    ++cancelled;
+  };
+  std::function<void(int)> on_fire;
+  const auto schedule = [&](Time t) {
+    const int id = static_cast<int>(key_of.size());
+    key_of.push_back(Key{t, ++seq, id});
+    model.insert(key_of.back());
+    pos_of.push_back(live_ids.size());
+    live_ids.push_back(id);
+    handle.push_back(e.schedule_at(t, [&on_fire, id] { on_fire(id); }));
+  };
+  const auto grid_time = [&] { return e.now() + 0.5 * rng.next_below(6); };
+  on_fire = [&](int id) {
+    ASSERT_FALSE(model.empty());
+    ASSERT_EQ(model.begin()->id, id) << "after " << fired << " firings";
+    ASSERT_EQ(e.now(), model.begin()->t);
+    ASSERT_LE(e.now(), deadline);
+    model_now = e.now();
+    forget(id);
+    ++fired;
+    const auto action = rng.next_below(10);
+    if (action < 3) {
+      schedule(e.now());  // zero-delay child: joins the draining batch
+    } else if (action < 6) {
+      schedule(e.now() + 0.5 * (1 + rng.next_below(3)));
+    } else if (action < 9) {
+      cancel_random(rng.next_below(2) == 0);
+    }
+  };
+
+  for (int op = 0; op < 4000; ++op) {
+    const auto kind = rng.next_below(100);
+    if (kind < 40) {
+      schedule(grid_time());
+    } else if (kind < 55) {
+      cancel_random(false);
+    } else if (kind < 75) {
+      const bool any = !model.empty();
+      const std::size_t before = fired;
+      EXPECT_EQ(e.step(), any);
+      EXPECT_EQ(fired, before + (any ? 1u : 0u));
+    } else if (kind < 97) {
+      deadline = e.now() + 0.25 * (static_cast<double>(rng.next_below(10)) - 2);
+      e.run_until(deadline);
+      EXPECT_TRUE(model.empty() || model.begin()->t > deadline);
+      model_now = std::max(model_now, deadline);
+      deadline = kNoDeadline;
+    } else {
+      for (int i = 0; i < 120; ++i) schedule(grid_time());
+      for (int i = 0; i < 100; ++i) cancel_random(false);
+    }
+    ASSERT_EQ(e.now(), model_now) << "after op " << op;
+    ASSERT_EQ(e.pending(), model.size()) << "after op " << op;
+  }
+  e.run();
+  EXPECT_TRUE(model.empty());
+  EXPECT_EQ(e.events_processed(), fired);
+  EXPECT_GT(fired, 2000u);
+  EXPECT_GT(cancelled, 64u * 20);
+}
+
+// --- SlotPool -------------------------------------------------------------
+
+TEST(SlotPoolTest, AddressesStableAcrossGrowth) {
+  SlotPool<int> pool;
+  std::vector<int*> addr;
+  for (int i = 0; i < 200; ++i) {  // past two 64-record chunks
+    const std::uint32_t s = pool.acquire();
+    ASSERT_EQ(s, static_cast<std::uint32_t>(i));  // fresh slots in order
+    pool[s] = i;
+    addr.push_back(&pool[s]);
+  }
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(&pool[static_cast<std::uint32_t>(i)], addr[i]);
+    EXPECT_EQ(*addr[i], i);
+  }
+}
+
+TEST(SlotPoolTest, ReleaseThenAcquireReturnsLastFreed) {
+  SlotPool<int> pool;
+  const std::uint32_t a = pool.acquire();
+  pool.acquire();
+  const std::uint32_t c = pool.acquire();
+  pool[a] = 7;
+  pool.release(a);
+  pool.release(c);
+  EXPECT_EQ(pool.acquire(), c);
+  EXPECT_EQ(pool.acquire(), a);
+  EXPECT_EQ(pool[a], 7);  // a recycled record is handed back as left
+  EXPECT_EQ(pool.acquire(), 3u);
+  EXPECT_EQ(pool.live(), 4u);
+}
+
+TEST(SlotPoolTest, CapacityFollowsPeakLive) {
+  SlotPool<int> pool;
+  std::vector<std::uint32_t> held;
+  for (int round = 0; round < 10; ++round) {
+    const int n = round == 5 ? 80 : 50;
+    for (int i = 0; i < n; ++i) held.push_back(pool.acquire());
+    for (std::uint32_t s : held) pool.release(s);
+    held.clear();
+    EXPECT_EQ(pool.live(), 0u);
+    EXPECT_EQ(pool.capacity(), round < 5 ? 50u : 80u);
+  }
+}
+
+TEST(SlotPoolTest, TrimWaitsUntilNoSlotIsLive) {
+  SlotPool<std::string> pool;
+  const std::uint32_t a = pool.acquire();
+  const std::uint32_t b = pool.acquire();
+  pool[a] = "kept";
+  pool.release(b);
+  pool.trim();  // `a` is live: nothing happens
+  EXPECT_EQ(pool.capacity(), 2u);
+  EXPECT_EQ(pool[a], "kept");
+  pool.release(a);
+  pool.trim();
+  EXPECT_EQ(pool.capacity(), 0u);
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.acquire(), 0u);
+  EXPECT_EQ(pool[0], "");  // a fresh record, not the trimmed one
+}
+
+struct Counted {
+  static inline int constructed = 0;
+  static inline int destroyed = 0;
+  Counted() { ++constructed; }
+  ~Counted() { ++destroyed; }
+};
+
+TEST(SlotPoolTest, EveryRecordDestroyedExactlyOnce) {
+  {
+    SlotPool<Counted> pool;
+    for (int i = 0; i < 130; ++i) pool.acquire();
+    for (std::uint32_t s = 0; s < 130; ++s) pool.release(s);
+    for (int i = 0; i < 130; ++i) pool.acquire();  // reuse: no new records
+    EXPECT_EQ(Counted::constructed, 130);
+    EXPECT_EQ(Counted::destroyed, 0);
+    for (std::uint32_t s = 0; s < 130; ++s) pool.release(s);
+    pool.trim();
+    EXPECT_EQ(Counted::destroyed, 130);
+    for (int i = 0; i < 70; ++i) pool.acquire();  // live at destruction
+  }
+  EXPECT_EQ(Counted::constructed, 200);
+  EXPECT_EQ(Counted::destroyed, 200);
 }
 
 // --- InlineFn -----------------------------------------------------------

@@ -27,6 +27,12 @@ struct StackCase {
   int root;
 };
 
+// Named ctest cases: without a printer, gtest prints the raw struct bytes.
+void PrintTo(const StackCase& c, std::ostream* os) {
+  *os << c.stack << " nodes=" << c.nodes << " ppn=" << c.ppn
+      << " count=" << c.count << " root=" << c.root;
+}
+
 class StackBcastData : public ::testing::TestWithParam<StackCase> {};
 
 TEST_P(StackBcastData, PayloadReachesEveryRank) {
