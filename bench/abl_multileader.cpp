@@ -10,13 +10,13 @@
 
 namespace han::bench {
 
-double measure_multileader(HanWorld& hw, std::size_t msg,
+double measure_multileader(core::HanWorld& hw, std::size_t msg,
                            const core::HanConfig& cfg, int k) {
   auto sync = std::make_shared<mpi::SyncDomain>(hw.world.engine(),
                                                 hw.world.world_size());
   auto worst = std::make_shared<double>(0.0);
   hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](HanWorld& hw2, std::shared_ptr<mpi::SyncDomain> sync2,
+    return [](core::HanWorld& hw2, std::shared_ptr<mpi::SyncDomain> sync2,
               std::shared_ptr<double> worst2, std::size_t msg2,
               core::HanConfig cfg2, int k2, int me) -> sim::CoTask {
       co_await *sync2->arrive();
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       "machine=aries nodes=" + std::to_string(scale.nodes) +
           " ppn=" + std::to_string(scale.ppn));
 
-  bench::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
+  core::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
   bench::Obs obs(args, "abl_multileader");
   obs.attach(hw.world, &hw.rt);
 

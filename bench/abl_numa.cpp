@@ -15,12 +15,13 @@
 
 namespace han::bench {
 
-double timed(HanWorld& hw, std::size_t bytes, const core::HanConfig& cfg) {
+double timed(core::HanWorld& hw, std::size_t bytes,
+             const core::HanConfig& cfg) {
   auto sync = std::make_shared<mpi::SyncDomain>(hw.world.engine(),
                                                 hw.world.world_size());
   auto worst = std::make_shared<double>(0.0);
   hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](HanWorld& hw2, std::shared_ptr<mpi::SyncDomain> sync2,
+    return [](core::HanWorld& hw2, std::shared_ptr<mpi::SyncDomain> sync2,
               std::shared_ptr<double> worst2, std::size_t bytes2,
               core::HanConfig cfg2, int me) -> sim::CoTask {
       co_await *sync2->arrive();
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
   sim::Table t({"bytes", "flat 2-level us", "derived 3-level us",
                 "3-level speedup"});
   for (std::size_t bytes : {1u << 20, 4u << 20, 16u << 20}) {
-    bench::HanWorld hw(machine::with_numa(
+    core::HanWorld hw(machine::with_numa(
         machine::make_aries(scale.nodes, scale.ppn), domains));
     obs.attach(hw.world, &hw.rt);
     const double t2 = bench::timed(hw, bytes, flat_cfg);

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
           " ppn=" + std::to_string(scale.ppn) + " message=" +
           sim::format_bytes(msg) + " segment=" + sim::format_bytes(seg));
 
-  bench::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
+  core::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
   bench::Obs obs(args, "abl_overlap_models");
   obs.attach(hw.world, &hw.rt);
   tune::TaskBench tb(hw.world, hw.han, hw.world.world_comm());

@@ -24,12 +24,13 @@
 
 namespace han::bench {
 
-double timed(HanWorld& hw, std::size_t bytes, const core::HanConfig& cfg) {
+double timed(core::HanWorld& hw, std::size_t bytes,
+             const core::HanConfig& cfg) {
   auto sync = std::make_shared<mpi::SyncDomain>(hw.world.engine(),
                                                 hw.world.world_size());
   auto worst = std::make_shared<double>(0.0);
   hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](HanWorld& hw2, std::shared_ptr<mpi::SyncDomain> sync2,
+    return [](core::HanWorld& hw2, std::shared_ptr<mpi::SyncDomain> sync2,
               std::shared_ptr<double> worst2, std::size_t bytes2,
               core::HanConfig cfg2, int me) -> sim::CoTask {
       co_await *sync2->arrive();
@@ -126,11 +127,11 @@ int main(int argc, char** argv) {
     row.bytes = bytes;
     for (std::size_t fs : fs_grid) {
       for (int sf : sf_grid) {
-        bench::HanWorld hw(profile);
+        core::HanWorld hw(profile);
         const double ts = bench::timed(hw, bytes, base_cfg(fs, sf));
         if (ts < row.striped.t) row.striped = {ts, base_cfg(fs, sf)};
       }
-      bench::HanWorld hw(profile);
+      core::HanWorld hw(profile);
       obs.attach(hw.world, &hw.rt);
       const double t1 = bench::timed(hw, bytes, base_cfg(fs, 1));
       if (t1 < row.single.t) row.single = {t1, base_cfg(fs, 1)};
@@ -155,7 +156,7 @@ int main(int argc, char** argv) {
   // Part 2 — the unforced tuner. SearchSpace::for_profile crosses the
   // stripe axis in automatically on multi-rail profiles; large-message
   // winners must carry sf>1 without any forcing.
-  bench::HanWorld tw(profile);
+  core::HanWorld tw(profile);
   tune::Tuner tuner(tw.world, tw.han, tw.world.world_comm(),
                     tune::SearchSpace::for_profile(profile));
   tune::TunerOptions topt;

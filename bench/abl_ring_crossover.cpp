@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
       "machine=aries nodes=" + std::to_string(scale.nodes) +
           " ppn=" + std::to_string(scale.ppn));
 
-  bench::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
+  core::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
   bench::Obs obs(args, "abl_ring_crossover");
   obs.attach(hw.world, &hw.rt);
   tune::Searcher searcher(hw.world, hw.han, hw.world.world_comm());

@@ -14,14 +14,14 @@
 namespace han::bench {
 
 /// The fused variant: per segment, sr → inter-allreduce → sb.
-double measure_fused(HanWorld& hw, std::size_t msg, std::size_t fs) {
+double measure_fused(core::HanWorld& hw, std::size_t msg, std::size_t fs) {
   core::Hierarchy& hc = hw.han.flat_hierarchy(hw.world.world_comm());
   auto sync = std::make_shared<mpi::SyncDomain>(hw.world.engine(),
                                                 hw.world.world_size());
   auto worst = std::make_shared<double>(0.0);
 
   hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](HanWorld& hw2, core::Hierarchy& hc2,
+    return [](core::HanWorld& hw2, core::Hierarchy& hc2,
               std::shared_ptr<mpi::SyncDomain> sync2,
               std::shared_ptr<double> worst2, std::size_t msg2, std::size_t fs2,
               int pr) -> sim::CoTask {
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
       "machine=aries nodes=" + std::to_string(scale.nodes) +
           " ppn=" + std::to_string(scale.ppn));
 
-  bench::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
+  core::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
   bench::Obs obs(args, "abl_split_interallreduce");
   obs.attach(hw.world, &hw.rt);
   tune::Searcher searcher(hw.world, hw.han, hw.world.world_comm());

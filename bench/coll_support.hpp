@@ -1,6 +1,6 @@
-// Bench-side helpers: a SimWorld wired with the collective machinery and
-// the HAN module, and the configuration lists the task/model figures
-// sweep.
+// Bench-side helpers: the HAN stack every figure runs on
+// (core::HanWorld, han/han.hpp) and the configuration lists the
+// task/model figures sweep.
 #pragma once
 
 #include <vector>
@@ -8,18 +8,6 @@
 #include "han/han.hpp"
 
 namespace han::bench {
-
-/// World + runtime + submodules + HAN, timing-only mode.
-struct HanWorld {
-  explicit HanWorld(machine::MachineProfile profile)
-      : world(std::move(profile)), rt(world), mods(world, rt),
-        han(world, rt, mods) {}
-
-  mpi::SimWorld world;
-  coll::CollRuntime rt;
-  coll::ModuleSet mods;
-  core::HanModule han;
-};
 
 /// The submodule/algorithm combinations Figs. 2-4 sweep: Libnbc (one
 /// algorithm) and ADAPT's chain/binary/binomial, over SM intra.

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
           " ppn=" + std::to_string(scale.ppn) +
           " segment=" + sim::format_bytes(seg));
 
-  bench::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
+  core::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
   bench::Obs obs(args, "fig02_task_costs");
   obs.attach(hw.world, &hw.rt);
   tune::TaskBench tb(hw.world, hw.han, hw.world.world_comm());

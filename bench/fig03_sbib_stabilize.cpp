@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
           " ppn=" + std::to_string(scale.ppn) + " segment=" +
           sim::format_bytes(seg) + " leader=" + std::to_string(leader));
 
-  bench::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
+  core::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
   bench::Obs obs(args, "fig03_sbib_stabilize");
   obs.attach(hw.world, &hw.rt);
   tune::TaskBench tb(hw.world, hw.han, hw.world.world_comm());

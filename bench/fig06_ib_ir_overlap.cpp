@@ -14,7 +14,7 @@ struct OverlapResult {
   double both_max = 0.0;
 };
 
-OverlapResult measure_overlap(HanWorld& hw, const core::HanConfig& cfg,
+OverlapResult measure_overlap(core::HanWorld& hw, const core::HanConfig& cfg,
                               std::size_t seg) {
   using coll::CollConfig;
   core::Hierarchy& hc = hw.han.flat_hierarchy(hw.world.world_comm());
@@ -28,7 +28,8 @@ OverlapResult measure_overlap(HanWorld& hw, const core::HanConfig& cfg,
                                                   hw.world.world_size());
     auto worst = std::make_shared<double>(0.0);
     hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-      return [](HanWorld& hw3, core::Hierarchy& hc2, coll::CollModule* imod2,
+      return [](core::HanWorld& hw3, core::Hierarchy& hc2,
+                coll::CollModule* imod2,
                 CollConfig ibcfg2, CollConfig ircfg2,
                 std::shared_ptr<mpi::SyncDomain> sync2,
                 std::shared_ptr<double> worst3, std::size_t seg2, int phase2,
@@ -68,11 +69,11 @@ OverlapResult measure_overlap(HanWorld& hw, const core::HanConfig& cfg,
 /// task graph pipelines ir against ib across segments (paper Fig. 5). Run
 /// through HanModule so the emitted report carries the scheduler's
 /// han.task.* counters alongside the isolated two-task measurement above.
-double han_allreduce(HanWorld& hw, const core::HanConfig& cfg,
+double han_allreduce(core::HanWorld& hw, const core::HanConfig& cfg,
                      std::size_t msg) {
   auto worst = std::make_shared<double>(0.0);
   hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](HanWorld& hw2, core::HanConfig cfg2, std::size_t msg2,
+    return [](core::HanWorld& hw2, core::HanConfig cfg2, std::size_t msg2,
               std::shared_ptr<double> worst2, int pr) -> sim::CoTask {
       const double t0 = hw2.world.now();
       mpi::Request r = hw2.han.iallreduce_cfg(
@@ -100,7 +101,7 @@ int main(int argc, char** argv) {
           " ppn=" + std::to_string(scale.ppn) +
           " segment=" + sim::format_bytes(seg));
 
-  bench::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
+  core::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
   bench::Obs obs(args, "fig06_ib_ir_overlap");
   obs.attach(hw.world, &hw.rt);
 

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
           " ppn=" + std::to_string(scale.ppn) +
           " message=" + sim::format_bytes(msg));
 
-  bench::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
+  core::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
   bench::Obs obs(args, "fig07_allreduce_model");
   obs.attach(hw.world, &hw.rt);
   tune::Searcher searcher(hw.world, hw.han, hw.world.world_comm());

@@ -64,7 +64,7 @@ FleetPass fleet_tune(tune::TuneDb& db, const std::vector<FleetShape>& fleet,
         perturbed != nullptr && i == perturbed_index
             ? *perturbed
             : fleet_profile(fleet[i]);
-    bench::HanWorld hw(std::move(profile));
+    core::HanWorld hw(std::move(profile));
     tune::Tuner tuner(hw.world, hw.han, hw.world.world_comm());
     const tune::WarmStartReport rep = tune::warm_tune(db, tuner, topts);
     pass.cost += rep.tuning_cost;
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   struct Cell {
     coll::CollKind kind;
     int strategy;
-    std::unique_ptr<bench::HanWorld> hw;
+    std::unique_ptr<core::HanWorld> hw;
     double cost = 0.0;
     int evaluations = 0;
   };
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
         Cell c = std::move(cells[static_cast<std::size_t>(i)]);
         const bool task_based = c.strategy >= 2;
         const bool heuristics = c.strategy == 1 || c.strategy == 3;
-        c.hw = std::make_unique<bench::HanWorld>(
+        c.hw = std::make_unique<core::HanWorld>(
             machine::make_aries(scale.nodes, scale.ppn));
         c.hw->world.metrics().set_meta("binary", "fig08_tuning_cost");
         tune::Searcher s(c.hw->world, c.hw->han, c.hw->world.world_comm());

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   for (coll::CollKind kind :
        {coll::CollKind::Bcast, coll::CollKind::Allreduce}) {
-    bench::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
+    core::HanWorld hw(machine::make_aries(scale.nodes, scale.ppn));
     obs.attach(hw.world, &hw.rt);
     tune::Searcher s(hw.world, hw.han, hw.world.world_comm());
     s.prepare(kind, false);

@@ -129,7 +129,9 @@ bool LookupTable::deserialize(const std::string& text, LookupTable* out) {
     }
     bool ok = false;
     const coll::CollKind kind = parse_kind(kind_s, &ok);
-    if (!ok || nodes <= 0 || ppn <= 0 || log2b < 0) return false;
+    if (!ok || nodes <= 0 || ppn <= 0 || log2b < 0 || log2b > kMaxBucket) {
+      return false;
+    }
     std::string rest;
     std::getline(ls, rest);
     // Trim the leading space after ':'.

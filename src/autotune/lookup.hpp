@@ -40,6 +40,9 @@ class LookupTable {
   };
 
   static int bucket_of(std::size_t bytes);
+  /// bucket_of's largest result; deserialize() rejects larger buckets,
+  /// whose `1 << log2_bytes` would overflow std::size_t.
+  static constexpr int kMaxBucket = 63;
 
   void insert(coll::CollKind kind, int nodes, int ppn, std::size_t bytes,
               const core::HanConfig& cfg);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "han/task/scheduler.hpp"
+#include "han/task/shapes.hpp"
 #include "han/task/stripe.hpp"
 
 namespace han::tune {
@@ -10,6 +12,9 @@ namespace han::tune {
 using coll::CollConfig;
 using core::HanConfig;
 using mpi::BufView;
+using task::Level;
+using task::Op;
+using task::TaskNode;
 
 double PerLeader::max() const {
   HAN_ASSERT(!t.empty());
@@ -41,536 +46,247 @@ TaskBench::TaskBench(mpi::SimWorld& world, core::HanModule& han,
   leaders_ = han.flat_hierarchy(comm).node_count();
 }
 
-void TaskBench::run_charged(const mpi::SimWorld::Program& program) {
-  const double before = world_->now();
-  world_->run(program);
-  const double elapsed = world_->now() - before;
-  cost_ += elapsed;
-  world_->metrics().counter("tune.taskbench.runs").add(1.0);
-  world_->metrics().counter("tune.taskbench.seconds").add(elapsed);
-}
-
 namespace {
 
-/// Average iteration results into a PerLeader.
-PerLeader average(const std::vector<std::vector<double>>& iters,
-                  int leaders) {
-  PerLeader out;
-  out.t.assign(leaders, 0.0);
-  for (const auto& it : iters) {
-    for (int l = 0; l < leaders; ++l) out.t[l] += it[l];
-  }
-  for (double& v : out.t) v /= static_cast<double>(iters.size());
-  return out;
+/// A benchmarked task: `op` on `level` through `mod` under `cfg`, in `sf`
+/// rail slices. The runner fills in the communicator, ranks and buffers.
+TaskNode task_of(Op op, Level level, coll::CollModule* mod,
+                 CollConfig cfg = {}, int sf = 1) {
+  TaskNode n;
+  n.op = op;
+  n.level = level;
+  n.mod = mod;
+  n.cfg = cfg;
+  n.sf = sf;
+  return n;
+}
+
+/// The intra-node task `op` of `cfg`: its submodule under CollConfig{}.
+TaskNode intra(core::HanModule& han, const HanConfig& cfg, Op op) {
+  return task_of(op, Level::Intra, han.intra_module(cfg));
+}
+
+/// The inter-node task `op` of `cfg` under `icfg`, striped as the
+/// builders stripe it, so the composite task costs the model reuses
+/// already price the configured sf.
+TaskNode inter(core::HanModule& han, const HanConfig& cfg, Op op,
+               CollConfig icfg) {
+  return task_of(op, Level::Inter, han.inter_module(cfg), icfg, cfg.sf);
+}
+
+/// The mid-level task `op` of `cfg`, mirroring task/builders.cpp's
+/// ladder_module for a mid level: the shared submodule, or the
+/// copy-in-copy-out p2p module under the zero-copy switchover.
+TaskNode mid(core::HanModule& han, const HanConfig& cfg, Op op,
+             std::size_t seg_bytes) {
+  coll::CollModule* mod = cfg.zcs > 0 && seg_bytes < cfg.zcs
+                              ? &han.modules().libnbc()
+                              : han.intra_module(cfg);
+  return task_of(op, Level::Mid, mod, {cfg.malg, cfg.ms});
+}
+
+/// Mean over the iterations of a one-step benchmark.
+PerLeader mean(const PipelineTrace& trace) {
+  return trace.stabilized(static_cast<int>(trace.steps.size()));
 }
 
 }  // namespace
 
-PerLeader TaskBench::bench_ib(const HanConfig& cfg, std::size_t seg_bytes,
-                              int iters) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
-  coll::CollModule* imod = han_->inter_module(cfg);
-  const CollConfig icfg{cfg.ibalg, cfg.ibs};
-  // Inter benches stripe exactly as the builders do, so the composite
-  // task costs the model reuses already price the configured sf.
-  const int sf = task::effective_sf(cfg.sf, world_->profile(), seg_bytes,
-                                    mpi::Datatype::Byte);
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  std::vector<std::vector<double>> results(iters,
-                                           std::vector<double>(leaders_, 0));
+PipelineTrace TaskBench::run(const core::Hierarchy& hc,
+                             const std::vector<Stage>& stages,
+                             std::size_t bytes, int u, int iters,
+                             const PerLeader* delay_by) {
+  // What every rank's program reads and writes; it outlives them all,
+  // since world_->run returns once every rank has finished.
+  struct Job {
+    TaskBench& tb;
+    const core::Hierarchy& hc;
+    const std::vector<Stage>& stages;
+    std::size_t bytes;
+    int u, steps, iters;
+    const PerLeader* delay_by;
+    mpi::SyncDomain sync;
+    PipelineTrace out;
+  };
+  int max_lag = 0;
+  for (const Stage& s : stages) max_lag = std::max(max_lag, s.lag);
+  Job job{*this, hc, stages, bytes, u, u + max_lag, iters, delay_by,
+          mpi::SyncDomain(world_->engine(), comm_->size()), {}};
+  job.out.steps.assign(static_cast<std::size_t>(iters) * job.steps,
+                       PerLeader{std::vector<double>(leaders_, 0.0)});
 
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc11, coll::CollModule* imod7,
-              CollConfig icfg4, std::shared_ptr<mpi::SyncDomain> sync11,
-              std::vector<std::vector<double>>& results8, std::size_t seg,
-              int iters8, int sf8, int pr) -> sim::CoTask {
-      const bool leader = hc11.low_rank(pr) == 0;
-      for (int it = 0; it < iters8; ++it) {
-        co_await *sync11->arrive();
-        if (leader) {
-          const double t0 = tb.world().now();
-          mpi::Request r = task::striped_ibcast(
-              tb.world().engine(), imod7, *hc11.up(pr), hc11.up_rank(pr), 0,
-              BufView::timing_only(seg), mpi::Datatype::Byte, icfg4, sf8);
-          co_await *r;
-          results8[it][hc11.up_rank(pr)] = tb.world().now() - t0;
+  const double before = world_->now();
+  world_->run([&](mpi::Rank& rank) -> sim::CoTask {
+    return [](Job& r, int pr) -> sim::CoTask {
+      sim::Engine& engine = r.tb.world().engine();
+      const int top = r.hc.depth() - 1;
+      const bool recorder = r.hc.leader_below(top, pr);
+      // This rank's node of every stage; a null comm where it sits out.
+      std::vector<TaskNode> nodes;
+      for (const Stage& s : r.stages) {
+        TaskNode n = s.node;
+        const int l = n.level == Level::Intra ? 0
+                      : n.level == Level::Mid ? 1
+                                              : top;
+        const mpi::Comm* c = r.hc.comm(l, pr);
+        if (n.level == Level::Intra ||
+            (n.level == Level::Inter ? recorder
+                                     : c != nullptr && c->size() >= 2)) {
+          const bool split = n.op == Op::Scatter || n.op == Op::ReduceScatter;
+          n.comm = c;
+          n.me = r.hc.rank(l, pr);
+          n.send = BufView::timing_only(r.bytes);
+          n.recv = BufView::timing_only(split ? r.bytes / c->size() : r.bytes);
+          n.sf = task::effective_sf(n.sf, r.tb.world().profile(), r.bytes,
+                                    mpi::Datatype::Byte);
+        }
+        nodes.push_back(std::move(n));
+      }
+      std::vector<mpi::Request> reqs;
+      for (int it = 0; it < r.iters; ++it) {
+        co_await *r.sync.arrive();
+        if (recorder && r.delay_by != nullptr) {
+          // Reproduce the staggered entry after ib(0): the paper's key
+          // benchmarking correction (Fig. 2, red bars).
+          co_await sim::Delay{engine, r.delay_by->t[r.hc.rank(top, pr)]};
+        }
+        for (int t = 0; t < r.steps; ++t) {
+          const double t0 = r.tb.world().now();
+          reqs.clear();
+          for (std::size_t s = 0; s < nodes.size(); ++s) {
+            const int seg = t - r.stages[s].lag;
+            if (nodes[s].comm != nullptr && seg >= 0 && seg < r.u) {
+              reqs.push_back(task::dispatch(engine, nodes[s]));
+            }
+          }
+          if (reqs.empty()) continue;
+          if (reqs.size() == 1) {
+            co_await *reqs.front();
+          } else {
+            co_await mpi::wait_all(engine, std::move(reqs));
+          }
+          if (recorder) {
+            r.out.steps[it * r.steps + t].t[r.hc.rank(top, pr)] =
+                r.tb.world().now() - t0;
+          }
         }
       }
-    }(*this, hc, imod, icfg, sync, results, seg_bytes, iters, sf,
-      rank.world_rank);
+    }(job, rank.world_rank);
   });
-  return average(results, leaders_);
+  const double elapsed = world_->now() - before;
+  cost_ += elapsed;
+  world_->metrics().counter("tune.taskbench.runs").add(1.0);
+  world_->metrics().counter("tune.taskbench.seconds").add(elapsed);
+  return std::move(job.out);
+}
+
+PipelineTrace TaskBench::allreduce_chain(const HanConfig& cfg,
+                                         std::size_t seg_bytes, int steps,
+                                         int count) {
+  std::vector<Stage> stages;
+  for (const task::StageSpec& s : task::allreduce_shape(/*has_intra=*/true)) {
+    if (static_cast<int>(stages.size()) == count) break;
+    const CollConfig icfg{cfg.iralg, s.op == Op::Reduce ? cfg.irs : cfg.ibs};
+    stages.push_back({s.level == Level::Intra ? intra(*han_, cfg, s.op)
+                                              : inter(*han_, cfg, s.op, icfg),
+                      s.lag});
+  }
+  return run(han_->flat_hierarchy(*comm_), stages, seg_bytes, steps, 1);
+}
+
+PerLeader TaskBench::bench_ib(const HanConfig& cfg, std::size_t seg_bytes,
+                              int iters) {
+  const CollConfig icfg{cfg.ibalg, cfg.ibs};
+  return mean(run(han_->flat_hierarchy(*comm_),
+                  {{inter(*han_, cfg, Op::Bcast, icfg)}}, seg_bytes, 1,
+                  iters));
 }
 
 PerLeader TaskBench::bench_sb(const HanConfig& cfg, std::size_t seg_bytes,
                               int iters) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
-  coll::CollModule* smod = han_->intra_module(cfg);
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  std::vector<std::vector<double>> results(iters,
-                                           std::vector<double>(leaders_, 0));
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc10, coll::CollModule* smod8,
-              std::shared_ptr<mpi::SyncDomain> sync10,
-              std::vector<std::vector<double>>& results7, std::size_t seg,
-              int iters7, int pr) -> sim::CoTask {
-      const bool leader = hc10.low_rank(pr) == 0;
-      for (int it = 0; it < iters7; ++it) {
-        co_await *sync10->arrive();
-        const double t0 = tb.world().now();
-        mpi::Request r =
-            smod8->ibcast(hc10.low(pr), hc10.low_rank(pr), 0,
-                         BufView::timing_only(seg), mpi::Datatype::Byte,
-                         CollConfig{});
-        co_await *r;
-        if (leader) results7[it][hc10.up_rank(pr)] = tb.world().now() - t0;
-      }
-    }(*this, hc, smod, sync, results, seg_bytes, iters, rank.world_rank);
-  });
-  return average(results, leaders_);
+  return mean(run(han_->flat_hierarchy(*comm_),
+                  {{intra(*han_, cfg, Op::Bcast)}}, seg_bytes, 1, iters));
 }
 
 PerLeader TaskBench::bench_concurrent_ib_sb(const HanConfig& cfg,
                                             std::size_t seg_bytes,
                                             int iters) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
-  coll::CollModule* imod = han_->inter_module(cfg);
-  coll::CollModule* smod = han_->intra_module(cfg);
   const CollConfig icfg{cfg.ibalg, cfg.ibs};
-  const int sf = task::effective_sf(cfg.sf, world_->profile(), seg_bytes,
-                                    mpi::Datatype::Byte);
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  std::vector<std::vector<double>> results(iters,
-                                           std::vector<double>(leaders_, 0));
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc9, coll::CollModule* imod6,
-              coll::CollModule* smod7, CollConfig icfg3,
-              std::shared_ptr<mpi::SyncDomain> sync9,
-              std::vector<std::vector<double>>& results6, std::size_t seg,
-              int iters6, int sf6, int pr) -> sim::CoTask {
-      const bool leader = hc9.low_rank(pr) == 0;
-      for (int it = 0; it < iters6; ++it) {
-        co_await *sync9->arrive();
-        const double t0 = tb.world().now();
-        std::vector<mpi::Request> task;
-        task.push_back(smod7->ibcast(hc9.low(pr), hc9.low_rank(pr), 0,
-                                    BufView::timing_only(seg),
-                                    mpi::Datatype::Byte, CollConfig{}));
-        if (leader) {
-          task.push_back(task::striped_ibcast(
-              tb.world().engine(), imod6, *hc9.up(pr), hc9.up_rank(pr), 0,
-              BufView::timing_only(seg), mpi::Datatype::Byte, icfg3, sf6));
-        }
-        co_await mpi::wait_all(tb.world().engine(), std::move(task));
-        if (leader) results6[it][hc9.up_rank(pr)] = tb.world().now() - t0;
-      }
-    }(*this, hc, imod, smod, icfg, sync, results, seg_bytes, iters, sf,
-      rank.world_rank);
-  });
-  return average(results, leaders_);
+  return mean(run(han_->flat_hierarchy(*comm_),
+                  {{intra(*han_, cfg, Op::Bcast)},
+                   {inter(*han_, cfg, Op::Bcast, icfg)}},
+                  seg_bytes, 1, iters));
 }
 
 PipelineTrace TaskBench::bench_sbib_pipeline(const HanConfig& cfg,
                                              std::size_t seg_bytes,
                                              int steps,
                                              const PerLeader& delay_by) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
-  coll::CollModule* imod = han_->inter_module(cfg);
-  coll::CollModule* smod = han_->intra_module(cfg);
   const CollConfig icfg{cfg.ibalg, cfg.ibs};
-  const int sf = task::effective_sf(cfg.sf, world_->profile(), seg_bytes,
-                                    mpi::Datatype::Byte);
-
-  PipelineTrace trace;
-  trace.steps.assign(steps, PerLeader{std::vector<double>(leaders_, 0.0)});
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc8, coll::CollModule* imod5,
-              coll::CollModule* smod6, CollConfig icfg2,
-              std::shared_ptr<mpi::SyncDomain> sync8, PipelineTrace& trace4,
-              const PerLeader& delay_by2, std::size_t seg, int steps2,
-              int sf5, int pr) -> sim::CoTask {
-      const bool leader = hc8.low_rank(pr) == 0;
-      co_await *sync8->arrive();
-      if (leader) {
-        // Reproduce the staggered entry after ib(0): the paper's key
-        // benchmarking correction (Fig. 2, red bars).
-        co_await sim::Delay{tb.world().engine(),
-                            delay_by2.t[hc8.up_rank(pr)]};
-        for (int k = 0; k < steps2; ++k) {
-          const double t0 = tb.world().now();
-          std::vector<mpi::Request> task;
-          task.push_back(smod6->ibcast(hc8.low(pr), hc8.low_rank(pr), 0,
-                                      BufView::timing_only(seg),
-                                      mpi::Datatype::Byte, CollConfig{}));
-          task.push_back(task::striped_ibcast(
-              tb.world().engine(), imod5, *hc8.up(pr), hc8.up_rank(pr), 0,
-              BufView::timing_only(seg), mpi::Datatype::Byte, icfg2, sf5));
-          co_await mpi::wait_all(tb.world().engine(), std::move(task));
-          trace4.steps[k].t[hc8.up_rank(pr)] = tb.world().now() - t0;
-        }
-      } else {
-        for (int k = 0; k < steps2; ++k) {
-          mpi::Request r =
-              smod6->ibcast(hc8.low(pr), hc8.low_rank(pr), 0,
-                           BufView::timing_only(seg), mpi::Datatype::Byte,
-                           CollConfig{});
-          co_await *r;
-        }
-      }
-    }(*this, hc, imod, smod, icfg, sync, trace, delay_by, seg_bytes, steps,
-      sf, rank.world_rank);
-  });
-  return trace;
+  return run(han_->flat_hierarchy(*comm_),
+             {{intra(*han_, cfg, Op::Bcast)},
+              {inter(*han_, cfg, Op::Bcast, icfg)}},
+             seg_bytes, steps, 1, &delay_by);
 }
 
 PerLeader TaskBench::bench_sr(const HanConfig& cfg, std::size_t seg_bytes,
                               int iters) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
-  coll::CollModule* smod = han_->intra_module(cfg);
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  std::vector<std::vector<double>> results(iters,
-                                           std::vector<double>(leaders_, 0));
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc7, coll::CollModule* smod5,
-              std::shared_ptr<mpi::SyncDomain> sync7,
-              std::vector<std::vector<double>>& results5, std::size_t seg,
-              int iters5, int pr) -> sim::CoTask {
-      const bool leader = hc7.low_rank(pr) == 0;
-      for (int it = 0; it < iters5; ++it) {
-        co_await *sync7->arrive();
-        const double t0 = tb.world().now();
-        mpi::Request r = smod5->ireduce(
-            hc7.low(pr), hc7.low_rank(pr), 0, BufView::timing_only(seg),
-            BufView::timing_only(seg), mpi::Datatype::Byte,
-            mpi::ReduceOp::Sum, CollConfig{});
-        co_await *r;
-        if (leader) results5[it][hc7.up_rank(pr)] = tb.world().now() - t0;
-      }
-    }(*this, hc, smod, sync, results, seg_bytes, iters, rank.world_rank);
-  });
-  return average(results, leaders_);
+  return mean(run(han_->flat_hierarchy(*comm_),
+                  {{intra(*han_, cfg, Op::Reduce)}}, seg_bytes, 1, iters));
 }
 
 PerLeader TaskBench::bench_mb(const HanConfig& cfg, std::size_t seg_bytes,
                               int iters) {
-  core::Hierarchy& hc = han_->ladder_for(*comm_, cfg);
+  const core::Hierarchy& hc = han_->ladder_for(*comm_, cfg);
   HAN_ASSERT_MSG(hc.depth() >= 3, "bench_mb needs a mid ladder level");
-  // Mirror task/builders.cpp's ladder_module for a mid level: the shared
-  // submodule, or the copy-in-copy-out p2p module under the switchover.
-  coll::CollModule* mod = cfg.zcs > 0 && seg_bytes < cfg.zcs
-                              ? &han_->modules().libnbc()
-                              : han_->intra_module(cfg);
-  const CollConfig mcfg{cfg.malg, cfg.ms};
-  const int top = hc.depth() - 1;
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  std::vector<std::vector<double>> results(iters,
-                                           std::vector<double>(leaders_, 0));
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc12, coll::CollModule* mod9,
-              CollConfig mcfg5, std::shared_ptr<mpi::SyncDomain> sync12,
-              std::vector<std::vector<double>>& results9, std::size_t seg,
-              int iters9, int top2, int pr) -> sim::CoTask {
-      // Every slot family broadcasts over its own mid comm; the node
-      // leaders' walk is the one the model prices.
-      const mpi::Comm* mid = hc12.comm(1, pr);
-      const bool leader = hc12.leader_below(top2, pr);
-      for (int it = 0; it < iters9; ++it) {
-        co_await *sync12->arrive();
-        if (mid == nullptr || mid->size() < 2) continue;
-        const double t0 = tb.world().now();
-        mpi::Request r =
-            mod9->ibcast(*mid, hc12.rank(1, pr), 0,
-                         BufView::timing_only(seg), mpi::Datatype::Byte,
-                         mcfg5);
-        co_await *r;
-        if (leader) {
-          results9[it][hc12.rank(top2, pr)] = tb.world().now() - t0;
-        }
-      }
-    }(*this, hc, mod, mcfg, sync, results, seg_bytes, iters, top,
-      rank.world_rank);
-  });
-  return average(results, leaders_);
+  return mean(run(hc, {{mid(*han_, cfg, Op::Bcast, seg_bytes)}}, seg_bytes,
+                  1, iters));
 }
 
 PerLeader TaskBench::bench_mr(const HanConfig& cfg, std::size_t seg_bytes,
                               int iters) {
-  core::Hierarchy& hc = han_->ladder_for(*comm_, cfg);
+  const core::Hierarchy& hc = han_->ladder_for(*comm_, cfg);
   HAN_ASSERT_MSG(hc.depth() >= 3, "bench_mr needs a mid ladder level");
-  coll::CollModule* mod = cfg.zcs > 0 && seg_bytes < cfg.zcs
-                              ? &han_->modules().libnbc()
-                              : han_->intra_module(cfg);
-  const CollConfig mcfg{cfg.malg, cfg.ms};
-  const int top = hc.depth() - 1;
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  std::vector<std::vector<double>> results(iters,
-                                           std::vector<double>(leaders_, 0));
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc13, coll::CollModule* mod10,
-              CollConfig mcfg6, std::shared_ptr<mpi::SyncDomain> sync13,
-              std::vector<std::vector<double>>& results10, std::size_t seg,
-              int iters10, int top3, int pr) -> sim::CoTask {
-      const mpi::Comm* mid = hc13.comm(1, pr);
-      const bool leader = hc13.leader_below(top3, pr);
-      for (int it = 0; it < iters10; ++it) {
-        co_await *sync13->arrive();
-        if (mid == nullptr || mid->size() < 2) continue;
-        const double t0 = tb.world().now();
-        mpi::Request r = mod10->ireduce(
-            *mid, hc13.rank(1, pr), 0, BufView::timing_only(seg),
-            BufView::timing_only(seg), mpi::Datatype::Byte,
-            mpi::ReduceOp::Sum, mcfg6);
-        co_await *r;
-        if (leader) {
-          results10[it][hc13.rank(top3, pr)] = tb.world().now() - t0;
-        }
-      }
-    }(*this, hc, mod, mcfg, sync, results, seg_bytes, iters, top,
-      rank.world_rank);
-  });
-  return average(results, leaders_);
+  return mean(run(hc, {{mid(*han_, cfg, Op::Reduce, seg_bytes)}}, seg_bytes,
+                  1, iters));
 }
 
 PipelineTrace TaskBench::bench_allreduce_pipeline(const HanConfig& cfg,
                                                   std::size_t seg_bytes,
                                                   int steps) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
-  coll::CollModule* imod = han_->inter_module(cfg);
-  coll::CollModule* smod = han_->intra_module(cfg);
-  const CollConfig ircfg{cfg.iralg, cfg.irs};
-  const CollConfig ibcfg{cfg.iralg, cfg.ibs};
-  const int sf = task::effective_sf(cfg.sf, world_->profile(), seg_bytes,
-                                    mpi::Datatype::Byte);
-
-  const int total_steps = steps + 3;
-  PipelineTrace trace;
-  trace.steps.assign(total_steps,
-                     PerLeader{std::vector<double>(leaders_, 0.0)});
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc6, coll::CollModule* imod4,
-              coll::CollModule* smod4, CollConfig ircfg3, CollConfig ibcfg2,
-              std::shared_ptr<mpi::SyncDomain> sync6, PipelineTrace& trace3,
-              std::size_t seg, int u, int total_steps3, int sf4,
-              int pr) -> sim::CoTask {
-      const bool leader = hc6.low_rank(pr) == 0;
-      const mpi::Datatype dt = mpi::Datatype::Byte;
-      const mpi::ReduceOp op = mpi::ReduceOp::Sum;
-      co_await *sync6->arrive();
-      for (int t = 0; t < total_steps3; ++t) {
-        const double t0 = tb.world().now();
-        std::vector<mpi::Request> task;
-        if (leader) {
-          if (t <= u - 1) {
-            task.push_back(smod4->ireduce(hc6.low(pr), hc6.low_rank(pr), 0,
-                                         BufView::timing_only(seg),
-                                         BufView::timing_only(seg), dt, op,
-                                         CollConfig{}));
-          }
-          if (t >= 1 && t - 1 <= u - 1) {
-            task.push_back(task::striped_ireduce(
-                tb.world().engine(), imod4, *hc6.up(pr), hc6.up_rank(pr), 0,
-                BufView::timing_only(seg), BufView::timing_only(seg), dt,
-                op, ircfg3, sf4));
-          }
-          if (t >= 2 && t - 2 <= u - 1) {
-            task.push_back(task::striped_ibcast(
-                tb.world().engine(), imod4, *hc6.up(pr), hc6.up_rank(pr), 0,
-                BufView::timing_only(seg), dt, ibcfg2, sf4));
-          }
-          if (t >= 3 && t - 3 <= u - 1) {
-            task.push_back(smod4->ibcast(hc6.low(pr), hc6.low_rank(pr), 0,
-                                        BufView::timing_only(seg), dt,
-                                        CollConfig{}));
-          }
-        } else {
-          if (t <= u - 1) {
-            task.push_back(smod4->ireduce(hc6.low(pr), hc6.low_rank(pr), 0,
-                                         BufView::timing_only(seg),
-                                         BufView::timing_only(seg), dt, op,
-                                         CollConfig{}));
-          }
-          if (t >= 3 && t - 3 <= u - 1) {
-            task.push_back(smod4->ibcast(hc6.low(pr), hc6.low_rank(pr), 0,
-                                        BufView::timing_only(seg), dt,
-                                        CollConfig{}));
-          }
-        }
-        if (!task.empty()) {
-          co_await mpi::wait_all(tb.world().engine(), std::move(task));
-        }
-        if (leader) trace3.steps[t].t[hc6.up_rank(pr)] = tb.world().now() - t0;
-      }
-    }(*this, hc, imod, smod, ircfg, ibcfg, sync, trace, seg_bytes, steps,
-      total_steps, sf, rank.world_rank);
-  });
-  return trace;
+  return allreduce_chain(cfg, seg_bytes, steps, 4);
 }
 
 PipelineTrace TaskBench::bench_reduce_pipeline(const HanConfig& cfg,
                                                std::size_t seg_bytes,
                                                int steps) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
-  coll::CollModule* imod = han_->inter_module(cfg);
-  coll::CollModule* smod = han_->intra_module(cfg);
-  const CollConfig ircfg{cfg.iralg, cfg.irs};
-  const int sf = task::effective_sf(cfg.sf, world_->profile(), seg_bytes,
-                                    mpi::Datatype::Byte);
-
-  const int total_steps = steps + 1;
-  PipelineTrace trace;
-  trace.steps.assign(total_steps,
-                     PerLeader{std::vector<double>(leaders_, 0.0)});
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc5, coll::CollModule* imod3,
-              coll::CollModule* smod3, CollConfig ircfg2,
-              std::shared_ptr<mpi::SyncDomain> sync5, PipelineTrace& trace2,
-              std::size_t seg, int u, int total_steps2, int sf5,
-              int pr) -> sim::CoTask {
-      const bool leader = hc5.low_rank(pr) == 0;
-      const mpi::Datatype dt = mpi::Datatype::Byte;
-      const mpi::ReduceOp op = mpi::ReduceOp::Sum;
-      co_await *sync5->arrive();
-      for (int t = 0; t < total_steps2; ++t) {
-        const double t0 = tb.world().now();
-        std::vector<mpi::Request> task;
-        if (t <= u - 1) {
-          task.push_back(smod3->ireduce(hc5.low(pr), hc5.low_rank(pr), 0,
-                                       BufView::timing_only(seg),
-                                       BufView::timing_only(seg), dt, op,
-                                       CollConfig{}));
-        }
-        if (leader && t >= 1 && t - 1 <= u - 1) {
-          task.push_back(task::striped_ireduce(
-              tb.world().engine(), imod3, *hc5.up(pr), hc5.up_rank(pr), 0,
-              BufView::timing_only(seg), BufView::timing_only(seg), dt, op,
-              ircfg2, sf5));
-        }
-        if (!task.empty()) {
-          co_await mpi::wait_all(tb.world().engine(), std::move(task));
-        }
-        if (leader) trace2.steps[t].t[hc5.up_rank(pr)] = tb.world().now() - t0;
-      }
-    }(*this, hc, imod, smod, ircfg, sync, trace, seg_bytes, steps,
-      total_steps, sf, rank.world_rank);
-  });
-  return trace;
+  return allreduce_chain(cfg, seg_bytes, steps, 2);  // sr, ir
 }
 
 PerLeader TaskBench::bench_inter_scatter(const HanConfig& cfg,
                                          std::size_t bytes, int iters) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
-  coll::CollModule* imod = han_->inter_module(cfg);
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  std::vector<std::vector<double>> results(iters,
-                                           std::vector<double>(leaders_, 0));
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc4, coll::CollModule* imod2,
-              std::shared_ptr<mpi::SyncDomain> sync4,
-              std::vector<std::vector<double>>& results4, std::size_t bytes4,
-              int iters4, int pr) -> sim::CoTask {
-      const bool leader = hc4.low_rank(pr) == 0;
-      for (int it = 0; it < iters4; ++it) {
-        co_await *sync4->arrive();
-        if (leader) {
-          const int nodes = hc4.up(pr)->size();
-          const double t0 = tb.world().now();
-          mpi::Request r = imod2->iscatter(
-              *hc4.up(pr), hc4.up_rank(pr), 0, BufView::timing_only(bytes4),
-              BufView::timing_only(bytes4 / nodes), CollConfig{});
-          co_await *r;
-          results4[it][hc4.up_rank(pr)] = tb.world().now() - t0;
-        }
-      }
-    }(*this, hc, imod, sync, results, bytes, iters, rank.world_rank);
-  });
-  return average(results, leaders_);
+  return mean(run(han_->flat_hierarchy(*comm_),
+                  {{task_of(Op::Scatter, Level::Inter,
+                            han_->inter_module(cfg))}},
+                  bytes, 1, iters));
 }
 
 PerLeader TaskBench::bench_inter_ring_rs(const HanConfig& cfg,
                                          std::size_t bytes, int iters) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
-  coll::RingModule& ring = han_->modules().ring();
-  const CollConfig rcfg{coll::Algorithm::Ring, cfg.irs};
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  std::vector<std::vector<double>> results(iters,
-                                           std::vector<double>(leaders_, 0));
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc3, coll::RingModule& ring2,
-              CollConfig rcfg2, std::shared_ptr<mpi::SyncDomain> sync3,
-              std::vector<std::vector<double>>& results3, std::size_t bytes3,
-              int iters3, int pr) -> sim::CoTask {
-      const bool leader = hc3.low_rank(pr) == 0;
-      for (int it = 0; it < iters3; ++it) {
-        co_await *sync3->arrive();
-        if (leader) {
-          const int nodes = hc3.up(pr)->size();
-          const double t0 = tb.world().now();
-          mpi::Request r = ring2.ireduce_scatter(
-              *hc3.up(pr), hc3.up_rank(pr), BufView::timing_only(bytes3),
-              BufView::timing_only(bytes3 / nodes), mpi::Datatype::Byte,
-              mpi::ReduceOp::Sum, rcfg2);
-          co_await *r;
-          results3[it][hc3.up_rank(pr)] = tb.world().now() - t0;
-        }
-      }
-    }(*this, hc, ring, rcfg, sync, results, bytes, iters, rank.world_rank);
-  });
-  return average(results, leaders_);
+  return mean(run(han_->flat_hierarchy(*comm_),
+                  {{task_of(Op::ReduceScatter, Level::Inter,
+                            &han_->modules().ring(),
+                            {coll::Algorithm::Ring, cfg.irs})}},
+                  bytes, 1, iters));
 }
 
 PerLeader TaskBench::bench_intra_scatter(const HanConfig& cfg,
                                          std::size_t bytes, int iters) {
-  core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
   (void)cfg;  // ss always uses the libnbc intra scatter, as the program does
-  coll::CollModule* smod = &han_->modules().libnbc();
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  std::vector<std::vector<double>> results(iters,
-                                           std::vector<double>(leaders_, 0));
-
-  run_charged([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](TaskBench& tb, core::Hierarchy& hc2, coll::CollModule* smod2,
-              std::shared_ptr<mpi::SyncDomain> sync2,
-              std::vector<std::vector<double>>& results2, std::size_t bytes2,
-              int iters2, int pr) -> sim::CoTask {
-      const bool leader = hc2.low_rank(pr) == 0;
-      for (int it = 0; it < iters2; ++it) {
-        co_await *sync2->arrive();
-        const int p = hc2.low(pr).size();
-        const double t0 = tb.world().now();
-        mpi::Request r = smod2->iscatter(
-            hc2.low(pr), hc2.low_rank(pr), 0, BufView::timing_only(bytes2),
-            BufView::timing_only(bytes2 / p), CollConfig{});
-        co_await *r;
-        if (leader) results2[it][hc2.up_rank(pr)] = tb.world().now() - t0;
-      }
-    }(*this, hc, smod, sync, results, bytes, iters, rank.world_rank);
-  });
-  return average(results, leaders_);
+  return mean(run(han_->flat_hierarchy(*comm_),
+                  {{task_of(Op::Scatter, Level::Intra,
+                            &han_->modules().libnbc())}},
+                  bytes, 1, iters));
 }
 
 }  // namespace han::tune

@@ -10,6 +10,20 @@
 //  * The pipeline needs a few segments to fill; per-step costs stabilize
 //    afterwards (Fig. 3), and the stabilized value feeds the cost model.
 //
+// Every benchmark is a list of stages, each a task::TaskNode (module, op,
+// level, config, stripe factor) with a lag, run by one private runner
+// that issues the nodes through the scheduler's task::dispatch — the
+// executor's own issue path. For each iteration every rank arrives at one
+// SyncDomain (a leader then waits its delay, sbib only) and runs the
+// steps of the stepped pipeline: at step t it issues, in stage order, the
+// node of every stage whose segment t - lag lies in [0, u). Intra stages
+// run on every rank, inter stages on the node leaders, mid stages on
+// ranks whose mid comm has two or more members. A rank awaits a lone
+// request directly and several through wait_all, and skips a step with
+// none; a leader records the step's duration at its top-level rank. The
+// loop benchmarks are one-step stage lists averaged over their
+// iterations; the pipelines are one iteration of `steps` segments.
+//
 // All benchmarks run in the caller's SimWorld; the simulated time they
 // consume is the "tuning cost" the paper's Fig. 8 accounts.
 #pragma once
@@ -122,9 +136,25 @@ class TaskBench {
   mpi::SimWorld& world() { return *world_; }
 
  private:
-  /// Run `program` on every world rank and charge the elapsed simulated
-  /// time to the tuning cost.
-  void run_charged(const mpi::SimWorld::Program& program);
+  /// One stage of a benchmarked pipeline: `node` names the module call
+  /// (the runner fills in comm, ranks and buffers per rank), issued for
+  /// segment t - lag at step t.
+  struct Stage {
+    task::TaskNode node;
+    int lag = 0;
+  };
+
+  /// The runner (see the file comment): `iters` synchronized iterations
+  /// of the stage list over `u` segments of `bytes` on `hc`, charged to
+  /// the tuning cost. Returns iters x steps entries, iteration-major.
+  PipelineTrace run(const core::Hierarchy& hc,
+                    const std::vector<Stage>& stages, std::size_t bytes,
+                    int u, int iters, const PerLeader* delay_by = nullptr);
+
+  /// The first `count` stages of task::allreduce_shape as a pipeline of
+  /// `steps` segments: 4 is the allreduce chain, 2 its sr ⊕ ir half.
+  PipelineTrace allreduce_chain(const core::HanConfig& cfg,
+                                std::size_t seg_bytes, int steps, int count);
 
   mpi::SimWorld* world_;
   core::HanModule* han_;

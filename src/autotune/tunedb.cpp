@@ -325,7 +325,8 @@ bool TuneDb::deserialize(const std::string& text, TuneDb* out,
       }
       bool ok = false;
       const coll::CollKind kind = parse_kind(kind_s, &ok);
-      if (!ok || nodes <= 0 || ppn <= 0 || log2b < 0) {
+      if (!ok || nodes <= 0 || ppn <= 0 || log2b < 0 ||
+          log2b > LookupTable::kMaxBucket) {
         return fail("bad entry key");
       }
       Entry entry;

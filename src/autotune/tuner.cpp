@@ -10,25 +10,11 @@ namespace han::tune {
 
 namespace {
 
-/// A private machine replica for one tuning job: same profile and world
-/// options as the tuner's world, nothing shared with it.
-struct TuneWorld {
-  TuneWorld(machine::MachineProfile profile, mpi::SimWorld::Options o)
-      : world(std::move(profile), o),
-        rt(world),
-        mods(world, rt),
-        han(world, rt, mods) {}
-  mpi::SimWorld world;
-  coll::CollRuntime rt;
-  coll::ModuleSet mods;
-  core::HanModule han;
-};
-
 /// Everything one per-kind job produces. The world is kept alive so its
 /// metrics (tune.search.*, tune.taskbench.*, sim.*) can be merged into the
 /// caller's registry after the join, in kind order.
 struct KindOutcome {
-  std::unique_ptr<TuneWorld> tw;
+  std::unique_ptr<core::HanWorld> tw;
   std::vector<std::pair<std::size_t, core::HanConfig>> winners;
   std::size_t estimates = 0;
   int max_evaluations = 0;
@@ -94,7 +80,7 @@ TuneReport Tuner::tune(const TunerOptions& options) {
         [&](int i) {
           const coll::CollKind kind = opts.kinds[static_cast<std::size_t>(i)];
           KindOutcome o;
-          o.tw = std::make_unique<TuneWorld>(profile, wopts);
+          o.tw = std::make_unique<core::HanWorld>(profile, wopts);
           Searcher s(o.tw->world, o.tw->han, o.tw->world.world_comm(),
                      searcher_.space());
           const double cost0 = s.tuning_cost();

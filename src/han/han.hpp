@@ -161,4 +161,20 @@ class HanModule : public coll::CollModule {
   int destroy_observer_ = -1;  // SimWorld comm-destroy observer token
 };
 
+/// One simulated HAN stack: a world, its collective runtime, the
+/// submodules over it and HAN over those, built in that order.
+struct HanWorld {
+  explicit HanWorld(machine::MachineProfile profile,
+                    mpi::SimWorld::Options options = {})
+      : world(std::move(profile), options),
+        rt(world),
+        mods(world, rt),
+        han(world, rt, mods) {}
+
+  mpi::SimWorld world;
+  coll::CollRuntime rt;
+  coll::ModuleSet mods;
+  HanModule han;
+};
+
 }  // namespace han::core

@@ -23,19 +23,6 @@ namespace {
 using coll::CollKind;
 using core::HanConfig;
 
-/// One simulated stack a lint job owns end to end (jobs share nothing).
-struct LintWorld {
-  explicit LintWorld(machine::MachineProfile profile)
-      : world(std::move(profile)),
-        rt(world),
-        mods(world, rt),
-        han(world, rt, mods) {}
-  mpi::SimWorld world;
-  coll::CollRuntime rt;
-  coll::ModuleSet mods;
-  core::HanModule han;
-};
-
 double hooked(const LintOptions& opts, const CostContext& ctx, double t) {
   return opts.cost_hook ? opts.cost_hook(ctx, t) : t;
 }
@@ -107,7 +94,7 @@ void check_upper_bound(LintEntry& e, const char* gid,
 /// HAN-specific probes (zcs continuity, stripe regression).
 void model_kind_job(LintResult& out, const machine::StockMachine& sm,
                     CollKind kind, const LintOptions& opts) {
-  LintWorld lw(sm.profile);
+  core::HanWorld lw(sm.profile);
   const mpi::Comm& wc = lw.world.world_comm();
   tune::SearchSpace space = tune::SearchSpace::for_profile(sm.profile);
   tune::Searcher searcher(lw.world, lw.han, wc, space);
@@ -328,7 +315,7 @@ void model_kind_job(LintResult& out, const machine::StockMachine& sm,
 /// the linear-phase kinds run their decider default path).
 void sim_job(LintResult& out, const machine::StockMachine& sm,
              const LintOptions& opts) {
-  LintWorld lw(sm.profile);
+  core::HanWorld lw(sm.profile);
   const mpi::Comm& wc = lw.world.world_comm();
   tune::Searcher searcher(lw.world, lw.han, wc, tune::SearchSpace{});
   const HanConfig cfg;  // static default (Table II defaults)
@@ -418,14 +405,14 @@ void sim_ppn_job(LintResult& out, const machine::StockMachine& sm,
   for (CollKind kind : {CollKind::Bcast, CollKind::Allreduce}) {
     double tfull = 0.0, thalf = 0.0;
     {
-      LintWorld lw(sm.profile);
+      core::HanWorld lw(sm.profile);
       tune::Searcher s(lw.world, lw.han, lw.world.world_comm(),
                        tune::SearchSpace{});
       tfull = hooked(opts, sim_ctx(sm.profile, kind, m, &cfg),
                      s.measure_collective(kind, m, cfg));
     }
     {
-      LintWorld lw(half);
+      core::HanWorld lw(half);
       tune::Searcher s(lw.world, lw.han, lw.world.world_comm(),
                        tune::SearchSpace{});
       thalf = hooked(opts, sim_ctx(half, kind, m, &cfg),
@@ -455,7 +442,7 @@ void perturb_kind_job(LintResult& out, const machine::StockMachine& sm,
   // Clean ranking (symbolic — the tuner's own lens).
   std::vector<std::pair<double, HanConfig>> ranked;
   {
-    LintWorld lw(sm.profile);
+    core::HanWorld lw(sm.profile);
     tune::Searcher searcher(lw.world, lw.han, lw.world.world_comm(), space);
     for (const HanConfig& cfg : space.enumerate(kind)) {
       const int u = static_cast<int>(
@@ -479,7 +466,7 @@ void perturb_kind_job(LintResult& out, const machine::StockMachine& sm,
     LintEntry entry;
     entry.name = std::string("perturb.") + sm.name + "." +
                  coll::coll_kind_name(kind) + "." + scenario;
-    LintWorld pw(sm.profile);
+    core::HanWorld pw(sm.profile);
     apply_scenario(pw.world, scenario);
     tune::Searcher measured(pw.world, pw.han, pw.world.world_comm(),
                             tune::SearchSpace{});

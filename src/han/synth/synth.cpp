@@ -22,22 +22,10 @@ using core::HanConfig;
 using mpi::BufView;
 using mpi::Datatype;
 
-struct SynthWorld {
-  explicit SynthWorld(machine::MachineProfile profile)
-      : world(std::move(profile)),
-        rt(world),
-        mods(world, rt),
-        han(world, rt, mods) {}
-  mpi::SimWorld world;
-  coll::CollRuntime rt;
-  coll::ModuleSet mods;
-  core::HanModule han;
-};
-
 /// Per-rank graphs of one candidate (cfg.sched names its spec), built by
 /// the same ladder builder the dispatch path uses.
-task::TaskGraph build_candidate(SynthWorld& sw, const mpi::Comm& wc, int me,
-                                CollKind kind, std::size_t bytes,
+task::TaskGraph build_candidate(core::HanWorld& sw, const mpi::Comm& wc,
+                                int me, CollKind kind, std::size_t bytes,
                                 const HanConfig& cfg) {
   if (kind == CollKind::Bcast) {
     return task::build_bcast(sw.han, wc, me, /*root=*/0,
@@ -52,7 +40,7 @@ task::TaskGraph build_candidate(SynthWorld& sw, const mpi::Comm& wc, int me,
 /// The soundness gate: structural validation plus the cross-rank deadlock
 /// analysis at the candidate's own scheduler window. ANY finding — error
 /// or warning — disqualifies the candidate from execution.
-void gate_candidate(SynthWorld& sw, CollKind kind, std::size_t bytes,
+void gate_candidate(core::HanWorld& sw, CollKind kind, std::size_t bytes,
                     Candidate& cand) {
   const mpi::Comm& wc = sw.world.world_comm();
   std::vector<verify::GraphSummary> summaries;
@@ -316,7 +304,7 @@ SynthCase run_case(const SynthOptions& opts, CollKind kind,
   machine::MachineProfile profile = machine::make_aries(opts.nodes, opts.ppn);
   if (opts.numa > 1) profile = machine::with_numa(profile, opts.numa);
   if (opts.rails > 1) profile = machine::with_rails(profile, opts.rails);
-  SynthWorld sw(std::move(profile));
+  core::HanWorld sw(std::move(profile));
   const mpi::Comm& wc = sw.world.world_comm();
   for (Candidate& cand : c.finalists) {
     gate_candidate(sw, kind, bytes, cand);

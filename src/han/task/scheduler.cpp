@@ -10,9 +10,6 @@
 
 namespace han::task {
 
-namespace {
-
-/// Make the module call `n` stands for.
 mpi::Request dispatch(sim::Engine& engine, const TaskNode& n) {
   const mpi::Comm& c = *n.comm;
   switch (n.op) {
@@ -44,6 +41,8 @@ mpi::Request dispatch(sim::Engine& engine, const TaskNode& n) {
   HAN_ASSERT_MSG(false, "task node has an unknown op");
   return nullptr;
 }
+
+namespace {
 
 /// Per-run execution state, kept alive by the completion callbacks.
 struct Exec : std::enable_shared_from_this<Exec> {

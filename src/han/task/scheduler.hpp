@@ -21,6 +21,12 @@
 
 namespace han::task {
 
+/// Make the module call `n` stands for and return its request. A pure
+/// function of the node: it emits no metrics and keeps no state, so the
+/// executor below and the autotuner's task benchmarks issue a task the
+/// same way.
+mpi::Request dispatch(sim::Engine& engine, const TaskNode& n);
+
 class TaskScheduler {
  public:
   /// A scheduler issuing over `rt`; both must outlive every run.

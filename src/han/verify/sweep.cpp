@@ -28,6 +28,8 @@ using core::HanConfig;
 using mpi::BufView;
 using mpi::Datatype;
 
+}  // namespace
+
 void record(SweepResult& out, std::string name, const Report& rep) {
   SweepEntry e;
   e.name = std::move(name);
@@ -48,6 +50,8 @@ void record(SweepResult& out, std::string name, const Report& rep) {
   }
   out.entries.push_back(std::move(e));
 }
+
+namespace {
 
 void record_defect(SweepResult& out, std::string name, std::string defect) {
   SweepEntry e;
@@ -143,18 +147,6 @@ void sweep_plans_for(SweepResult& out, int n) {
 
 // ---- graph.* family -----------------------------------------------------
 
-struct GraphWorld {
-  explicit GraphWorld(machine::MachineProfile profile)
-      : world(std::move(profile)),
-        rt(world),
-        mods(world, rt),
-        han(world, rt, mods) {}
-  mpi::SimWorld world;
-  coll::CollRuntime rt;
-  coll::ModuleSet mods;
-  core::HanModule han;
-};
-
 /// Build one rank's graph, or record the structural defect and return
 /// false.
 bool checked_summarize(SweepResult& out, const std::string& name, int rank,
@@ -195,7 +187,7 @@ constexpr std::size_t kGraphBytes = 1 << 20;
 
 /// Rank `me`'s graph of `kind` over kGraphBytes per rank, rooted at 0:
 /// Byte elements for bcast, Int32 for the reductions.
-task::TaskGraph build_graph(GraphWorld& gw, CollKind kind, int me,
+task::TaskGraph build_graph(core::HanWorld& gw, CollKind kind, int me,
                             const HanConfig& cfg) {
   const mpi::Comm& wc = gw.world.world_comm();
   const std::size_t n = static_cast<std::size_t>(wc.size());
@@ -228,7 +220,7 @@ task::TaskGraph build_graph(GraphWorld& gw, CollKind kind, int me,
 
 /// One graph case: every rank's graph of `kind` under `cfg`, validated,
 /// then analyzed at each scheduler window.
-void graph_config_case(SweepResult& out, GraphWorld& gw,
+void graph_config_case(SweepResult& out, core::HanWorld& gw,
                        const std::string& name, CollKind kind,
                        const HanConfig& cfg,
                        const std::vector<int>& windows) {
@@ -249,7 +241,7 @@ void graph_space_job(SweepResult& out, machine::MachineProfile profile,
                      const std::string& prefix, CollKind kind,
                      const tune::SearchSpace& space,
                      const std::vector<int>& windows) {
-  GraphWorld gw(std::move(profile));
+  core::HanWorld gw(std::move(profile));
   for (const HanConfig& cfg : space.enumerate(kind)) {
     graph_config_case(out, gw, prefix + cfg.to_string(), kind, cfg,
                       windows);
@@ -261,7 +253,7 @@ void graph_space_job(SweepResult& out, machine::MachineProfile profile,
 void graph_ml2_job(SweepResult& out, const char* topo_tag, int topo_nodes,
                    int topo_ppn, bool full_space,
                    const std::vector<int>& windows) {
-  GraphWorld gw(machine::make_aries(topo_nodes, topo_ppn));
+  core::HanWorld gw(machine::make_aries(topo_nodes, topo_ppn));
   synth::SynthSpec ml2 = synth::SynthSpec::canonical(CollKind::Allreduce);
   ml2.leaders = 2;
   for (const HanConfig& cfg :
@@ -392,7 +384,7 @@ SweepResult run_sweep(const SweepOptions& opts) {
       }
       // Barrier has no Table II knobs: one case per topology.
       jobs.push_back([&t, tprefix, &opts](SweepResult& frag) {
-        GraphWorld gw(machine::make_aries(t.nodes, t.ppn));
+        core::HanWorld gw(machine::make_aries(t.nodes, t.ppn));
         graph_config_case(frag, gw, tprefix + "barrier", CollKind::Barrier,
                           HanConfig{}, opts.windows);
       });
@@ -499,7 +491,7 @@ void verify_lookup(const tune::LookupTable& table, SweepResult& out) {
     for (int d : splits) {
       const std::string case_name =
           d > 1 ? name + ".numa" + std::to_string(d) : name;
-      GraphWorld gw(machine::with_rails(
+      core::HanWorld gw(machine::with_rails(
           machine::with_numa(machine::make_aries(key.nodes, key.ppn), d),
           rails));
       const mpi::Comm& wc = gw.world.world_comm();

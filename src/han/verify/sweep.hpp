@@ -57,6 +57,10 @@ struct SweepResult {
 
 SweepResult run_sweep(const SweepOptions& opts = {});
 
+/// Append `rep` to `out` as entry `name`: one line per finding, plus one
+/// `error[truncated]` line when the race analysis hit max_race_pairs.
+void record(SweepResult& out, std::string name, const Report& rep);
+
 /// Re-verify every cached synthesized schedule of a lookup table: each
 /// entry with a non-empty cfg.sched is rebuilt on its own (nodes, ppn)
 /// topology at its bucket's message size and analyzed at its window

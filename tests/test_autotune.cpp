@@ -198,6 +198,11 @@ TEST(LookupTableTest, DeserializeRejectsGarbage) {
   LookupTable t;
   EXPECT_FALSE(LookupTable::deserialize("bcast 64 : nope\n", &t));
   EXPECT_FALSE(LookupTable::deserialize("quantum 64 12 20 : fs=4M\n", &t));
+  // bucket_of never exceeds 63; a larger bucket would overflow the shift
+  // that turns it back into a byte count.
+  EXPECT_FALSE(LookupTable::deserialize("bcast 2 2 64 : fs=64K\n", &t));
+  EXPECT_FALSE(LookupTable::deserialize("bcast 2 2 70 : fs=64K\n", &t));
+  EXPECT_TRUE(LookupTable::deserialize("bcast 2 2 63 : fs=64K\n", &t));
   EXPECT_TRUE(LookupTable::deserialize("# only comments\n", &t));
 }
 
@@ -360,6 +365,99 @@ TEST(TaskBenchTest, AllreducePipelineTraceShape) {
   for (const auto& step : trace.steps) EXPECT_GT(step.max(), 0.0);
   // The full 4-stage steady step costs at least as much as the lone sr(0).
   EXPECT_GE(trace.steps[4].max(), trace.steps[0].max() * 0.5);
+}
+
+/// "name: v0 v1 ...\n" with every per-leader cost as a %a hexfloat, so a
+/// golden pins the exact bits.
+void append_hex(std::string& out, const char* name,
+                const std::vector<double>& t) {
+  out += name;
+  out += ':';
+  char buf[64];
+  for (double v : t) {
+    std::snprintf(buf, sizeof buf, " %a", v);
+    out += buf;
+  }
+  out += '\n';
+}
+
+void append_trace(std::string& out, const char* name,
+                  const PipelineTrace& trace) {
+  for (const PerLeader& step : trace.steps) append_hex(out, name, step.t);
+}
+
+TEST(TaskBenchTest, GoldenTaskCosts) {
+  // Exact task costs of every benchmark, in one fixed call order per
+  // world; any change to what a benchmark issues, or in which order and
+  // await form it issues it, shows here first.
+  std::string flat;
+  {
+    TuneHarness h(machine::make_aries(2, 4));
+    TaskBench tb(h.world, h.han, h.world.world_comm());
+    HanConfig cfg = cfg_of(64 << 10, "adapt", "sm", Algorithm::Binary,
+                           16 << 10);
+    cfg.iralg = Algorithm::Chain;
+    cfg.irs = 32 << 10;
+    const std::size_t seg = 64 << 10;
+    const PerLeader ib = tb.bench_ib(cfg, seg);
+    append_hex(flat, "ib", ib.t);
+    append_hex(flat, "sb", tb.bench_sb(cfg, seg).t);
+    append_hex(flat, "ibsb", tb.bench_concurrent_ib_sb(cfg, seg).t);
+    append_trace(flat, "sbib", tb.bench_sbib_pipeline(cfg, seg, 4, ib));
+    append_hex(flat, "sr", tb.bench_sr(cfg, seg).t);
+    append_trace(flat, "allreduce", tb.bench_allreduce_pipeline(cfg, seg, 4));
+    append_trace(flat, "reduce", tb.bench_reduce_pipeline(cfg, seg, 4));
+    for (const std::size_t bytes : {seg, std::size_t{256} << 10}) {
+      append_hex(flat, "isc", tb.bench_inter_scatter(cfg, bytes).t);
+      append_hex(flat, "irs", tb.bench_inter_ring_rs(cfg, bytes).t);
+      append_hex(flat, "ssc", tb.bench_intra_scatter(cfg, bytes).t);
+    }
+    append_hex(flat, "cost", {tb.elapsed_cost()});
+  }
+  std::string numa;
+  {
+    TuneHarness h(machine::with_numa(machine::make_opath(2, 4), 2));
+    ASSERT_EQ(h.han.hierarchy(h.world.world_comm()).depth(), 3);
+    TaskBench tb(h.world, h.han, h.world.world_comm());
+    HanConfig cfg = cfg_of(64 << 10, "adapt", "sm", Algorithm::Binary, 0);
+    cfg.malg = Algorithm::Binary;
+    cfg.ms = 16 << 10;
+    append_hex(numa, "mb", tb.bench_mb(cfg, 64 << 10).t);
+    append_hex(numa, "mr", tb.bench_mr(cfg, 64 << 10).t);
+    append_hex(numa, "cost", {tb.elapsed_cost()});
+  }
+  EXPECT_EQ(flat,
+            "ib: 0x1.07593ba54f9c3p-16 0x1.0d3878b728e29p-16\n"
+            "sb: 0x1.b93f52fdd5851p-17 0x1.b93f52fdd5851p-17\n"
+            "ibsb: 0x1.25392359d7258p-16 0x1.2b18606bb06cp-16\n"
+            "sbib: 0x1.25392359d7258p-16 0x1.25392359d7258p-16\n"
+            "sbib: 0x1.25392359d727p-16 0x1.25392359d7268p-16\n"
+            "sbib: 0x1.25392359d727p-16 0x1.25392359d727p-16\n"
+            "sbib: 0x1.25392359d727p-16 0x1.25392359d727p-16\n"
+            "sr: 0x1.b901128a682bdp-14 0x1.b901128a682bdp-14\n"
+            "allreduce: 0x1.b901128a682cp-14 0x1.b901128a682cp-14\n"
+            "allreduce: 0x1.2ce69797990a8p-14 0x1.130ee92e789e8p-14\n"
+            "allreduce: 0x1.2ce69797990a8p-14 0x1.1c492493a97a8p-14\n"
+            "allreduce: 0x1.2ce69797990a8p-14 0x1.1c492493a97a8p-14\n"
+            "allreduce: 0x1.c28707d5c682p-16 0x1.3fa492db9ff1p-15\n"
+            "allreduce: 0x1.25392359d72cp-16 0x1.5aa0944e3544p-16\n"
+            "allreduce: 0x1.b93f52fdd58p-17 0x1.b93f52fdd58p-17\n"
+            "reduce: 0x1.b901128a682bp-14 0x1.b901128a682bp-14\n"
+            "reduce: 0x1.2ce69797990ap-14 0x1.130ee92e789ep-14\n"
+            "reduce: 0x1.2ce69797990ap-14 0x1.130ee92e789ep-14\n"
+            "reduce: 0x1.2ce69797990ap-14 0x1.130ee92e789ep-14\n"
+            "reduce: 0x1.525b8917dbp-16 0x1.29f8cccf24aap-15\n"
+            "isc: 0x1.028499116d68p-16 0x1.0863d62346bp-16\n"
+            "irs: 0x1.3c5fe379db18p-16 0x1.3c5fe379db18p-16\n"
+            "ssc: 0x1.4d4617fb5d7p-16 0x1.4d4617fb5d7p-16\n"
+            "isc: 0x1.654d8926863cp-15 0x1.683d27af72ep-15\n"
+            "irs: 0x1.27a050fe2442p-15 0x1.27a050fe2442p-15\n"
+            "ssc: 0x1.43d62cb0f718bp-14 0x1.43d62cb0f718bp-14\n"
+            "cost: 0x1.03c09962c0891p-9\n");
+  EXPECT_EQ(numa,
+            "mb: 0x1.7ba66afd4a448p-17 0x1.7ba66afd4a448p-17\n"
+            "mr: 0x1.17d798ea9ca26p-15 0x1.17d798ea9ca26p-15\n"
+            "cost: 0x1.61823a2e322bbp-13\n");
 }
 
 // --- model accuracy & search (integration) -----------------------------------

@@ -24,18 +24,6 @@ using mpi::BufView;
 using mpi::Datatype;
 using synth::SynthSpec;
 
-struct SynthWorld {
-  explicit SynthWorld(machine::MachineProfile profile)
-      : world(std::move(profile)),
-        rt(world),
-        mods(world, rt),
-        han(world, rt, mods) {}
-  mpi::SimWorld world;
-  coll::CollRuntime rt;
-  coll::ModuleSet mods;
-  core::HanModule han;
-};
-
 HanConfig base_cfg(std::size_t fs, int window) {
   HanConfig cfg;
   cfg.fs = fs;
@@ -168,7 +156,7 @@ class CanonicalDispatch : public ::testing::TestWithParam<CanonCase> {};
 
 TEST_P(CanonicalDispatch, SpecIdMatchesDefaultLadder) {
   const CanonCase& c = GetParam();
-  SynthWorld sw(canon_profile(c));
+  core::HanWorld sw(canon_profile(c));
   const mpi::Comm& wc = sw.world.world_comm();
   const int n = wc.size();
   // On a NUMA machine default dispatch runs the derived 3-level ladder.
@@ -241,7 +229,7 @@ TEST(SynthDispatchTest, CanonicalIdHonorsZeroCopySwitchover) {
     HanConfig cfg = base_cfg(16 << 10, 1);
     cfg.zcs = 256 << 10;
     auto measure = [&](const HanConfig& c) {
-      SynthWorld sw(machine::make_aries(2, 4));
+      core::HanWorld sw(machine::make_aries(2, 4));
       tune::Searcher searcher(sw.world, sw.han, sw.world.world_comm());
       return searcher.measure_collective(kind, bytes, c);
     };
@@ -409,7 +397,7 @@ TEST(SynthEngineTest, WinnerSurvivesSerializeLoadDispatchRoundTrip) {
   // ...and dispatches through the ordinary cfg entry points, reproducing
   // the exact time the synthesizer measured (the simulator is
   // deterministic and measurements are translation-invariant).
-  SynthWorld sw(machine::make_aries(opts.nodes, opts.ppn));
+  core::HanWorld sw(machine::make_aries(opts.nodes, opts.ppn));
   tune::Searcher searcher(sw.world, sw.han, sw.world.world_comm());
   for (const synth::SynthCase& c : r.cases) {
     const HanConfig* cfg =
@@ -480,7 +468,7 @@ TEST(SynthSpec3Test, LoneOrPartialMidRolesAreRejectedLoudly) {
 TEST(SynthBuilder3Test, ThreeLevelSpecDegeneratesToFlatGraphOnFlatMachine) {
   // A mid-carrying spec on a flat machine must drop its mid stages and
   // reproduce the flat spec's graph (modulo the lag renumbering).
-  SynthWorld sw(machine::make_aries(2, 4));
+  core::HanWorld sw(machine::make_aries(2, 4));
   const mpi::Comm& wc = sw.world.world_comm();
   ASSERT_EQ(sw.han.hierarchy(wc).depth(), 2);
   HanConfig flat = base_cfg(64 << 10, 2);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,18 @@ TEST(TuneDbFormat, RejectsCorruptInput) {
   error.clear();
   EXPECT_FALSE(TuneDb::deserialize(mangled, &out, &error));
   EXPECT_FALSE(error.empty());
+
+  // A size bucket past bucket_of's 63: `1 << bucket` would overflow.
+  std::string huge = good;
+  std::istringstream fields(huge.substr(at, huge.find('\n', at) - at));
+  std::string tag, kind, nodes, ppn, bucket;
+  ASSERT_TRUE(fields >> tag >> kind >> nodes >> ppn >> bucket);
+  const std::string key = tag + " " + kind + " " + nodes + " " + ppn + " ";
+  ASSERT_EQ(huge.compare(at, key.size(), key), 0);
+  huge.replace(at + key.size(), bucket.size(), "70");
+  error.clear();
+  EXPECT_FALSE(TuneDb::deserialize(huge, &out, &error));
+  EXPECT_NE(error.find("bad entry key"), std::string::npos) << error;
 }
 
 TEST(TuneDbFormat, RejectsNewerVersionLoudly) {

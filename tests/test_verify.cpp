@@ -584,6 +584,24 @@ TEST(VerifySweep, JsonIsDeterministic) {
       [](const SweepEntry& x, const SweepEntry& y) { return x.name < y.name; }));
 }
 
+TEST(VerifySweep, TruncatedAnalysisIsRecordedAsAnError) {
+  // verify.hpp: a plan past max_race_pairs reports its truncated
+  // analysis, never silently — the sweep and the exec matrix share this.
+  Report rep;
+  rep.actions = 7;
+  rep.truncated = true;
+  SweepResult out;
+  record(out, "case", rep);
+  ASSERT_EQ(out.entries.size(), 1u);
+  const SweepEntry& e = out.entries[0];
+  EXPECT_EQ(e.name, "case");
+  EXPECT_EQ(e.actions, 7);
+  EXPECT_EQ(e.errors, 1);
+  EXPECT_EQ(e.warnings, 0);
+  ASSERT_EQ(e.lines.size(), 1u);
+  EXPECT_EQ(e.lines[0].rfind("error[truncated]: ", 0), 0u) << e.lines[0];
+}
+
 // ---- runtime gate ------------------------------------------------------
 
 mpi::Request ibcast_for_gate(test::CollHarness& h, mpi::Rank& rank,

@@ -212,11 +212,8 @@ int main(int argc, char** argv) {
   if (cmd == "tune") {
     std::optional<machine::MachineProfile> profile = build_profile(m);
     if (!profile.has_value()) return 1;
-    mpi::SimWorld world(std::move(*profile));
-    coll::CollRuntime rt(world);
-    coll::ModuleSet mods(world, rt);
-    core::HanModule han_mod(world, rt, mods);
-    tune::Tuner tuner(world, han_mod, world.world_comm());
+    core::HanWorld hw(std::move(*profile));
+    tune::Tuner tuner(hw.world, hw.han, hw.world.world_comm());
     tune::TunerOptions opts;
     if (!sizes.empty()) opts.message_sizes = sizes;
     opts.jobs = jobs;
@@ -224,7 +221,7 @@ int main(int argc, char** argv) {
     if (!db.save(db_path)) return 1;
     if (json) {
       std::string j = "{\n  \"machine\": \"" +
-                      tune::signature_of(world.profile()).key() +
+                      tune::signature_of(hw.world.profile()).key() +
                       "\",\n  \"cold\": " + (rep.cold ? "true" : "false") +
                       ",\n  \"reused\": " + std::to_string(rep.reused) +
                       ",\n  \"retuned\": " + std::to_string(rep.retuned) +
@@ -239,7 +236,7 @@ int main(int argc, char** argv) {
     } else if (!quiet) {
       std::printf("han_tunedb: %s %s: reused %d, retuned %d, cost %s s\n",
                   rep.cold ? "cold-tuned" : "warm-tuned",
-                  tune::signature_of(world.profile()).key().c_str(),
+                  tune::signature_of(hw.world.profile()).key().c_str(),
                   rep.reused, rep.retuned, fmt_double(rep.tuning_cost).c_str());
     }
     return 0;

@@ -45,23 +45,8 @@ struct ExecRecorder {
 
   void arm(coll::CollRuntime& rt) {
     rt.set_plan_checker([this](const coll::Plan& plan, int comm_size) {
-      const verify::Report rep = verify::analyze_plan(plan, comm_size);
-      verify::SweepEntry e;
-      e.name = label + ".plan" + std::to_string(plan_index++);
-      e.actions = rep.actions;
-      for (const verify::Finding& f : rep.findings) {
-        if (f.severity == verify::Severity::Error) {
-          ++e.errors;
-        } else {
-          ++e.warnings;
-        }
-        e.lines.push_back(
-            std::string(f.severity == verify::Severity::Error
-                            ? "error["
-                            : "warning[") +
-            verify::diag_name(f.code) + "]: " + f.message);
-      }
-      out->entries.push_back(std::move(e));
+      verify::record(*out, label + ".plan" + std::to_string(plan_index++),
+                     verify::analyze_plan(plan, comm_size));
       return std::string();  // record, don't abort
     });
   }
@@ -82,15 +67,12 @@ void run_all(mpi::SimWorld& world,
 /// Execution matrix: drive HAN (and through it every submodule) on a
 /// 2-node x 2-rank world, analyzing each Plan the runtime builds.
 void run_exec(verify::SweepResult& out) {
-  mpi::SimWorld world(machine::make_aries(/*nodes=*/2, /*ppn=*/2));
-  coll::CollRuntime rt(world);
-  coll::ModuleSet mods(world, rt);
-  core::HanModule han(world, rt, mods);
+  core::HanWorld hw(machine::make_aries(/*nodes=*/2, /*ppn=*/2));
   ExecRecorder rec;
   rec.out = &out;
-  rec.arm(rt);
+  rec.arm(hw.rt);
 
-  const mpi::Comm& wc = world.world_comm();
+  const mpi::Comm& wc = hw.world.world_comm();
   const std::size_t bytes = 64 << 10;
   const auto buf = [&](std::size_t b) {
     return mpi::BufView::timing_only(b, mpi::Datatype::Int32);
@@ -123,31 +105,31 @@ void run_exec(verify::SweepResult& out) {
         std::string("exec.2x2.") + c.cfg.imod + "." + c.tag;
     rec.label = prefix + ".bcast";
     rec.plan_index = 0;
-    run_all(world, [&](int me) {
-      return han.ibcast_cfg(wc, me, 0, buf(bytes), mpi::Datatype::Int32,
-                            c.cfg);
+    run_all(hw.world, [&](int me) {
+      return hw.han.ibcast_cfg(wc, me, 0, buf(bytes), mpi::Datatype::Int32,
+                               c.cfg);
     });
     rec.label = prefix + ".reduce";
     rec.plan_index = 0;
-    run_all(world, [&](int me) {
-      return han.ireduce_cfg(wc, me, 0, buf(bytes), buf(bytes),
-                             mpi::Datatype::Int32, mpi::ReduceOp::Sum,
-                             c.cfg);
-    });
-    rec.label = prefix + ".allreduce";
-    rec.plan_index = 0;
-    run_all(world, [&](int me) {
-      return han.iallreduce_cfg(wc, me, buf(bytes), buf(bytes),
+    run_all(hw.world, [&](int me) {
+      return hw.han.ireduce_cfg(wc, me, 0, buf(bytes), buf(bytes),
                                 mpi::Datatype::Int32, mpi::ReduceOp::Sum,
                                 c.cfg);
     });
+    rec.label = prefix + ".allreduce";
+    rec.plan_index = 0;
+    run_all(hw.world, [&](int me) {
+      return hw.han.iallreduce_cfg(wc, me, buf(bytes), buf(bytes),
+                                   mpi::Datatype::Int32, mpi::ReduceOp::Sum,
+                                   c.cfg);
+    });
     rec.label = prefix + ".reduce_scatter";
     rec.plan_index = 0;
-    run_all(world, [&](int me) {
-      return han.ireduce_scatter_cfg(wc, me, buf(bytes),
-                                     buf(bytes / wc.size()),
-                                     mpi::Datatype::Int32,
-                                     mpi::ReduceOp::Sum, c.cfg);
+    run_all(hw.world, [&](int me) {
+      return hw.han.ireduce_scatter_cfg(wc, me, buf(bytes),
+                                        buf(bytes / wc.size()),
+                                        mpi::Datatype::Int32,
+                                        mpi::ReduceOp::Sum, c.cfg);
     });
   }
 
@@ -161,38 +143,38 @@ void run_exec(verify::SweepResult& out) {
     ring.iralg = coll::Algorithm::Ring;
     rec.label = "exec.2x2.ring.sm.reduce_scatter";
     rec.plan_index = 0;
-    run_all(world, [&](int me) {
-      return han.ireduce_scatter_cfg(wc, me, buf(bytes),
-                                     buf(bytes / wc.size()),
-                                     mpi::Datatype::Int32,
-                                     mpi::ReduceOp::Sum, ring);
+    run_all(hw.world, [&](int me) {
+      return hw.han.ireduce_scatter_cfg(wc, me, buf(bytes),
+                                        buf(bytes / wc.size()),
+                                        mpi::Datatype::Int32,
+                                        mpi::ReduceOp::Sum, ring);
     });
   }
 
   // The decider-driven entry points (gather/scatter/allgather/barrier).
   rec.label = "exec.2x2.default.gather";
   rec.plan_index = 0;
-  run_all(world, [&](int me) {
-    return han.igather(wc, me, 0, buf(bytes), buf(bytes * wc.size()),
-                       coll::CollConfig{});
+  run_all(hw.world, [&](int me) {
+    return hw.han.igather(wc, me, 0, buf(bytes), buf(bytes * wc.size()),
+                          coll::CollConfig{});
   });
   rec.label = "exec.2x2.default.scatter";
   rec.plan_index = 0;
-  run_all(world, [&](int me) {
-    return han.iscatter(wc, me, 0, buf(bytes * wc.size()), buf(bytes),
-                        coll::CollConfig{});
+  run_all(hw.world, [&](int me) {
+    return hw.han.iscatter(wc, me, 0, buf(bytes * wc.size()), buf(bytes),
+                           coll::CollConfig{});
   });
   rec.label = "exec.2x2.default.allgather";
   rec.plan_index = 0;
-  run_all(world, [&](int me) {
-    return han.iallgather(wc, me, buf(bytes), buf(bytes * wc.size()),
-                          coll::CollConfig{});
+  run_all(hw.world, [&](int me) {
+    return hw.han.iallgather(wc, me, buf(bytes), buf(bytes * wc.size()),
+                             coll::CollConfig{});
   });
   rec.label = "exec.2x2.default.barrier";
   rec.plan_index = 0;
-  run_all(world, [&](int me) { return han.ibarrier(wc, me); });
+  run_all(hw.world, [&](int me) { return hw.han.ibarrier(wc, me); });
 
-  rt.set_plan_checker(nullptr);
+  hw.rt.set_plan_checker(nullptr);
 }
 
 bool parse_windows(const char* arg, std::vector<int>* out) {
