@@ -1,14 +1,46 @@
 // Shared graph machinery for the verify analyses: memoized reachability,
-// iterative Tarjan SCC, and shortest-cycle witness extraction. Internal to
-// src/han/verify/ — not part of the public API.
+// the flat wait-for graph with its iterative Tarjan SCC, and shortest-cycle
+// witness extraction. Internal to src/han/verify/ — not part of the public
+// API.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace han::verify::internal {
+
+/// Flat (CSR) digraph: the out-edges of vertex v are
+/// targets[offsets[v] .. offsets[v + 1]), in the order they were added.
+/// Tarjan's component numbering and the BFS witness follow that order, so
+/// it is part of every cycle report.
+struct FlatGraph {
+  std::vector<int> offsets{0};
+  std::vector<int> targets;
+
+  int size() const { return static_cast<int>(offsets.size()) - 1; }
+  std::span<const int> out(int v) const {
+    return {targets.data() + offsets[v],
+            static_cast<std::size_t>(offsets[v + 1] - offsets[v])};
+  }
+
+  /// Graph on vertices [0, n) from (source, target) pairs; every vertex
+  /// keeps its out-edges in list order (stable counting sort by source).
+  static FlatGraph from_edges(int n,
+                              std::span<const std::pair<int, int>> edges) {
+    FlatGraph g;
+    g.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (const auto& e : edges) ++g.offsets[e.first + 1];
+    for (int v = 0; v < n; ++v) g.offsets[v + 1] += g.offsets[v];
+    g.targets.resize(edges.size());
+    std::vector<int> fill(g.offsets.begin(), g.offsets.end() - 1);
+    for (const auto& e : edges) g.targets[fill[e.first]++] = e.second;
+    return g;
+  }
+};
 
 /// Memoizing forward-reachability oracle over an event digraph.
 class ReachOracle {
@@ -57,9 +89,8 @@ class ReachOracle {
 
 /// Iterative Tarjan SCC; returns the component id of every node, with
 /// components numbered in deterministic (reverse topological) order.
-inline std::vector<int> tarjan_scc(const std::vector<std::vector<int>>& adj,
-                                   int* num_components) {
-  const int n = static_cast<int>(adj.size());
+inline std::vector<int> tarjan_scc(const FlatGraph& g, int* num_components) {
+  const int n = g.size();
   std::vector<int> index(n, -1), low(n, 0), comp(n, -1);
   std::vector<char> on_stack(n, 0);
   std::vector<int> stack;
@@ -67,24 +98,24 @@ inline std::vector<int> tarjan_scc(const std::vector<std::vector<int>>& adj,
 
   struct Frame {
     int v;
-    std::size_t child;
+    int edge;  // next out-edge position in g.targets
   };
   std::vector<Frame> frames;
   for (int root = 0; root < n; ++root) {
     if (index[root] != -1) continue;
-    frames.push_back({root, 0});
+    frames.push_back({root, g.offsets[root]});
     index[root] = low[root] = next_index++;
     stack.push_back(root);
     on_stack[root] = 1;
     while (!frames.empty()) {
       Frame& f = frames.back();
-      if (f.child < adj[f.v].size()) {
-        const int w = adj[f.v][f.child++];
+      if (f.edge < g.offsets[f.v + 1]) {
+        const int w = g.targets[f.edge++];
         if (index[w] == -1) {
           index[w] = low[w] = next_index++;
           stack.push_back(w);
           on_stack[w] = 1;
-          frames.push_back({w, 0});
+          frames.push_back({w, g.offsets[w]});
         } else if (on_stack[w]) {
           low[f.v] = std::min(low[f.v], index[w]);
         }
@@ -113,16 +144,16 @@ inline std::vector<int> tarjan_scc(const std::vector<std::vector<int>>& adj,
 
 /// Shortest cycle through `start` staying inside its SCC (BFS). The SCC is
 /// nontrivial, so a cycle exists.
-inline std::vector<int> witness_cycle(
-    const std::vector<std::vector<int>>& adj, const std::vector<int>& comp,
-    int start) {
-  const int n = static_cast<int>(adj.size());
+inline std::vector<int> witness_cycle(const FlatGraph& g,
+                                      const std::vector<int>& comp,
+                                      int start) {
+  const int n = g.size();
   std::vector<int> parent(n, -2);
   std::vector<int> queue{start};
   parent[start] = -1;
   for (std::size_t qi = 0; qi < queue.size(); ++qi) {
     const int v = queue[qi];
-    for (int w : adj[v]) {
+    for (int w : g.out(v)) {
       if (comp[w] != comp[start]) continue;
       if (w == start) {
         std::vector<int> cycle{start};

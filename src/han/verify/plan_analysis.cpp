@@ -17,6 +17,7 @@ namespace {
 using coll::Action;
 using coll::DepRef;
 using coll::Plan;
+using internal::FlatGraph;
 using internal::ReachOracle;
 using internal::tarjan_scc;
 using internal::witness_cycle;
@@ -289,12 +290,16 @@ Report analyze_plan(const Plan& plan, int comm_size, const Options& opts) {
     // Deadlock graph = happens-before edges plus, under rendezvous
     // semantics, the reverse coupling: a send cannot complete before its
     // matching recv is issued.
-    std::vector<std::vector<int>> wait = hb;
+    std::vector<std::pair<int, int>> edges;
+    for (int v = 0; v < num_events; ++v) {
+      for (int w : hb[v]) edges.emplace_back(v, w);
+    }
     if (opts.assume_rendezvous) {
       for (const auto& [s, v] : matches) {
-        wait[issue_ev(v)].push_back(comp_ev(s));
+        edges.emplace_back(issue_ev(v), comp_ev(s));
       }
     }
+    const FlatGraph wait = FlatGraph::from_edges(num_events, edges);
     int num_comp = 0;
     const std::vector<int> comp = tarjan_scc(wait, &num_comp);
     std::vector<int> scc_size(num_comp, 0), scc_min(num_comp, num_events);

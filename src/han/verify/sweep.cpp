@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -165,9 +166,9 @@ bool checked_summarize(SweepResult& out, const std::string& name, int rank,
 void graph_case(SweepResult& out, const std::string& name,
                 const std::vector<GraphSummary>& summaries,
                 const std::vector<int>& windows) {
-  for (int w : windows) {
-    record(out, name + ".w" + std::to_string(w),
-           analyze_task_graphs(summaries, w));
+  const std::vector<Report> reports = analyze_task_graphs(summaries, windows);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    record(out, name + ".w" + std::to_string(windows[i]), reports[i]);
   }
 }
 
@@ -446,6 +447,29 @@ SweepResult run_sweep(const SweepOptions& opts) {
               return a.name < b.name;
             });
   return out;
+}
+
+bool parse_windows(const char* arg, std::vector<int>* out) {
+  out->clear();
+  long long v = 0;
+  bool any = false;
+  for (const char* p = arg;; ++p) {
+    if (*p >= '0' && *p <= '9') {
+      v = v * 10 + (*p - '0');
+      any = true;
+      if (v > std::numeric_limits<int>::max()) break;
+    } else if ((*p == ',' || *p == '\0') && any && v >= 1 &&
+               std::find(out->begin(), out->end(), v) == out->end()) {
+      out->push_back(static_cast<int>(v));
+      if (*p == '\0') return true;
+      v = 0;
+      any = false;
+    } else {
+      break;
+    }
+  }
+  out->clear();
+  return false;
 }
 
 void verify_lookup(const tune::LookupTable& table, SweepResult& out) {

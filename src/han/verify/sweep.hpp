@@ -9,7 +9,8 @@
 //  * graph.* — the HAN TaskGraph builders (six 2-level collectives,
 //    barrier, multi-leader allreduce, 3-level bcast/allreduce) built for
 //    every rank of simulated topologies across the autotuner's full
-//    SearchSpace, analyzed with analyze_task_graphs at every window.
+//    SearchSpace, analyzed with analyze_task_graphs at every window (one
+//    wait-for graph per case serves all windows).
 //
 // Results are deterministic: case names are stable, entries sorted.
 #pragma once
@@ -56,6 +57,11 @@ struct SweepResult {
 };
 
 SweepResult run_sweep(const SweepOptions& opts = {});
+
+/// Parse a `--windows` list such as "1,2,3": comma-separated decimal
+/// windows, each in [1, INT_MAX], no window twice (a repeat would record
+/// the same case name twice). False, with `out` cleared, on anything else.
+bool parse_windows(const char* arg, std::vector<int>* out);
 
 /// Append `rep` to `out` as entry `name`: one line per finding, plus one
 /// `error[truncated]` line when the race analysis hit max_race_pairs.

@@ -177,27 +177,6 @@ void run_exec(verify::SweepResult& out) {
   hw.rt.set_plan_checker(nullptr);
 }
 
-bool parse_windows(const char* arg, std::vector<int>* out) {
-  out->clear();
-  int v = 0;
-  bool any = false;
-  for (const char* p = arg;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      v = v * 10 + (*p - '0');
-      any = true;
-    } else if (*p == ',' || *p == '\0') {
-      if (!any || v < 1) return false;
-      out->push_back(v);
-      v = 0;
-      any = false;
-      if (*p == '\0') break;
-    } else {
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -219,7 +198,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--quiet") == 0) {
       quiet = true;
     } else if (std::strcmp(a, "--windows") == 0 && i + 1 < argc) {
-      if (!parse_windows(argv[++i], &opts.windows)) {
+      if (!verify::parse_windows(argv[++i], &opts.windows)) {
         std::fprintf(stderr, "han_verify: bad --windows list '%s'\n",
                      argv[i]);
         return 1;
