@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "simbase/assert.hpp"
+#include "simbase/json.hpp"
 
 namespace han::tune {
 
@@ -395,7 +396,7 @@ std::string TuneDb::report_json() const {
     for (const auto& [ekey, entry] : rec.entries) {
       kinds[coll::coll_kind_name(ekey.kind)] += 1;
     }
-    j += "    \"" + key + "\": {\"revision\": " +
+    j += "    " + sim::json_string(key) + ": {\"revision\": " +
          std::to_string(rec.revision) +
          ", \"stamp\": " + std::to_string(rec.stamp) + ", \"scalar\": \"" +
          hex64(rec.sig.scalar_hash) + "\", \"entries\": " +
@@ -403,7 +404,7 @@ std::string TuneDb::report_json() const {
     std::size_t k = 0;
     for (const auto& [kname, count] : kinds) {
       if (k++ > 0) j += ", ";
-      j += "\"" + kname + "\": " + std::to_string(count);
+      j += sim::json_string(kname) + ": " + std::to_string(count);
     }
     j += "}}";
     j += ++i < records_.size() ? ",\n" : "\n";

@@ -1,10 +1,10 @@
 // The declarative guideline table and the lint report (obs-style JSON).
 #include "han/lint/lint.hpp"
 
-#include <cstdio>
 #include <cstring>
 
 #include "simbase/assert.hpp"
+#include "simbase/json.hpp"
 
 namespace han::lint {
 
@@ -93,46 +93,22 @@ int LintResult::total_warnings() const {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using sim::json_number;
+using sim::json_string;
 
-/// Deterministic float formatting — the byte-identity contract of --jobs
-/// rests on identical doubles printing identically.
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
+const char* severity_name(Severity s) {
+  return s == Severity::Error ? "error" : "warning";
 }
 
 std::string finding_json(const Finding& f) {
-  std::string j = "{\"guideline\": \"" + json_escape(f.guideline) +
-                  "\", \"diag\": \"" + diag_name(f.code) +
-                  "\", \"severity\": \"" +
-                  (f.severity == Severity::Error ? "error" : "warning") +
-                  "\", \"witness\": [\"" + json_escape(f.witness_a) +
-                  "\", \"" + json_escape(f.witness_b) + "\"], \"lhs\": " +
-                  fmt(f.lhs) + ", \"rhs\": " + fmt(f.rhs) +
-                  ", \"margin\": " + fmt(f.margin) + ", \"message\": \"" +
-                  json_escape(f.message) + "\"}";
-  return j;
+  return "{\"guideline\": " + json_string(f.guideline) +
+         ", \"diag\": " + json_string(diag_name(f.code)) +
+         ", \"severity\": " + json_string(severity_name(f.severity)) +
+         ", \"witness\": [" + json_string(f.witness_a) + ", " +
+         json_string(f.witness_b) + "], \"lhs\": " + json_number(f.lhs) +
+         ", \"rhs\": " + json_number(f.rhs) +
+         ", \"margin\": " + json_number(f.margin) +
+         ", \"message\": " + json_string(f.message) + "}";
 }
 
 }  // namespace
@@ -147,18 +123,18 @@ std::string LintResult::to_json() const {
   const std::vector<Guideline>& table = guideline_table();
   for (std::size_t i = 0; i < table.size(); ++i) {
     const Guideline& g = table[i];
-    j += std::string("    {\"id\": \"") + g.id + "\", \"diag\": \"" +
-         diag_name(g.diag) + "\", \"severity\": \"" +
-         (g.severity == Severity::Error ? "error" : "warning") +
-         "\", \"expr\": \"" + json_escape(g.expr) +
-         "\", \"tolerance\": " + fmt(g.tolerance) + "}";
+    j += "    {\"id\": " + json_string(g.id) +
+         ", \"diag\": " + json_string(diag_name(g.diag)) +
+         ", \"severity\": " + json_string(severity_name(g.severity)) +
+         ", \"expr\": " + json_string(g.expr) +
+         ", \"tolerance\": " + json_number(g.tolerance) + "}";
     j += i + 1 < table.size() ? ",\n" : "\n";
   }
   j += "  ],\n  \"cases\": {\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const LintEntry& e = entries[i];
-    j += "    \"" + json_escape(e.name) +
-         "\": {\"checks\": " + std::to_string(e.checks) +
+    j += "    " + json_string(e.name) +
+         ": {\"checks\": " + std::to_string(e.checks) +
          ", \"errors\": " + std::to_string(e.errors) +
          ", \"warnings\": " + std::to_string(e.warnings) +
          ", \"findings\": [";
@@ -182,8 +158,7 @@ std::string LintResult::summary() const {
     if (e.findings.empty()) continue;
     s += e.name + ":\n";
     for (const Finding& f : e.findings) {
-      s += std::string("  ") +
-           (f.severity == Severity::Error ? "error[" : "warning[") +
+      s += std::string("  ") + severity_name(f.severity) + "[" +
            f.guideline + "]: " + f.message + "\n";
     }
   }

@@ -163,8 +163,8 @@ LintResult run_lint(const LintOptions& opts = {});
 
 /// Audit mode: lint the records of an existing lookup table without
 /// re-tuning (band flip-flops, heuristic contradictions). Entries are
-/// named "<prefix>audit.<kind>.<n>x<p>"; appends to `out` (callers sort
-/// at the end, like the CLI).
+/// named "<prefix>audit.<kind>.<n>x<p>"; appends to `out` unsorted
+/// (han_lint runs it as a par::run_cases case, which sorts).
 void lint_lookup(const tune::LookupTable& table, LintResult& out,
                  const std::string& prefix = "");
 

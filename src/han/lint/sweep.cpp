@@ -555,9 +555,8 @@ LintOptions LintOptions::smoke() {
 }
 
 LintResult run_lint(const LintOptions& opts) {
-  // A flat list of independent jobs, each filling a private fragment;
-  // fragments concatenate in input order before the name sort, so the
-  // report is byte-identical for every opts.jobs value.
+  // A flat list of independent jobs, each filling a private fragment
+  // (han::par::run_cases: byte-identical for every opts.jobs value).
   std::vector<std::function<void(LintResult&)>> jobs;
   for (const machine::StockMachine& sm : machine::stock_machines()) {
     if (!opts.machines.empty() &&
@@ -588,21 +587,7 @@ LintResult run_lint(const LintOptions& opts) {
     }
   }
 
-  std::vector<LintResult> frags = par::parallel_map(
-      opts.jobs, static_cast<int>(jobs.size()), [&jobs](int i) {
-        LintResult frag;
-        jobs[static_cast<std::size_t>(i)](frag);
-        return frag;
-      });
-  LintResult out;
-  for (LintResult& frag : frags) {
-    for (LintEntry& e : frag.entries) out.entries.push_back(std::move(e));
-  }
-  std::sort(out.entries.begin(), out.entries.end(),
-            [](const LintEntry& a, const LintEntry& b) {
-              return a.name < b.name;
-            });
-  return out;
+  return par::run_cases(opts.jobs, jobs);
 }
 
 // ---- audit mode ---------------------------------------------------------

@@ -1,16 +1,15 @@
 #include "han/synth/synth.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 #include "autotune/search.hpp"
 #include "coll/registry.hpp"
 #include "han/han.hpp"
-#include "han/task/builders.hpp"
-#include "han/verify/verify.hpp"
+#include "han/verify/sweep.hpp"
 #include "machine/machine.hpp"
 #include "parallel/pool.hpp"
+#include "simbase/json.hpp"
 #include "simbase/units.hpp"
 
 namespace han::synth {
@@ -19,51 +18,9 @@ namespace {
 
 using coll::CollKind;
 using core::HanConfig;
-using mpi::BufView;
 using mpi::Datatype;
-
-/// Per-rank graphs of one candidate (cfg.sched names its spec), built by
-/// the same ladder builder the dispatch path uses.
-task::TaskGraph build_candidate(core::HanWorld& sw, const mpi::Comm& wc,
-                                int me, CollKind kind, std::size_t bytes,
-                                const HanConfig& cfg) {
-  if (kind == CollKind::Bcast) {
-    return task::build_bcast(sw.han, wc, me, /*root=*/0,
-                             BufView::timing_only(bytes), Datatype::Byte,
-                             cfg);
-  }
-  return task::build_allreduce(sw.han, wc, me, BufView::timing_only(bytes),
-                               BufView::timing_only(bytes), Datatype::Byte,
-                               mpi::ReduceOp::Sum, cfg);
-}
-
-/// The soundness gate: structural validation plus the cross-rank deadlock
-/// analysis at the candidate's own scheduler window. ANY finding — error
-/// or warning — disqualifies the candidate from execution.
-void gate_candidate(core::HanWorld& sw, CollKind kind, std::size_t bytes,
-                    Candidate& cand) {
-  const mpi::Comm& wc = sw.world.world_comm();
-  std::vector<verify::GraphSummary> summaries;
-  for (int me = 0; me < wc.size(); ++me) {
-    task::TaskGraph g = build_candidate(sw, wc, me, kind, bytes, cand.cfg);
-    if (!task::validate_graph(g).empty()) {
-      cand.verify_errors += 1;
-      return;
-    }
-    summaries.push_back(verify::summarize(g, me));
-  }
-  const verify::Report rep =
-      verify::analyze_task_graphs(summaries, cand.cfg.window);
-  for (const verify::Finding& f : rep.findings) {
-    if (f.severity == verify::Severity::Error) {
-      ++cand.verify_errors;
-    } else {
-      ++cand.verify_warnings;
-    }
-  }
-  if (rep.truncated) ++cand.verify_errors;
-  cand.verified = cand.verify_errors == 0 && cand.verify_warnings == 0;
-}
+using sim::json_number;
+using sim::json_string;
 
 std::vector<std::size_t> pareto_frontier(const std::vector<Candidate>& pool) {
   std::vector<std::size_t> out;
@@ -77,20 +34,14 @@ std::vector<std::size_t> pareto_frontier(const std::vector<Candidate>& pool) {
   return out;
 }
 
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 std::string fmt_candidate(const Candidate& c) {
-  std::string j = "{\"cfg\": \"" + c.cfg.to_string() + "\"";
-  j += ", \"lat\": " + fmt_double(c.cost.lat);
-  j += ", \"bw\": " + fmt_double(c.cost.bw);
+  std::string j = "{\"cfg\": " + json_string(c.cfg.to_string());
+  j += ", \"lat\": " + json_number(c.cost.lat);
+  j += ", \"bw\": " + json_number(c.cost.bw);
   j += std::string(", \"verified\": ") + (c.verified ? "true" : "false");
   j += ", \"errors\": " + std::to_string(c.verify_errors);
   j += ", \"warnings\": " + std::to_string(c.verify_warnings);
-  if (c.time >= 0.0) j += ", \"time\": " + fmt_double(c.time);
+  if (c.time >= 0.0) j += ", \"time\": " + json_number(c.time);
   j += "}";
   return j;
 }
@@ -141,9 +92,11 @@ std::string SynthResult::to_json() const {
                   ", \"finalist_findings\": " +
                   std::to_string(finalist_findings()) +
                   ", \"wins\": " + std::to_string(wins()) + "},\n";
-  j += "  \"options\": {\"machine\": \"" + std::to_string(opts.nodes) + "x" +
-       (opts.numa > 1 ? std::to_string(opts.numa) + "x" : "") +
-       std::to_string(opts.ppn) + "\", \"seed\": " +
+  j += "  \"options\": {\"machine\": " +
+       json_string(std::to_string(opts.nodes) + "x" +
+                   (opts.numa > 1 ? std::to_string(opts.numa) + "x" : "") +
+                   std::to_string(opts.ppn)) +
+       ", \"seed\": " +
        std::to_string(opts.seed) +
        ", \"mutation_rounds\": " + std::to_string(opts.mutation_rounds) +
        ", \"mutants_per_round\": " + std::to_string(opts.mutants_per_round) +
@@ -151,12 +104,12 @@ std::string SynthResult::to_json() const {
   j += "  \"cases\": {\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const SynthCase& c = cases[i];
-    j += "    \"" + c.name + "\": {\"explored\": " +
+    j += "    " + json_string(c.name) + ": {\"explored\": " +
          std::to_string(c.explored) +
          ", \"frontier\": " + std::to_string(c.frontier);
     if (c.baseline >= 0.0) {
-      j += ", \"baseline\": {\"cfg\": \"" + c.baseline_cfg +
-           "\", \"time\": " + fmt_double(c.baseline) + "}";
+      j += ", \"baseline\": {\"cfg\": " + json_string(c.baseline_cfg) +
+           ", \"time\": " + json_number(c.baseline) + "}";
     }
     j += ", \"finalists\": [";
     for (std::size_t f = 0; f < c.finalists.size(); ++f) {
@@ -166,10 +119,10 @@ std::string SynthResult::to_json() const {
     j += "]";
     if (c.winner >= 0) {
       const Candidate& w = c.finalists[c.winner];
-      j += ", \"winner\": {\"cfg\": \"" + w.cfg.to_string() +
-           "\", \"time\": " + fmt_double(w.time);
+      j += ", \"winner\": {\"cfg\": " + json_string(w.cfg.to_string()) +
+           ", \"time\": " + json_number(w.time);
       if (c.baseline > 0.0) {
-        j += ", \"vs_baseline\": " + fmt_double(w.time / c.baseline);
+        j += ", \"vs_baseline\": " + json_number(w.time / c.baseline);
       }
       j += "}";
     }
@@ -305,11 +258,23 @@ SynthCase run_case(const SynthOptions& opts, CollKind kind,
   if (opts.numa > 1) profile = machine::with_numa(profile, opts.numa);
   if (opts.rails > 1) profile = machine::with_rails(profile, opts.rails);
   core::HanWorld sw(std::move(profile));
-  const mpi::Comm& wc = sw.world.world_comm();
   for (Candidate& cand : c.finalists) {
-    gate_candidate(sw, kind, bytes, cand);
+    // The soundness gate, at the candidate's own scheduler window: ANY
+    // finding — error or warning — disqualifies it from execution.
+    const verify::GraphCheck check = verify::verify_collective(
+        sw, kind, bytes, Datatype::Byte, cand.cfg,
+        std::span(&cand.cfg.window, 1));
+    if (!check.defect.empty()) {
+      cand.verify_errors = 1;
+      continue;
+    }
+    const verify::Report& rep = check.reports.front();
+    cand.verify_errors = rep.error_count() + (rep.truncated ? 1 : 0);
+    cand.verify_warnings =
+        static_cast<int>(rep.findings.size()) - rep.error_count();
+    cand.verified = cand.verify_errors == 0 && cand.verify_warnings == 0;
   }
-  tune::Searcher searcher(sw.world, sw.han, wc);
+  tune::Searcher searcher(sw.world, sw.han, sw.world.world_comm());
   for (const HanConfig& base : bases) {
     const double t = searcher.measure_collective(kind, bytes, base);
     if (c.baseline < 0.0 || t < c.baseline) {

@@ -1,15 +1,12 @@
 #include "han/verify/sweep.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "autotune/search.hpp"
 #include "coll/builders.hpp"
-#include "parallel/pool.hpp"
 #include "coll/registry.hpp"
 #include "coll/ring/ring_builders.hpp"
 #include "coll/validate.hpp"
@@ -17,6 +14,8 @@
 #include "han/synth/spec.hpp"
 #include "han/task/builders.hpp"
 #include "machine/machine.hpp"
+#include "parallel/pool.hpp"
+#include "simbase/json.hpp"
 
 namespace han::verify {
 
@@ -148,27 +147,21 @@ void sweep_plans_for(SweepResult& out, int n) {
 
 // ---- graph.* family -----------------------------------------------------
 
-/// Build one rank's graph, or record the structural defect and return
-/// false.
-bool checked_summarize(SweepResult& out, const std::string& name, int rank,
-                       task::TaskGraph graph,
-                       std::vector<GraphSummary>& summaries) {
-  const std::string defect = task::validate_graph(graph);
-  if (!defect.empty()) {
-    record_defect(out, name,
-                  "rank " + std::to_string(rank) + ": " + defect);
-    return false;
-  }
-  summaries.push_back(summarize(graph, rank));
-  return true;
-}
-
-void graph_case(SweepResult& out, const std::string& name,
-                const std::vector<GraphSummary>& summaries,
+/// One graph case: every rank's graph of `kind` under `cfg` over 1 MiB
+/// per rank (Byte elements for bcast, Int32 for the reductions), recorded
+/// once per scheduler window, or once as its structural defect.
+void graph_case(SweepResult& out, core::HanWorld& gw, const std::string& name,
+                CollKind kind, const HanConfig& cfg,
                 const std::vector<int>& windows) {
-  const std::vector<Report> reports = analyze_task_graphs(summaries, windows);
+  const Datatype dtype =
+      kind == CollKind::Bcast ? Datatype::Byte : Datatype::Int32;
+  GraphCheck check = verify_collective(gw, kind, 1 << 20, dtype, cfg, windows);
+  if (!check.defect.empty()) {
+    record_defect(out, name, std::move(check.defect));
+    return;
+  }
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    record(out, name + ".w" + std::to_string(windows[i]), reports[i]);
+    record(out, name + ".w" + std::to_string(windows[i]), check.reports[i]);
   }
 }
 
@@ -184,57 +177,6 @@ tune::SearchSpace sweep_space(bool full_space) {
   return space;
 }
 
-constexpr std::size_t kGraphBytes = 1 << 20;
-
-/// Rank `me`'s graph of `kind` over kGraphBytes per rank, rooted at 0:
-/// Byte elements for bcast, Int32 for the reductions.
-task::TaskGraph build_graph(core::HanWorld& gw, CollKind kind, int me,
-                            const HanConfig& cfg) {
-  const mpi::Comm& wc = gw.world.world_comm();
-  const std::size_t n = static_cast<std::size_t>(wc.size());
-  const BufView one = BufView::timing_only(kGraphBytes);
-  const BufView all = BufView::timing_only(kGraphBytes * n);
-  switch (kind) {
-    case CollKind::Bcast:
-      return task::build_bcast(gw.han, wc, me, 0, one, Datatype::Byte, cfg);
-    case CollKind::Reduce:
-      return task::build_reduce(gw.han, wc, me, 0, one, one, Datatype::Int32,
-                                mpi::ReduceOp::Sum, cfg);
-    case CollKind::Allreduce:
-      return task::build_allreduce(gw.han, wc, me, one, one, Datatype::Int32,
-                                   mpi::ReduceOp::Sum, cfg);
-    case CollKind::ReduceScatter:
-      return task::build_reduce_scatter(
-          gw.han, wc, me, one, BufView::timing_only(kGraphBytes / n),
-          Datatype::Int32, mpi::ReduceOp::Sum, cfg);
-    case CollKind::Gather:
-      return task::build_gather(gw.han, wc, me, 0, one, all, cfg);
-    case CollKind::Scatter:
-      return task::build_scatter(gw.han, wc, me, 0, all, one, cfg);
-    case CollKind::Allgather:
-      return task::build_allgather(gw.han, wc, me, one, all, cfg);
-    case CollKind::Barrier:
-      return task::build_barrier(gw.han, wc, me);
-  }
-  return {};
-}
-
-/// One graph case: every rank's graph of `kind` under `cfg`, validated,
-/// then analyzed at each scheduler window.
-void graph_config_case(SweepResult& out, core::HanWorld& gw,
-                       const std::string& name, CollKind kind,
-                       const HanConfig& cfg,
-                       const std::vector<int>& windows) {
-  std::vector<GraphSummary> summaries;
-  for (int me = 0; me < gw.world.world_comm().size(); ++me) {
-    if (!checked_summarize(out, name, me, build_graph(gw, kind, me, cfg),
-                           summaries)) {
-      return;
-    }
-  }
-  graph_case(out, name, summaries, windows);
-}
-
 /// One graph-family sweep job: every `space` config of one collective kind
 /// on one machine, named `prefix` + config. Owns its world — jobs share
 /// nothing.
@@ -244,8 +186,7 @@ void graph_space_job(SweepResult& out, machine::MachineProfile profile,
                      const std::vector<int>& windows) {
   core::HanWorld gw(std::move(profile));
   for (const HanConfig& cfg : space.enumerate(kind)) {
-    graph_config_case(out, gw, prefix + cfg.to_string(), kind, cfg,
-                      windows);
+    graph_case(out, gw, prefix + cfg.to_string(), kind, cfg, windows);
   }
 }
 
@@ -261,32 +202,11 @@ void graph_ml2_job(SweepResult& out, const char* topo_tag, int topo_nodes,
        sweep_space(full_space).enumerate(CollKind::Allreduce)) {
     HanConfig striped = cfg;
     striped.sched = ml2.id();
-    graph_config_case(out, gw,
-                      std::string("graph.") + topo_tag + ".allreduce_ml2." +
-                          cfg.to_string(),
-                      CollKind::Allreduce, striped, windows);
+    graph_case(out, gw,
+               std::string("graph.") + topo_tag + ".allreduce_ml2." +
+                   cfg.to_string(),
+               CollKind::Allreduce, striped, windows);
   }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -311,14 +231,15 @@ std::string SweepResult::to_json() const {
                   "},\n  \"cases\": {\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const SweepEntry& e = entries[i];
-    j += "    \"" + json_escape(e.name) +
-         "\": {\"actions\": " + std::to_string(e.actions) +
+    j += "    ";
+    sim::append_json_string(j, e.name);
+    j += ": {\"actions\": " + std::to_string(e.actions) +
          ", \"errors\": " + std::to_string(e.errors) +
          ", \"warnings\": " + std::to_string(e.warnings) +
          ", \"findings\": [";
     for (std::size_t k = 0; k < e.lines.size(); ++k) {
       if (k > 0) j += ", ";
-      j += "\"" + json_escape(e.lines[k]) + "\"";
+      sim::append_json_string(j, e.lines[k]);
     }
     j += "]}";
     j += i + 1 < entries.size() ? ",\n" : "\n";
@@ -339,12 +260,11 @@ std::string SweepResult::summary() const {
   return s;
 }
 
-SweepResult run_sweep(const SweepOptions& opts) {
-  // The sweep is a flat list of independent jobs, each of which builds its
-  // own worlds and fills a private fragment. Fragments concatenate in
-  // input order before the name sort, so the report is byte-identical for
-  // every opts.jobs value.
-  std::vector<std::function<void(SweepResult&)>> jobs;
+std::vector<SweepCase> sweep_cases(const SweepOptions& opts) {
+  // Every job owns its worlds and copies what it reads of `opts`.
+  const std::vector<int>& windows = opts.windows;
+  const bool full_space = opts.full_space;
+  std::vector<SweepCase> jobs;
   if (opts.plans) {
     for (int n : {2, 3, 4, 8, 16}) {
       jobs.push_back([n](SweepResult& frag) { sweep_plans_for(frag, n); });
@@ -371,28 +291,27 @@ SweepResult run_sweep(const SweepOptions& opts) {
     for (const Topo& t : kTopos) {
       const std::string tprefix = std::string("graph.") + t.tag + ".";
       for (const KindCase& kc : kKinds) {
-        tune::SearchSpace space = sweep_space(opts.full_space);
+        tune::SearchSpace space = sweep_space(full_space);
         if (!kc.full) {
           // The linear-phase collectives ignore the inter knobs.
           space.imods = {"libnbc"};
           space.include_ring = false;
         }
-        jobs.push_back([&t, kc, tprefix, space, &opts](SweepResult& frag) {
+        jobs.push_back([&t, kc, tprefix, space, windows](SweepResult& frag) {
           graph_space_job(frag, machine::make_aries(t.nodes, t.ppn),
                           tprefix + coll::coll_kind_name(kc.kind) + ".",
-                          kc.kind, space, opts.windows);
+                          kc.kind, space, windows);
         });
       }
       // Barrier has no Table II knobs: one case per topology.
-      jobs.push_back([&t, tprefix, &opts](SweepResult& frag) {
+      jobs.push_back([&t, tprefix, windows](SweepResult& frag) {
         core::HanWorld gw(machine::make_aries(t.nodes, t.ppn));
-        graph_config_case(frag, gw, tprefix + "barrier", CollKind::Barrier,
-                          HanConfig{}, opts.windows);
+        graph_case(frag, gw, tprefix + "barrier", CollKind::Barrier,
+                   HanConfig{}, windows);
       });
       if (t.nodes > 1 && t.ppn >= 2) {
-        jobs.push_back([&t, &opts](SweepResult& frag) {
-          graph_ml2_job(frag, t.tag, t.nodes, t.ppn, opts.full_space,
-                        opts.windows);
+        jobs.push_back([&t, full_space, windows](SweepResult& frag) {
+          graph_ml2_job(frag, t.tag, t.nodes, t.ppn, full_space, windows);
         });
       }
     }
@@ -407,11 +326,11 @@ SweepResult run_sweep(const SweepOptions& opts) {
     for (const machine::StockMachine& sm : machine::stock_machines()) {
       std::vector<std::pair<std::string, tune::SearchSpace>> variants;
       if (sm.profile.numa_per_node > 1) {
-        variants.emplace_back("_lvl3.", sweep_space(opts.full_space));
+        variants.emplace_back("_lvl3.", sweep_space(full_space));
       }
       const int rails = sm.profile.nics_per_node;
       if (rails > 1) {
-        tune::SearchSpace space = sweep_space(opts.full_space);
+        tune::SearchSpace space = sweep_space(full_space);
         for (int d = 1; d <= rails; ++d) {
           if (rails % d == 0) space.stripe_factors.push_back(d);
         }
@@ -420,33 +339,23 @@ SweepResult run_sweep(const SweepOptions& opts) {
       for (const auto& [suffix, space] : variants) {
         for (CollKind kind :
              {CollKind::Bcast, CollKind::Reduce, CollKind::Allreduce}) {
-          jobs.push_back([&sm, kind, suffix, space, &opts](
+          jobs.push_back([&sm, kind, suffix, space, windows](
                              SweepResult& frag) {
             graph_space_job(frag, sm.profile,
                             std::string("graph.") + sm.name + "." +
                                 coll::coll_kind_name(kind) + suffix,
-                            kind, space, opts.windows);
+                            kind, space, windows);
           });
         }
       }
     }
   }
 
-  std::vector<SweepResult> frags = par::parallel_map(
-      opts.jobs, static_cast<int>(jobs.size()), [&jobs](int i) {
-        SweepResult frag;
-        jobs[static_cast<std::size_t>(i)](frag);
-        return frag;
-      });
-  SweepResult out;
-  for (SweepResult& frag : frags) {
-    for (SweepEntry& e : frag.entries) out.entries.push_back(std::move(e));
-  }
-  std::sort(out.entries.begin(), out.entries.end(),
-            [](const SweepEntry& a, const SweepEntry& b) {
-              return a.name < b.name;
-            });
-  return out;
+  return jobs;
+}
+
+SweepResult run_sweep(const SweepOptions& opts) {
+  return par::run_cases(opts.jobs, sweep_cases(opts));
 }
 
 bool parse_windows(const char* arg, std::vector<int>* out) {
@@ -518,26 +427,64 @@ void verify_lookup(const tune::LookupTable& table, SweepResult& out) {
       core::HanWorld gw(machine::with_rails(
           machine::with_numa(machine::make_aries(key.nodes, key.ppn), d),
           rails));
-      const mpi::Comm& wc = gw.world.world_comm();
-      std::vector<GraphSummary> summaries;
-      bool ok = true;
-      for (int me = 0; ok && me < wc.size(); ++me) {
-        task::TaskGraph g =
-            key.kind == CollKind::Bcast
-                ? task::build_bcast(gw.han, wc, me, /*root=*/0,
-                                    BufView::timing_only(bytes),
-                                    Datatype::Byte, cfg)
-                : task::build_allreduce(
-                      gw.han, wc, me, BufView::timing_only(bytes),
-                      BufView::timing_only(bytes), Datatype::Byte,
-                      mpi::ReduceOp::Sum, cfg);
-        ok = checked_summarize(out, case_name, me, std::move(g), summaries);
-      }
-      if (ok) {
-        record(out, case_name, analyze_task_graphs(summaries, cfg.window));
+      GraphCheck check = verify_collective(gw, key.kind, bytes,
+                                           Datatype::Byte, cfg,
+                                           std::span(&cfg.window, 1));
+      if (!check.defect.empty()) {
+        record_defect(out, case_name, std::move(check.defect));
+      } else {
+        record(out, case_name, check.reports.front());
       }
     }
   }
+}
+
+GraphCheck verify_collective(core::HanWorld& world, CollKind kind,
+                             std::size_t bytes, Datatype dtype,
+                             const HanConfig& cfg,
+                             std::span<const int> windows) {
+  const mpi::Comm& wc = world.world.world_comm();
+  const std::size_t n = static_cast<std::size_t>(wc.size());
+  const BufView one = BufView::timing_only(bytes);
+  const BufView all = BufView::timing_only(bytes * n);
+  const auto build = [&](int me) -> task::TaskGraph {
+    switch (kind) {
+      case CollKind::Bcast:
+        return task::build_bcast(world.han, wc, me, 0, one, dtype, cfg);
+      case CollKind::Reduce:
+        return task::build_reduce(world.han, wc, me, 0, one, one, dtype,
+                                  mpi::ReduceOp::Sum, cfg);
+      case CollKind::Allreduce:
+        return task::build_allreduce(world.han, wc, me, one, one, dtype,
+                                     mpi::ReduceOp::Sum, cfg);
+      case CollKind::ReduceScatter:
+        return task::build_reduce_scatter(
+            world.han, wc, me, one, BufView::timing_only(bytes / n), dtype,
+            mpi::ReduceOp::Sum, cfg);
+      case CollKind::Gather:
+        return task::build_gather(world.han, wc, me, 0, one, all, cfg);
+      case CollKind::Scatter:
+        return task::build_scatter(world.han, wc, me, 0, all, one, cfg);
+      case CollKind::Allgather:
+        return task::build_allgather(world.han, wc, me, one, all, cfg);
+      case CollKind::Barrier:
+        return task::build_barrier(world.han, wc, me);
+    }
+    return {};
+  };
+  GraphCheck check;
+  std::vector<GraphSummary> summaries;
+  for (int me = 0; me < wc.size(); ++me) {
+    const task::TaskGraph graph = build(me);
+    const std::string defect = task::validate_graph(graph);
+    if (!defect.empty()) {
+      check.defect = "rank " + std::to_string(me) + ": " + defect;
+      return check;
+    }
+    summaries.push_back(summarize(graph, me));
+  }
+  check.reports = analyze_task_graphs(summaries, windows);
+  return check;
 }
 
 }  // namespace han::verify

@@ -15,6 +15,9 @@
 // Results are deterministic: case names are stable, entries sorted.
 #pragma once
 
+#include <cstddef>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,7 +59,33 @@ struct SweepResult {
   std::string summary() const;
 };
 
+/// One case job of a sweep: builds its own worlds and appends its
+/// entries to a private fragment (han::par::run_cases merges them).
+using SweepCase = std::function<void(SweepResult&)>;
+
+/// The sweep's case jobs in their fixed order; each copies what it needs
+/// of `opts`. han_verify appends its execution matrix to this list.
+std::vector<SweepCase> sweep_cases(const SweepOptions& opts);
+
+/// par::run_cases(opts.jobs, sweep_cases(opts)).
 SweepResult run_sweep(const SweepOptions& opts = {});
+
+/// Outcome of verify_collective: the first structural defect, or one
+/// report per window.
+struct GraphCheck {
+  std::string defect;           // "rank <r>: <validate_graph message>"
+  std::vector<Report> reports;  // one per window; empty on a defect
+};
+
+/// Build every rank's graph of `kind` on `world` over `bytes` per rank
+/// (root 0, element type `dtype`, configuration `cfg`), validate each with
+/// task::validate_graph, and analyze them together at every window of
+/// `windows` (analyze_task_graphs). Validation stops at the first rank
+/// whose graph is malformed.
+GraphCheck verify_collective(core::HanWorld& world, coll::CollKind kind,
+                             std::size_t bytes, mpi::Datatype dtype,
+                             const core::HanConfig& cfg,
+                             std::span<const int> windows);
 
 /// Parse a `--windows` list such as "1,2,3": comma-separated decimal
 /// windows, each in [1, INT_MAX], no window twice (a repeat would record
@@ -74,7 +103,7 @@ void record(SweepResult& out, std::string name, const Report& rep);
 /// rebuilt under every NUMA split d of the node (1 < d < p, d | p), one
 /// entry each, suffixed ".numa<d>". Unparseable ids and kind mismatches
 /// are recorded as defects, never skipped silently.
-/// Appends to `out` (the han_verify CLI sorts at the end).
+/// Appends to `out`.
 void verify_lookup(const tune::LookupTable& table, SweepResult& out);
 
 }  // namespace han::verify

@@ -1,40 +1,14 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "simbase/assert.hpp"
+#include "simbase/json.hpp"
 
 namespace han::obs {
 
-namespace {
-
-/// Locale-independent shortest-ish float formatting; deterministic across
-/// runs for identical doubles.
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (unsigned char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += static_cast<char>(c);
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
+using sim::append_json_string;
+using sim::json_number;
 
 // ---- Gauge ----------------------------------------------------------------
 
@@ -167,14 +141,14 @@ std::string MetricsRegistry::to_json(sim::Time now) const {
     out += ':';
     append_json_string(out, v);
   }
-  out += "},\n\"sim_seconds\":" + fmt(now) + ",\n\"counters\":{";
+  out += "},\n\"sim_seconds\":" + json_number(now) + ",\n\"counters\":{";
   first = true;
   for (const auto& [name, c] : counters_) {
     if (!first) out += ',';
     first = false;
     out += '\n';
     append_json_string(out, name);
-    out += ':' + fmt(c.value());
+    out += ':' + json_number(c.value());
   }
   out += "},\n\"gauges\":{";
   first = true;
@@ -183,10 +157,11 @@ std::string MetricsRegistry::to_json(sim::Time now) const {
     first = false;
     out += '\n';
     append_json_string(out, name);
-    out += ":{\"value\":" + fmt(g.value()) + ",\"mean\":" + fmt(g.mean(now)) +
-           ",\"mean_active\":" + fmt(g.mean_active(now)) +
-           ",\"active_seconds\":" + fmt(g.active_seconds(now)) +
-           ",\"max\":" + fmt(g.max()) + '}';
+    out += ":{\"value\":" + json_number(g.value()) +
+           ",\"mean\":" + json_number(g.mean(now)) +
+           ",\"mean_active\":" + json_number(g.mean_active(now)) +
+           ",\"active_seconds\":" + json_number(g.active_seconds(now)) +
+           ",\"max\":" + json_number(g.max()) + '}';
   }
   out += "},\n\"histograms\":{";
   first = true;
@@ -195,18 +170,18 @@ std::string MetricsRegistry::to_json(sim::Time now) const {
     first = false;
     out += '\n';
     append_json_string(out, name);
-    out += ":{\"weight\":" + fmt(h.total_weight()) +
-           ",\"mean\":" + fmt(h.weighted_mean()) +
-           ",\"p50\":" + fmt(h.quantile(0.5)) +
-           ",\"p99\":" + fmt(h.quantile(0.99)) + ",\"bounds\":[";
+    out += ":{\"weight\":" + json_number(h.total_weight()) +
+           ",\"mean\":" + json_number(h.weighted_mean()) +
+           ",\"p50\":" + json_number(h.quantile(0.5)) +
+           ",\"p99\":" + json_number(h.quantile(0.99)) + ",\"bounds\":[";
     for (std::size_t i = 0; i < h.bounds().size(); ++i) {
       if (i > 0) out += ',';
-      out += fmt(h.bounds()[i]);
+      out += json_number(h.bounds()[i]);
     }
     out += "],\"weights\":[";
     for (std::size_t i = 0; i < h.weights().size(); ++i) {
       if (i > 0) out += ',';
-      out += fmt(h.weights()[i]);
+      out += json_number(h.weights()[i]);
     }
     out += "]}";
   }
@@ -226,7 +201,7 @@ std::string MetricsRegistry::to_csv(sim::Time now) const {
     out += ',';
     out += field;
     out += ',';
-    out += fmt(v);
+    out += json_number(v);
     out += '\n';
   };
   for (const auto& [k, v] : meta_) {

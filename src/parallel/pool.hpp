@@ -7,17 +7,20 @@
 // *independent* (each builds its own worlds, touches no shared state) and
 // results are merged in input order, never completion order.
 //
-// parallel_map(jobs, n, fn) is the whole API surface: with jobs <= 1 it
+// parallel_map(jobs, n, fn) is the core of the API: with jobs <= 1 it
 // degenerates to a plain in-order loop on the calling thread — the serial
 // path — so `--jobs 1` (the default everywhere) is bit-for-bit the
 // pre-parallel behaviour, and `--jobs N` must match it exactly.
+// run_cases(jobs, cases) is the analyzers' report harness on top of it.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "simbase/assert.hpp"
@@ -78,6 +81,30 @@ std::vector<R> parallel_map(int jobs, int n, Fn fn) {
     out[static_cast<std::size_t>(i)] = fn(i);
   });
   pool.wait();
+  return out;
+}
+
+/// Run analyzer case jobs and merge their reports. Each case fills a
+/// private `Result` fragment (a struct with an `entries` vector whose
+/// elements carry a `name`); the fragments' entries are concatenated in
+/// input order and stably sorted by name, so the merged report is the
+/// same for every `jobs` value.
+template <typename Result>
+Result run_cases(int jobs,
+                 const std::vector<std::function<void(Result&)>>& cases) {
+  std::vector<Result> frags = parallel_map(
+      jobs, static_cast<int>(cases.size()), [&cases](int i) {
+        Result frag;
+        cases[static_cast<std::size_t>(i)](frag);
+        return frag;
+      });
+  Result out;
+  for (Result& frag : frags) {
+    for (auto& e : frag.entries) out.entries.push_back(std::move(e));
+  }
+  std::stable_sort(
+      out.entries.begin(), out.entries.end(),
+      [](const auto& a, const auto& b) { return a.name < b.name; });
   return out;
 }
 

@@ -7,29 +7,9 @@
 #include <fstream>
 #include <utility>
 
+#include "simbase/json.hpp"
+
 namespace han::sim {
-
-namespace {
-
-// JSON string escaping. Control characters (< 0x20) must be \uXXXX-escaped
-// or the output is invalid JSON — span names built from user strings can
-// legally contain them.
-void append_escaped(std::string& out, std::string_view s) {
-  for (unsigned char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += static_cast<char>(c);
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-}
-
-}  // namespace
 
 std::string Tracer::to_chrome_json() const {
   std::string out = "{\"traceEvents\":[\n";
@@ -76,11 +56,11 @@ std::string Tracer::to_chrome_json() const {
     out += std::to_string(s.pid);
     out += ",\"tid\":";
     out += std::to_string(s.tid);
-    out += ",\"cat\":\"";
-    append_escaped(out, s.cat);
-    out += "\",\"name\":\"";
-    append_escaped(out, s.name);
-    std::snprintf(buf, sizeof(buf), "\",\"ts\":%.3f,\"dur\":%.3f}",
+    out += ",\"cat\":";
+    append_json_string(out, s.cat);
+    out += ",\"name\":";
+    append_json_string(out, s.name);
+    std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f}",
                   s.start * 1e6, s.duration * 1e6);
     out += buf;
   }
@@ -89,12 +69,13 @@ std::string Tracer::to_chrome_json() const {
     sep();
     out += "{\"ph\":\"C\",\"pid\":";
     out += std::to_string(c.pid);
-    out += ",\"name\":\"";
-    append_escaped(out, c.name);
-    std::snprintf(buf, sizeof(buf),
-                  "\",\"ts\":%.3f,\"args\":{\"value\":%.9g}}", c.t * 1e6,
-                  c.value);
+    out += ",\"name\":";
+    append_json_string(out, c.name);
+    std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"args\":{\"value\":",
+                  c.t * 1e6);
     out += buf;
+    out += json_number(c.value);
+    out += "}}";
   }
 
   out += "\n]}\n";

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace han::sim {
 
@@ -30,8 +31,11 @@ std::uint64_t parse_bytes(std::string_view text, bool* ok) {
   std::uint64_t value = 0;
   std::size_t i = 0;
   bool any_digit = false;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-    value = value * 10 + static_cast<std::uint64_t>(text[i] - '0');
+    const auto digit = static_cast<std::uint64_t>(text[i] - '0');
+    if (value > (kMax - digit) / 10) return 0;  // overflows uint64_t
+    value = value * 10 + digit;
     any_digit = true;
     ++i;
   }
@@ -51,7 +55,7 @@ std::uint64_t parse_bytes(std::string_view text, bool* ok) {
       ++i;
     }
   }
-  if (i != text.size()) return 0;
+  if (i != text.size() || value > kMax / scale) return 0;
   if (ok != nullptr) *ok = true;
   return value * scale;
 }

@@ -21,7 +21,8 @@ inline constexpr Time kMillisecond = 1e-3;
 std::string format_bytes(std::uint64_t bytes);
 
 /// Parse "64K", "4M", "1G", "128" (case-insensitive, optional trailing 'B')
-/// into a byte count. Returns 0 and sets *ok=false on malformed input.
+/// into a byte count. Returns 0 and sets *ok=false on malformed input,
+/// including a count whose digits or scale overflow uint64_t.
 std::uint64_t parse_bytes(std::string_view text, bool* ok = nullptr);
 
 /// Format a simulated duration with an auto-selected unit: "3.24us",

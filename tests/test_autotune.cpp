@@ -206,6 +206,18 @@ TEST(LookupTableTest, DeserializeRejectsGarbage) {
   EXPECT_TRUE(LookupTable::deserialize("# only comments\n", &t));
 }
 
+TEST(LookupTableTest, DeserializeRejectsOverflowingSizes) {
+  // (2^54 + 1) KiB is past uint64_t: it must not wrap to 1K and load;
+  // (2^54 - 1) KiB still fits.
+  LookupTable t;
+  EXPECT_FALSE(LookupTable::deserialize(
+      "bcast 2 2 20 : fs=18014398509481985K\n", &t));
+  EXPECT_FALSE(LookupTable::deserialize(
+      "bcast 2 2 20 : fs=64K ibs=18446744073709551617\n", &t));
+  EXPECT_TRUE(LookupTable::deserialize(
+      "bcast 2 2 20 : fs=64K ibs=18014398509481983K\n", &t));
+}
+
 TEST(LookupTableTest, FormatVersionHeader) {
   // serialize() writes the current format version.
   LookupTable t;

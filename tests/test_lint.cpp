@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,22 @@ TEST(LintSweep, CleanSmokeHasZeroErrors) {
   EXPECT_TRUE(has("sim.aries2x8"));
   EXPECT_TRUE(has("sim.aries2x8.ppn"));
   EXPECT_TRUE(has("perturb.aries2x8.bcast.degraded_link"));
+}
+
+TEST(LintSweep, SmokeReportIsPinned) {
+  // The smoke sweep's report, byte for byte (FNV-1a over the JSON): the
+  // report writer and the case harness feed it, the cost model and the
+  // simulator its numbers.
+  LintOptions opts = LintOptions::smoke();
+  opts.jobs = 4;
+  const std::string json = run_lint(opts).to_json();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (char ch : json) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(json.size(), 6021u);
+  EXPECT_EQ(h, 0x3c62aed942fb78a4ull);
 }
 
 TEST(LintSweep, JobsAreByteIdentical) {

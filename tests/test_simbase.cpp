@@ -13,12 +13,14 @@
 #include "simbase/cotask.hpp"
 #include "simbase/engine.hpp"
 #include "simbase/inline_fn.hpp"
+#include "simbase/json.hpp"
 #include "simbase/rng.hpp"
 #include "simbase/slot_pool.hpp"
 #include "simbase/small_vec.hpp"
 #include "simbase/stats.hpp"
 #include "simbase/table.hpp"
 #include "simbase/units.hpp"
+#include "json_validator.hpp"
 
 namespace han::sim {
 namespace {
@@ -59,6 +61,26 @@ TEST(Units, ParseBytesRejectsGarbage) {
   EXPECT_FALSE(ok);
   parse_bytes("4KBs", &ok);
   EXPECT_FALSE(ok);
+}
+
+TEST(Units, ParseBytesRejectsOverflow) {
+  bool ok = false;
+  EXPECT_EQ(parse_bytes("18446744073709551615", &ok),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(parse_bytes("17179869183G", &ok), ((1ull << 34) - 1) << 30);
+  EXPECT_TRUE(ok);
+  // Past uint64_t, in the digits or through the scale: rejected, never
+  // wrapped (18446744073709551617 used to read as 1, and
+  // 18014398509481985K as 1K).
+  for (const char* text :
+       {"18446744073709551616", "18446744073709551617",
+        "99999999999999999999999", "18014398509481985K", "17179869184G",
+        "17592186044416M"}) {
+    ok = true;
+    EXPECT_EQ(parse_bytes(text, &ok), 0u) << text;
+    EXPECT_FALSE(ok) << text;
+  }
 }
 
 TEST(Units, FormatTimePicksUnit) {
@@ -758,6 +780,42 @@ TEST(TableTest, CsvQuotesCommas) {
   Table t({"a"});
   t.begin_row().cell("x,y");
   EXPECT_EQ(t.to_csv(), "a\n\"x,y\"\n");
+}
+
+// --- json -----------------------------------------------------------------
+
+TEST(JsonWriter, EscapesEveryAsciiByte) {
+  // Every byte 0x00-0x7f: control bytes as \u00XX (a newline is \u000a,
+  // never \n), '"' and '\\' backslash-escaped, everything else verbatim.
+  std::string all;
+  for (int c = 0; c < 0x80; ++c) all += static_cast<char>(c);
+  const std::string want =
+      "\""
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\u0008\\u0009\\u000a\\u000b\\u000c\\u000d\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+      " !\\\"#$%&'()*+,-./0123456789:;<=>?"
+      "@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\\\]^_"
+      "`abcdefghijklmnopqrstuvwxyz{|}~\x7f"
+      "\"";
+  EXPECT_EQ(json_string(all), want);
+  EXPECT_TRUE(test::JsonValidator::valid(want));
+
+  std::string appended = "[";
+  append_json_string(appended, "a\"b");
+  EXPECT_EQ(appended, "[\"a\\\"b\"");
+  EXPECT_EQ(json_string(""), "\"\"");
+}
+
+TEST(JsonWriter, NumbersPrintNineSignificantDigits) {
+  EXPECT_EQ(json_number(0.0), "0");
+  EXPECT_EQ(json_number(2654.0), "2654");
+  EXPECT_EQ(json_number(0.1), "0.1");
+  EXPECT_EQ(json_number(2.0 / 3.0), "0.666666667");
+  EXPECT_EQ(json_number(1.0 / 3.0), "0.333333333");
+  EXPECT_EQ(json_number(-2.5e-7), "-2.5e-07");
+  EXPECT_EQ(json_number(1e21), "1e+21");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "coll/module.hpp"
 #include "coll/runtime.hpp"
 #include "han/han.hpp"
+#include "json_validator.hpp"
 #include "machine/machine.hpp"
 
 namespace han::tune {
@@ -193,6 +194,23 @@ TEST(TuneDbFormat, FileRoundTripAndMissingFile) {
   EXPECT_EQ(loaded->serialize(), db.serialize());
   EXPECT_FALSE(TuneDb::load(path + ".does-not-exist").has_value());
   std::remove(path.c_str());
+}
+
+TEST(TuneDbFormat, ReportEscapesFileSuppliedMachineKeys) {
+  // The machine key comes from the file: a quote or backslash in it must
+  // not break the query report's JSON.
+  std::string text = randomized_db(1, 19).serialize();
+  const std::string plain = "machine fake0.2x4.numa1";
+  const std::string::size_type at = text.find(plain);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, plain.size(), "machine aries\"x\\y");
+  TuneDb db;
+  std::string error;
+  ASSERT_TRUE(TuneDb::deserialize(text, &db, &error)) << error;
+  ASSERT_NE(db.find("aries\"x\\y"), nullptr);
+  const std::string json = db.report_json();
+  EXPECT_TRUE(test::JsonValidator::valid(json)) << json;
+  EXPECT_NE(json.find("\"aries\\\"x\\\\y\": {"), std::string::npos) << json;
 }
 
 // --- invalidation and gc -------------------------------------------------

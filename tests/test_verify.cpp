@@ -853,6 +853,18 @@ TEST(VerifySweep, AllBuildersCleanSmoke) {
   EXPECT_EQ(res.total_warnings(), 0) << res.summary();
 }
 
+TEST(VerifySweep, SmokeReportIsPinned) {
+  // The smoke sweep's report, byte for byte (FNV-1a over the JSON): the
+  // report writer, the case harness and the graph check all feed it.
+  SweepOptions opts;
+  opts.full_space = false;
+  const std::string json = run_sweep(opts).to_json();
+  Fnv1a hash;
+  for (char ch : json) hash.byte(static_cast<unsigned char>(ch));
+  EXPECT_EQ(json.size(), 366826u);
+  EXPECT_EQ(hash.h, 0xef5fa44d55bb3deaull);
+}
+
 TEST(VerifySweep, JsonIsDeterministic) {
   SweepOptions opts;
   opts.graphs = false;  // plan family only: fast

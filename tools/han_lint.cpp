@@ -1,6 +1,6 @@
 // han_lint — the performance-guideline gate for the autotuner.
 //
-//   han_lint [--smoke] [--machine <name>]... [--sizes 65536,1048576]
+//   han_lint [--smoke] [--machine <name>]... [--sizes 64K,1M]
 //            [--no-model] [--no-sim] [--no-perturb] [--jobs N]
 //            [--mutate <name>] [--audit-lookup <path>] [--audit-db <path>]
 //            [--json <path>] [--quiet]
@@ -17,43 +17,23 @@
 // --mutate <name> seeds one corpus defect into every cost the analyzer
 // consumes — CI smoke-asserts the gate then exits non-zero.
 //
+// --sizes takes strictly ascending byte sizes (64K, 1M, 4096, ...).
+//
 // --audit-lookup / --audit-db lint saved LookupTable / TuneDb records
-// instead of running the sweep. Exit status: 0 = clean, 2 = errors.
-#include <algorithm>
+// instead of running the sweep. Exit status: 0 = clean, 1 = bad
+// arguments or unreadable input, 2 = errors.
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "autotune/lookup.hpp"
 #include "autotune/tunedb.hpp"
+#include "cli.hpp"
 #include "han/lint/lint.hpp"
 #include "parallel/pool.hpp"
-
-namespace {
-
-bool parse_sizes(const char* arg, std::vector<std::size_t>* out) {
-  out->clear();
-  std::size_t v = 0;
-  bool any = false;
-  for (const char* p = arg;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      v = v * 10 + static_cast<std::size_t>(*p - '0');
-      any = true;
-    } else if (*p == ',' || *p == '\0') {
-      if (!any || v < 1) return false;
-      out->push_back(v);
-      v = 0;
-      any = false;
-      if (*p == '\0') break;
-    } else {
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace han;
@@ -81,16 +61,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--machine") == 0 && i + 1 < argc) {
       opts.machines.push_back(argv[++i]);
     } else if (std::strcmp(a, "--sizes") == 0 && i + 1 < argc) {
-      if (!parse_sizes(argv[++i], &opts.sizes)) {
-        std::fprintf(stderr, "han_lint: bad --sizes list '%s'\n", argv[i]);
-        return 1;
+      // The bands must ascend: every cross-band check compares a band
+      // with the one before it.
+      if (!cli::size_list(argv[++i], /*ascending=*/true, &opts.sizes)) {
+        return cli::bad_value("han_lint", a, argv[i]);
       }
     } else if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc) {
-      opts.jobs = han::par::parse_jobs(argv[++i]);
-      if (opts.jobs < 0) {
-        std::fprintf(stderr, "han_lint: bad --jobs value '%s'\n", argv[i]);
-        return 1;
-      }
+      opts.jobs = par::parse_jobs(argv[++i]);
+      if (opts.jobs < 0) return cli::bad_value("han_lint", a, argv[i]);
     } else if (std::strcmp(a, "--mutate") == 0 && i + 1 < argc) {
       const char* name = argv[++i];
       if (lint::find_mutation(name) == nullptr) {
@@ -108,7 +86,7 @@ int main(int argc, char** argv) {
       std::fprintf(
           stderr,
           "usage: han_lint [--smoke] [--machine <name>]... "
-          "[--sizes N,N,...] [--no-model] [--no-sim] [--no-perturb] "
+          "[--sizes 64K,1M,...] [--no-model] [--no-sim] [--no-perturb] "
           "[--jobs N] [--mutate <name>] [--audit-lookup <path>] "
           "[--audit-db <path>] [--json <path>] [--quiet]\n");
       return std::strcmp(a, "--help") == 0 ? 0 : 1;
@@ -117,6 +95,7 @@ int main(int argc, char** argv) {
 
   lint::LintResult result;
   if (!lookup_path.empty() || !db_path.empty()) {
+    std::vector<std::function<void(lint::LintResult&)>> audits;
     if (!lookup_path.empty()) {
       const std::optional<tune::LookupTable> table =
           tune::LookupTable::load(lookup_path);
@@ -125,7 +104,8 @@ int main(int argc, char** argv) {
                      lookup_path.c_str());
         return 1;
       }
-      lint::lint_lookup(*table, result);
+      audits.push_back(
+          [t = *table](lint::LintResult& r) { lint::lint_lookup(t, r); });
     }
     if (!db_path.empty()) {
       const std::optional<tune::TuneDb> db = tune::TuneDb::load(db_path);
@@ -134,25 +114,17 @@ int main(int argc, char** argv) {
                      db_path.c_str());
         return 1;
       }
-      lint::lint_tunedb(*db, result);
+      audits.push_back(
+          [d = *db](lint::LintResult& r) { lint::lint_tunedb(d, r); });
     }
-    std::sort(result.entries.begin(), result.entries.end(),
-              [](const lint::LintEntry& a, const lint::LintEntry& b) {
-                return a.name < b.name;
-              });
+    result = par::run_cases(opts.jobs, audits);
   } else {
     result = lint::run_lint(opts);
   }
 
-  if (!json_path.empty()) {
-    const std::string j = result.to_json();
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "han_lint: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fwrite(j.data(), 1, j.size(), f);
-    std::fclose(f);
+  if (!json_path.empty() &&
+      !cli::write_file("han_lint", json_path, result.to_json())) {
+    return 1;
   }
   if (!quiet) {
     std::fputs(result.summary().c_str(), stdout);

@@ -17,43 +17,18 @@
 // per (collective, size) case. --save-lookup persists the winners as a
 // LookupTable file that HanModule dispatches like any tuned config.
 // Exit status: 0 = every finalist verified clean and every case's winner
-// matched or beat the hand-written baseline; 2 otherwise.
+// matched or beat the hand-written baseline; 1 = bad arguments (every
+// number is checked whole and in range); 2 otherwise.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
+#include "cli.hpp"
 #include "han/synth/synth.hpp"
 #include "parallel/pool.hpp"
 
-namespace {
-
-bool parse_sizes(const char* arg, std::vector<std::size_t>* out) {
-  out->clear();
-  std::size_t v = 0;
-  bool any = false;
-  for (const char* p = arg;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      v = v * 10 + static_cast<std::size_t>(*p - '0');
-      any = true;
-    } else if (*p == 'K' || *p == 'k') {
-      v <<= 10;
-    } else if (*p == 'M' || *p == 'm') {
-      v <<= 20;
-    } else if (*p == ',' || *p == '\0') {
-      if (!any || v == 0) return false;
-      out->push_back(v);
-      v = 0;
-      any = false;
-      if (*p == '\0') break;
-    } else {
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
-}  // namespace
+namespace cli = han::cli;
 
 int main(int argc, char** argv) {
   han::synth::SynthOptions opts;
@@ -63,6 +38,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     const bool has_val = i + 1 < argc;
+    bool ok = true;  // false: a malformed or out-of-range value
     if (std::strcmp(a, "--smoke") == 0) {
       // Tiny-budget CI configuration: one size per kind, one base config
       // axis value each, a single short mutation round.
@@ -73,30 +49,24 @@ int main(int argc, char** argv) {
       opts.mutants_per_round = 8;
       opts.max_finalists = 4;
     } else if (std::strcmp(a, "--nodes") == 0 && has_val) {
-      opts.nodes = std::atoi(argv[++i]);
+      ok = cli::int_arg(argv[++i], 1, &opts.nodes);
     } else if (std::strcmp(a, "--ppn") == 0 && has_val) {
-      opts.ppn = std::atoi(argv[++i]);
+      ok = cli::int_arg(argv[++i], 1, &opts.ppn);
     } else if (std::strcmp(a, "--numa") == 0 && has_val) {
-      opts.numa = std::atoi(argv[++i]);
+      ok = cli::int_arg(argv[++i], 1, &opts.numa);
     } else if (std::strcmp(a, "--sizes") == 0 && has_val) {
-      if (!parse_sizes(argv[++i], &opts.sizes)) {
-        std::fprintf(stderr, "han_synth: bad --sizes list '%s'\n", argv[i]);
-        return 1;
-      }
+      ok = cli::size_list(argv[++i], /*ascending=*/false, &opts.sizes);
     } else if (std::strcmp(a, "--seed") == 0 && has_val) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 10);
+      ok = cli::int_arg(argv[++i], std::uint64_t{0}, &opts.seed);
     } else if (std::strcmp(a, "--rounds") == 0 && has_val) {
-      opts.mutation_rounds = std::atoi(argv[++i]);
+      ok = cli::int_arg(argv[++i], 0, &opts.mutation_rounds);
     } else if (std::strcmp(a, "--mutants") == 0 && has_val) {
-      opts.mutants_per_round = std::atoi(argv[++i]);
+      ok = cli::int_arg(argv[++i], 0, &opts.mutants_per_round);
     } else if (std::strcmp(a, "--finalists") == 0 && has_val) {
-      opts.max_finalists = std::atoi(argv[++i]);
+      ok = cli::int_arg(argv[++i], 1, &opts.max_finalists);
     } else if (std::strcmp(a, "--jobs") == 0 && has_val) {
       opts.jobs = han::par::parse_jobs(argv[++i]);
-      if (opts.jobs < 0) {
-        std::fprintf(stderr, "han_synth: bad --jobs value '%s'\n", argv[i]);
-        return 1;
-      }
+      ok = opts.jobs >= 0;
     } else if (std::strcmp(a, "--json") == 0 && has_val) {
       json_path = argv[++i];
     } else if (std::strcmp(a, "--save-lookup") == 0 && has_val) {
@@ -111,6 +81,7 @@ int main(int argc, char** argv) {
                    "[--json <path>] [--save-lookup <path>] [--quiet]\n");
       return std::strcmp(a, "--help") == 0 ? 0 : 1;
     }
+    if (!ok) return cli::bad_value("han_synth", a, argv[i]);
   }
   if (opts.nodes < 2 || opts.ppn < 1) {
     std::fprintf(stderr, "han_synth: need --nodes >= 2 and --ppn >= 1\n");
@@ -124,15 +95,9 @@ int main(int argc, char** argv) {
 
   const han::synth::SynthResult result = han::synth::run_synthesis(opts);
 
-  if (!json_path.empty()) {
-    const std::string j = result.to_json();
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "han_synth: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fwrite(j.data(), 1, j.size(), f);
-    std::fclose(f);
+  if (!json_path.empty() &&
+      !cli::write_file("han_synth", json_path, result.to_json())) {
+    return 1;
   }
   if (!lookup_path.empty() && !result.winners().save(lookup_path)) {
     return 1;

@@ -14,12 +14,17 @@
 // communicator families, the family size, and whether any data crosses
 // the level (live). Per rank it records the slot coordinates — rank(l,pr)
 // at each level — and whether the rank sits on the leader chain.
+//
+// Exit status: 0 = printed, 1 = a malformed or non-positive --nodes/--ppn/
+// --numa value or an unwritable --out file, 2 = any other bad argument.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "han/hierarchy.hpp"
+#include "simbase/json.hpp"
 
 namespace {
 
@@ -58,9 +63,10 @@ int main(int argc, char** argv) {
     } else if (a == "--nodes" || a == "--ppn" || a == "--numa") {
       const char* v = next();
       if (v == nullptr) return usage(false);
-      const int n = std::atoi(v);
-      if (n <= 0) return usage(false);
-      (a == "--nodes" ? nodes : a == "--ppn" ? ppn : numa) = n;
+      int& n = a == "--nodes" ? nodes : a == "--ppn" ? ppn : numa;
+      if (!cli::int_arg(v, 1, &n)) {
+        return cli::bad_value("han_topo", a.c_str(), v);
+      }
     } else if (a == "--stock") {
       const char* v = next();
       if (v == nullptr) return usage(false);
@@ -122,13 +128,14 @@ int main(int argc, char** argv) {
   core::Hierarchy h(world, world.world_comm(), topo);
   const int n = world.world_size();
 
+  using sim::json_string;
   std::string j = "{\n";
-  j += "  \"machine\": \"" + profile.name + "\",\n";
+  j += "  \"machine\": " + json_string(profile.name) + ",\n";
   j += "  \"nodes\": " + std::to_string(profile.nodes) + ",\n";
   j += "  \"ppn\": " + std::to_string(profile.procs_per_node) + ",\n";
   j += "  \"numa_per_node\": " + std::to_string(profile.numa_per_node) +
        ",\n";
-  j += "  \"descriptor\": \"" + topo.to_string() + "\",\n";
+  j += "  \"descriptor\": " + json_string(topo.to_string()) + ",\n";
   j += "  \"depth\": " + std::to_string(h.depth()) + ",\n";
   j += "  \"world_size\": " + std::to_string(n) + ",\n";
   j += "  \"node_count\": " + std::to_string(h.node_count()) + ",\n";
@@ -147,9 +154,10 @@ int main(int argc, char** argv) {
       for (int ctx : contexts) seen = seen || ctx == c->context();
       if (!seen) contexts.push_back(c->context());
     }
-    j += "    {\"index\": " + std::to_string(l) + ", \"name\": \"" +
-         h.level_name(l) + "\", \"label\": \"" + level_label(h, l) +
-         "\", \"families\": " + std::to_string(contexts.size()) +
+    j += "    {\"index\": " + std::to_string(l) +
+         ", \"name\": " + json_string(h.level_name(l)) +
+         ", \"label\": " + json_string(level_label(h, l)) +
+         ", \"families\": " + std::to_string(contexts.size()) +
          ", \"size\": " + std::to_string(max_size) + ", \"live\": " +
          (live ? "true" : "false") + "}" + (l + 1 < h.depth() ? "," : "") +
          "\n";
@@ -173,13 +181,7 @@ int main(int argc, char** argv) {
     std::fwrite(j.data(), 1, j.size(), stdout);
     return 0;
   }
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "han_topo: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fwrite(j.data(), 1, j.size(), f);
-  std::fclose(f);
+  if (!cli::write_file("han_topo", out_path, j)) return 1;
   std::printf("topo json: %s\n", out_path.c_str());
   return 0;
 }

@@ -25,10 +25,13 @@
 #include <vector>
 
 #include "autotune/tunedb.hpp"
+#include "cli.hpp"
 #include "coll/module.hpp"
 #include "coll/runtime.hpp"
 #include "han/han.hpp"
 #include "parallel/pool.hpp"
+#include "simbase/json.hpp"
+#include "simbase/units.hpp"
 
 namespace {
 
@@ -44,31 +47,6 @@ struct MachineArgs {
   bool perturbed = false;
 };
 
-bool parse_sizes(const char* arg, std::vector<std::size_t>* out) {
-  out->clear();
-  std::size_t v = 0;
-  bool any = false;
-  for (const char* p = arg;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      v = v * 10 + static_cast<std::size_t>(*p - '0');
-      any = true;
-    } else if (*p == 'K' || *p == 'k') {
-      v <<= 10;
-    } else if (*p == 'M' || *p == 'm') {
-      v <<= 20;
-    } else if (*p == ',' || *p == '\0') {
-      if (!any || v == 0) return false;
-      out->push_back(v);
-      v = 0;
-      any = false;
-      if (*p == '\0') break;
-    } else {
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
 /// "F@BYTES", e.g. "0.8@2M": scale factor F applied from BYTES upward.
 bool parse_perturb(const char* arg, MachineArgs* m) {
   const char* at = std::strchr(arg, '@');
@@ -76,11 +54,10 @@ bool parse_perturb(const char* arg, MachineArgs* m) {
   char* end = nullptr;
   m->perturb_factor = std::strtod(arg, &end);
   if (end != at || m->perturb_factor <= 0.0) return false;
-  std::vector<std::size_t> sizes;
-  if (!parse_sizes(at + 1, &sizes) || sizes.size() != 1) return false;
-  m->perturb_min_bytes = sizes[0];
-  m->perturbed = true;
-  return true;
+  bool ok = false;
+  m->perturb_min_bytes = sim::parse_bytes(at + 1, &ok);
+  m->perturbed = ok && m->perturb_min_bytes > 0;
+  return m->perturbed;
 }
 
 std::optional<machine::MachineProfile> build_profile(const MachineArgs& m) {
@@ -100,12 +77,6 @@ std::optional<machine::MachineProfile> build_profile(const MachineArgs& m) {
                                   m.perturb_min_bytes);
   }
   return profile;
-}
-
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
 }
 
 int usage(bool ok) {
@@ -139,6 +110,7 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const char* a = argv[i];
     const bool has_val = i + 1 < argc;
+    bool ok = true;  // false: a malformed or out-of-range value
     if (std::strcmp(a, "--db") == 0 && has_val) {
       db_path = argv[++i];
     } else if (std::strcmp(a, "--table") == 0 && has_val) {
@@ -150,30 +122,20 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--machine") == 0 && has_val) {
       m.family = argv[++i];
     } else if (std::strcmp(a, "--nodes") == 0 && has_val) {
-      m.nodes = std::atoi(argv[++i]);
+      ok = cli::int_arg(argv[++i], 1, &m.nodes);
     } else if (std::strcmp(a, "--ppn") == 0 && has_val) {
-      m.ppn = std::atoi(argv[++i]);
+      ok = cli::int_arg(argv[++i], 1, &m.ppn);
     } else if (std::strcmp(a, "--numa") == 0 && has_val) {
-      m.numa = std::atoi(argv[++i]);
+      ok = cli::int_arg(argv[++i], 1, &m.numa);
     } else if (std::strcmp(a, "--perturb-eff") == 0 && has_val) {
-      if (!parse_perturb(argv[++i], &m)) {
-        std::fprintf(stderr, "han_tunedb: bad --perturb-eff '%s' "
-                     "(want F@BYTES, e.g. 0.8@2M)\n", argv[i]);
-        return 1;
-      }
+      ok = parse_perturb(argv[++i], &m);
     } else if (std::strcmp(a, "--sizes") == 0 && has_val) {
-      if (!parse_sizes(argv[++i], &sizes)) {
-        std::fprintf(stderr, "han_tunedb: bad --sizes list '%s'\n", argv[i]);
-        return 1;
-      }
+      ok = cli::size_list(argv[++i], /*ascending=*/false, &sizes);
     } else if (std::strcmp(a, "--jobs") == 0 && has_val) {
       jobs = par::parse_jobs(argv[++i]);
-      if (jobs < 0) {
-        std::fprintf(stderr, "han_tunedb: bad --jobs value '%s'\n", argv[i]);
-        return 1;
-      }
+      ok = jobs >= 0;
     } else if (std::strcmp(a, "--keep") == 0 && has_val) {
-      keep = std::atol(argv[++i]);
+      ok = cli::int_arg(argv[++i], 0L, &keep);
     } else if (std::strcmp(a, "--json") == 0) {
       json = true;
     } else if (std::strcmp(a, "--quiet") == 0) {
@@ -181,6 +143,7 @@ int main(int argc, char** argv) {
     } else {
       return usage(std::strcmp(a, "--help") == 0);
     }
+    if (!ok) return cli::bad_value("han_tunedb", a, argv[i]);
   }
   if (db_path.empty()) {
     std::fprintf(stderr, "han_tunedb: --db is required\n");
@@ -220,16 +183,17 @@ int main(int argc, char** argv) {
     const tune::WarmStartReport rep = tune::warm_tune(db, tuner, opts);
     if (!db.save(db_path)) return 1;
     if (json) {
-      std::string j = "{\n  \"machine\": \"" +
-                      tune::signature_of(hw.world.profile()).key() +
-                      "\",\n  \"cold\": " + (rep.cold ? "true" : "false") +
-                      ",\n  \"reused\": " + std::to_string(rep.reused) +
-                      ",\n  \"retuned\": " + std::to_string(rep.retuned) +
-                      ",\n  \"tuning_cost\": " + fmt_double(rep.tuning_cost) +
-                      ",\n  \"retuned_kinds\": [";
+      std::string j =
+          "{\n  \"machine\": " +
+          sim::json_string(tune::signature_of(hw.world.profile()).key()) +
+          ",\n  \"cold\": " + (rep.cold ? "true" : "false") +
+          ",\n  \"reused\": " + std::to_string(rep.reused) +
+          ",\n  \"retuned\": " + std::to_string(rep.retuned) +
+          ",\n  \"tuning_cost\": " + sim::json_number(rep.tuning_cost) +
+          ",\n  \"retuned_kinds\": [";
       for (std::size_t i = 0; i < rep.retuned_kinds.size(); ++i) {
         if (i > 0) j += ", ";
-        j += "\"" + rep.retuned_kinds[i] + "\"";
+        j += sim::json_string(rep.retuned_kinds[i]);
       }
       j += "]\n}\n";
       std::fputs(j.c_str(), stdout);
@@ -237,7 +201,8 @@ int main(int argc, char** argv) {
       std::printf("han_tunedb: %s %s: reused %d, retuned %d, cost %s s\n",
                   rep.cold ? "cold-tuned" : "warm-tuned",
                   tune::signature_of(hw.world.profile()).key().c_str(),
-                  rep.reused, rep.retuned, fmt_double(rep.tuning_cost).c_str());
+                  rep.reused, rep.retuned,
+                  sim::json_number(rep.tuning_cost).c_str());
     }
     return 0;
   }

@@ -16,8 +16,8 @@
 // matrix that drives real collectives through CollRuntime with the
 // plan-checker hook recording an analysis of every Plan any submodule
 // builds (sm/solo/libnbc/adapt/ring — the inline-built plans the static
-// sweep cannot enumerate). Exit status: 0 = clean, 2 = findings.
-#include <algorithm>
+// sweep cannot enumerate). Exit status: 0 = clean, 1 = bad arguments or
+// an unreadable lookup table, 2 = findings.
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "autotune/lookup.hpp"
+#include "cli.hpp"
 #include "han/han.hpp"
 #include "han/verify/sweep.hpp"
 #include "han/verify/verify.hpp"
@@ -199,16 +200,11 @@ int main(int argc, char** argv) {
       quiet = true;
     } else if (std::strcmp(a, "--windows") == 0 && i + 1 < argc) {
       if (!verify::parse_windows(argv[++i], &opts.windows)) {
-        std::fprintf(stderr, "han_verify: bad --windows list '%s'\n",
-                     argv[i]);
-        return 1;
+        return cli::bad_value("han_verify", a, argv[i]);
       }
     } else if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc) {
-      opts.jobs = han::par::parse_jobs(argv[++i]);
-      if (opts.jobs < 0) {
-        std::fprintf(stderr, "han_verify: bad --jobs value '%s'\n", argv[i]);
-        return 1;
-      }
+      opts.jobs = par::parse_jobs(argv[++i]);
+      if (opts.jobs < 0) return cli::bad_value("han_verify", a, argv[i]);
     } else if (std::strcmp(a, "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(a, "--from-lookup") == 0 && i + 1 < argc) {
@@ -222,7 +218,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  verify::SweepResult result;
+  std::vector<verify::SweepCase> cases;
   if (!lookup_path.empty()) {
     const std::optional<tune::LookupTable> table =
         tune::LookupTable::load(lookup_path);
@@ -231,26 +227,17 @@ int main(int argc, char** argv) {
                    lookup_path.c_str());
       return 1;
     }
-    verify::verify_lookup(*table, result);
+    cases.push_back(
+        [t = *table](verify::SweepResult& r) { verify::verify_lookup(t, r); });
   } else {
-    result = verify::run_sweep(opts);
-    if (exec) run_exec(result);
+    cases = verify::sweep_cases(opts);
+    if (exec) cases.push_back(run_exec);
   }
-  std::sort(result.entries.begin(), result.entries.end(),
-            [](const verify::SweepEntry& a, const verify::SweepEntry& b) {
-              return a.name < b.name;
-            });
+  const verify::SweepResult result = par::run_cases(opts.jobs, cases);
 
-  if (!json_path.empty()) {
-    const std::string j = result.to_json();
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "han_verify: cannot write %s\n",
-                   json_path.c_str());
-      return 1;
-    }
-    std::fwrite(j.data(), 1, j.size(), f);
-    std::fclose(f);
+  if (!json_path.empty() &&
+      !cli::write_file("han_verify", json_path, result.to_json())) {
+    return 1;
   }
   if (!quiet) {
     std::fputs(result.summary().c_str(), stdout);
