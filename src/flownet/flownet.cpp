@@ -225,13 +225,23 @@ void FlowNet::settle_at(Flow& flow, sim::Time now) {
 
 void FlowNet::schedule_completion(FlowId id, Flow& flow) {
   HAN_ASSERT_MSG(flow.rate > 0.0, "active flow starved (rate == 0)");
-  const sim::Time eta = flow.remaining / flow.rate;
-  // Only the latest completion may fire, so its callback needs no validity
-  // check. Cancelling takes no sequence number: every live event keeps its
-  // (time, seq) firing order.
-  engine_->cancel(flow.completion);
-  flow.completion = engine_->schedule_after(
-      eta, [this, id] { finish_flow(id, slots_[slot_of(id)].flow); });
+  const sim::Time due = engine_->now() + flow.remaining / flow.rate;
+  if (engine_->pending(flow.completion)) {
+    if (due == flow.due) {
+      // On time: keep the event. A fresh sequence number gives it the
+      // firing order a re-queued event would have.
+      flow.completion = engine_->resequence(flow.completion);
+      return;
+    }
+    // Only the latest completion may fire, so its callback needs no
+    // validity check. Cancelling takes no sequence number: every live
+    // event keeps its (time, seq) firing order.
+    engine_->cancel(flow.completion);
+    if (completions_retimed_ != nullptr) completions_retimed_->add(1.0);
+  }
+  flow.due = due;
+  flow.completion = engine_->schedule_at(
+      due, [this, id] { finish_flow(id, slots_[slot_of(id)].flow); });
 }
 
 void FlowNet::finish_flow(FlowId id, Flow& flow) {
@@ -276,9 +286,11 @@ void FlowNet::rebalance() {
   const std::size_t n = comp_flows.size();
   const sim::Time now = engine_->now();
   comp_ptrs_.clear();
+  old_rates_.clear();
   for (FlowId fid : comp_flows) {
     Flow* flow = &slots_[slot_of(fid)].flow;
     comp_ptrs_.push_back(flow);
+    old_rates_.push_back(flow->rate);
     settle_at(*flow, now);
   }
 
@@ -352,6 +364,9 @@ void FlowNet::rebalance() {
     unfixed.swap(still_unfixed);
   }
 
+  // Resources whose rate sum or flow list changed: the seeds, and every
+  // resource of a flow whose rate came out different.
+  for (ResourceId r : seeds) resource_mark_[r] = 1;
   for (std::uint32_t i = 0; i < n; ++i) {
     Flow& flow = *comp_ptrs_[i];
     if (flow.remaining <= kByteEpsilon) {
@@ -359,13 +374,21 @@ void FlowNet::rebalance() {
       flow.remaining = 0.0;
       flow.rate = std::max(flow.rate, 1.0);
     }
+    if (flow.rate != old_rates_[i]) {
+      for (ResourceId r : flow.resources) resource_mark_[r] = 1;
+    }
     schedule_completion(comp_flows[i], flow);
   }
 
   // New allocation is in force from `now`: close the old integration
-  // interval and record the fresh per-resource rate sums.
+  // interval everywhere (skipping it would merge intervals and move the
+  // integrated bytes by an ulp), and record the fresh rate sum of every
+  // resource whose rate sum or flow list changed; elsewhere the sum is
+  // unchanged and the gauges already show it.
   for (ResourceId r : comp_resources) {
     account(r);
+    if (resource_mark_[r] == 0) continue;
+    resource_mark_[r] = 0;
     double sum = 0.0;
     for (FlowId fid : resources_[r].flows) {
       sum += slots_[slot_of(fid)].flow.rate;
@@ -415,6 +438,7 @@ void FlowNet::set_metrics(obs::MetricsRegistry* registry) {
   metrics_ = registry;
   if (registry == nullptr) {
     flows_started_ = flows_completed_ = flows_aborted_ = nullptr;
+    completions_retimed_ = nullptr;
     for (ResourceObs& obs : robs_) {
       obs.util = obs.queue = nullptr;
       obs.bytes = nullptr;
@@ -425,6 +449,7 @@ void FlowNet::set_metrics(obs::MetricsRegistry* registry) {
   flows_started_ = &registry->counter("net.flows.started");
   flows_completed_ = &registry->counter("net.flows.completed");
   flows_aborted_ = &registry->counter("net.flows.aborted");
+  completions_retimed_ = &registry->counter("net.completions.retimed");
   for (ResourceId r = 0; r < resources_.size(); ++r) {
     register_resource_metrics(r);
   }

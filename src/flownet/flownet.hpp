@@ -18,11 +18,14 @@
 // recycle so steady-state churn never touches the allocator. The flow's
 // route is stored inline (Route, sized to the longest path the machine
 // fabric emits) and completion callbacks use the engine's SBO callback
-// type. A flow keeps the EventId of its pending completion: a rebalance
-// that re-times the flow cancels that event before scheduling its
-// replacement, so a superseded completion never fires. Rate
-// recomputation iterates component flows in creation order, which keeps
-// results bit-identical to the original map-based implementation.
+// type. A flow keeps the EventId of its pending completion and that
+// event's time. A rebalance that moves the finish time cancels the event
+// before scheduling its replacement, so a superseded completion never
+// fires; one that leaves the finish time bitwise unchanged keeps the event
+// and only renews its sequence number (Engine::resequence), so it fires
+// exactly where a re-queued one would. Rate recomputation iterates
+// component flows in creation order, which keeps results bit-identical to
+// the original map-based implementation.
 #pragma once
 
 #include <algorithm>
@@ -179,7 +182,8 @@ class FlowNet {
     double rate_cap = 0.0;
     sim::Time last_update = 0.0;
     std::uint64_t order = 0;  // creation order: deterministic iteration
-    sim::EventId completion;  // pending completion; cancelled on reschedule
+    sim::EventId completion;  // pending completion
+    sim::Time due = 0.0;      // the time it is queued for
     Route resources;
     Callback on_complete;
   };
@@ -225,8 +229,9 @@ class FlowNet {
   void mark_dirty(std::span<const ResourceId> seeds);
 
   // Recompute max-min rates for the connected component containing the
-  // dirty set, cancel the affected flows' pending completion events, and
-  // schedule each one afresh at its new finish time.
+  // dirty set and schedule each flow's completion at its finish time;
+  // resources refresh their rate sums only where a rate or the flow list
+  // changed.
   void rebalance();
 
   void collect_component(std::span<const ResourceId> seeds,
@@ -235,6 +240,9 @@ class FlowNet {
 
   // Account progress since last_update (callers hoist `now` out of loops).
   void settle_at(Flow& flow, sim::Time now);
+  // Schedule the completion at now + remaining / rate. A pending completion
+  // already at that time is kept (resequenced); one at another time is
+  // cancelled and re-queued, and counted in net.completions.retimed.
   void schedule_completion(FlowId id, Flow& flow);
   void finish_flow(FlowId id, Flow& flow);
   void detach_flow(FlowId id, const Flow& flow);
@@ -261,6 +269,7 @@ class FlowNet {
   obs::Counter* flows_started_ = nullptr;
   obs::Counter* flows_completed_ = nullptr;
   obs::Counter* flows_aborted_ = nullptr;
+  obs::Counter* completions_retimed_ = nullptr;
   std::vector<ResourceObs> robs_;
   std::vector<Resource> resources_;
   sim::SlotPool<FlowSlot> slots_;  // flow slot map
@@ -276,6 +285,7 @@ class FlowNet {
   std::vector<ResourceId> scratch_resources_;
   std::vector<FlowId> scratch_flows_;
   std::vector<Flow*> comp_ptrs_;  // resolved once per rebalance
+  std::vector<double> old_rates_;  // comp_ptrs_' rates before filling
   std::vector<std::uint32_t> unfixed_;        // indices into comp_ptrs_
   std::vector<std::uint32_t> still_unfixed_;
   std::vector<ResourceId> seeds_;  // rebalance takes dirty_ through here

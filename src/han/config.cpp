@@ -1,5 +1,6 @@
 #include "han/config.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,7 +82,10 @@ bool HanConfig::parse(const std::string& text, HanConfig* out) {
     } else if (key == "window") {
       char* rest = nullptr;
       const long v = std::strtol(value.c_str(), &rest, 10);
-      ok = rest != nullptr && *rest == '\0' && !value.empty() && v >= 1;
+      // Checked against INT_MAX before the cast: 4294967297 must not wrap
+      // to window 1.
+      ok = rest != nullptr && *rest == '\0' && !value.empty() && v >= 1 &&
+           v <= INT_MAX;
       if (ok) cfg.window = static_cast<int>(v);
     } else if (key == "lvl") {
       char* rest = nullptr;

@@ -64,8 +64,21 @@ bool Engine::step_until(Time limit) {
   if (due_head_ < due_.size() && now_ > limit) return false;
   for (;;) {
     for (; due_head_ < due_.size(); ++due_head_) {
-      if (!stale(due_[due_head_])) break;
-      if (stale_ > 0) --stale_;  // cancelled while waiting in the batch
+      const Entry e = due_[due_head_];
+      if (stale(e)) {  // cancelled while waiting in the batch
+        if (stale_ > 0) --stale_;
+        continue;
+      }
+      Event& rec = events_[e.slot];
+      if (rec.seq == e.seq) break;
+      // Resequenced since it was queued. The batch holds every event due
+      // now, ordered by queued key, so the event moves to the place its
+      // new number gives it.
+      rec.queued = rec.seq;
+      const Entry moved{e.t, rec.seq, e.slot};
+      due_.insert(std::upper_bound(due_.begin() + due_head_ + 1, due_.end(),
+                                   moved, before),
+                  moved);
     }
     if (due_head_ < due_.size()) break;
     // The batch is spent. Pop the entire next equal-time batch before

@@ -19,6 +19,10 @@
 //    once, and the queue entry goes stale (slots recycle, sequence numbers
 //    never do). Stale entries are skipped when they reach the front, and
 //    the heap is rebuilt without them once they dominate it.
+//  * resequence() is O(1) too: it gives a pending event the sequence
+//    number a cancel-and-reschedule at the same time would. Its queue
+//    entry keeps the old key until the event's batch drains; there it
+//    moves to the place the new number gives it.
 //  * The engine also owns its world's CellPool: request states are pooled
 //    cells, so a message's requests recycle instead of hitting the heap.
 #pragma once
@@ -66,7 +70,7 @@ class Engine {
     const std::uint64_t seq = ++next_seq_;
     const std::uint32_t slot = events_.acquire();
     Event& rec = events_[slot];
-    rec.seq = seq;
+    rec.seq = rec.queued = seq;
     if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
       rec.cb = std::forward<F>(f);
     } else {
@@ -98,11 +102,24 @@ class Engine {
     Event& rec = events_[id.slot];
     if (rec.seq != id.seq) return;
     rec.cb = nullptr;  // destroy the capture eagerly
-    rec.seq = 0;
+    rec.seq = rec.queued = 0;
     events_.release(id.slot);
     --live_;
     ++stale_;
     maybe_purge();
+  }
+
+  /// Give a pending event the next sequence number, exactly as cancelling
+  /// it and scheduling its callback again at the same time would, but in
+  /// O(1): the callback stays in its record and the queue entry keeps its
+  /// old key until the batch of its time drains, where the event takes the
+  /// place of its new key. Returns the event's new id; the old one is no
+  /// longer pending.
+  EventId resequence(EventId id) {
+    HAN_ASSERT_MSG(pending(id), "resequence of an event that is not pending");
+    Event& rec = events_[id.slot];
+    rec.seq = ++next_seq_;
+    return EventId{rec.seq, id.slot};
   }
 
   /// Run the next pending event. Returns false when the queue is empty.
@@ -124,6 +141,13 @@ class Engine {
 
   /// Number of live (scheduled, not yet fired or cancelled) events.
   std::size_t pending() const { return live_; }
+  /// Whether `id`'s event is still live. A default EventId, a fired or
+  /// cancelled event (including one whose slot was recycled) is not; an
+  /// event is no longer pending while its own callback runs.
+  bool pending(EventId id) const {
+    return id.seq != 0 && id.slot < events_.capacity() &&
+           events_[id.slot].seq == id.seq;
+  }
   std::uint64_t events_processed() const { return processed_; }
 
   /// Event records ever created: slots recycle, so this follows the peak
@@ -137,7 +161,8 @@ class Engine {
  private:
   struct Event {
     Callback cb;
-    std::uint64_t seq = 0;  // 0 = slot free; matches queue entries while live
+    std::uint64_t seq = 0;     // 0 = slot free; the event's order key
+    std::uint64_t queued = 0;  // its queue entry's key (< seq: resequenced)
   };
   struct Entry {
     Time t;
@@ -152,7 +177,9 @@ class Engine {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   }
-  bool stale(const Entry& e) const { return events_[e.slot].seq != e.seq; }
+  bool stale(const Entry& e) const {
+    return events_[e.slot].queued != e.seq;
+  }
 
   void heap_push(Entry e);
   Entry heap_pop();

@@ -42,6 +42,11 @@ printf 'version 4\nbcast 2 2 20 : fs=18014398509481985K\n' \
 expect1 "$tools/han_verify" --from-lookup "$work/overflow.lookup"
 expect1 "$tools/han_lint" --audit-lookup "$work/overflow.lookup"
 
+# A window past INT_MAX fails the load; it used to wrap to window 1.
+printf 'version 4\nbcast 2 2 20 : fs=64K window=4294967297\n' \
+  > "$work/window.lookup"
+expect1 "$tools/han_lint" --audit-lookup "$work/window.lookup"
+
 # gc --keep with a non-numeric or negative count refuses to run.
 db="$work/fleet.db"
 rm -f "$db"

@@ -218,6 +218,16 @@ TEST(LookupTableTest, DeserializeRejectsOverflowingSizes) {
       "bcast 2 2 20 : fs=64K ibs=18014398509481983K\n", &t));
 }
 
+TEST(LookupTableTest, DeserializeRejectsWindowPastIntMax) {
+  LookupTable t;
+  EXPECT_FALSE(LookupTable::deserialize(
+      "bcast 2 2 20 : fs=64K window=2147483648\n", &t));
+  EXPECT_FALSE(LookupTable::deserialize(
+      "bcast 2 2 20 : fs=64K window=4294967297\n", &t));
+  EXPECT_TRUE(LookupTable::deserialize(
+      "bcast 2 2 20 : fs=64K window=2147483647\n", &t));
+}
+
 TEST(LookupTableTest, FormatVersionHeader) {
   // serialize() writes the current format version.
   LookupTable t;

@@ -1,11 +1,15 @@
 // Unit + property tests for the max-min fair fluid-flow network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "flownet/flownet.hpp"
+#include "obs/metrics.hpp"
 #include "simbase/rng.hpp"
 
 namespace han::net {
@@ -174,6 +178,213 @@ TEST(FlowNet, AbortCancelsPendingCompletion) {
   e.run();
   EXPECT_FALSE(fired);
   EXPECT_DOUBLE_EQ(e.now(), 1.0);
+}
+
+TEST(FlowNet, UnchangedRateKeepsCompletion) {
+  // A (capped at 10 B/s, 100 B) and B (uncapped) share a 100 B/s lane, and
+  // C joins at 1 s. That rebalance halves B's share (90 -> 45 B/s) but
+  // leaves A at its cap, so only B's completion is re-queued: A keeps the
+  // event queued at 0 s for 10 s. Kept, it still takes a fresh sequence
+  // number, so it fires where a re-queued event would: after a probe that
+  // the 1 s event scheduled for 10 s before the rebalance ran.
+  Engine e;
+  FlowNet fn(e);
+  obs::MetricsRegistry m;
+  fn.set_metrics(&m);
+  const obs::Counter& retimed = m.counter("net.completions.retimed");
+  const ResourceId r = fn.add_resource("link", 100.0);
+  const ResourceId path[] = {r};
+  std::vector<std::string> log;
+  double a_done = -1.0;
+  fn.start_flow(path, 100.0, 10.0, [&] {
+    a_done = e.now();
+    log.push_back("A");
+  });
+  fn.start_flow(path, 900.0, FlowNet::no_cap(), [&] { log.push_back("B"); });
+  e.schedule_at(1.0, [&] {
+    fn.start_flow(path, 1000.0, FlowNet::no_cap(), [&] { log.push_back("C"); });
+    e.schedule_at(10.0, [&] { log.push_back("probe"); });
+  });
+  e.run_until(1.0);
+  EXPECT_EQ(retimed.value(), 1.0);  // B's; A's and C's first are not
+  e.run();
+  EXPECT_EQ(a_done, 10.0);  // 100 B at 10 B/s, exactly
+  EXPECT_EQ(log, (std::vector<std::string>{"probe", "A", "B", "C"}));
+  // B and C speed up to 50 B/s at 10 s, C to 100 B/s when B ends.
+  EXPECT_EQ(retimed.value(), 4.0);
+  // Rebalances at 0, 1, 10, B's end and C's end; the 1 s event; three
+  // completions and the probe. No superseded completion fired.
+  EXPECT_EQ(e.events_processed(), 10u);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(FlowNet, MatchesFromScratchReference) {
+  // A seeded random workload, run through FlowNet and through a reference
+  // written here that recomputes max-min rates over every live flow at every
+  // event (one bottleneck resource or rate cap fixed per round) and
+  // integrates all flows between events. Completion order must match, and
+  // completion times must agree to 1e-9 relative.
+  struct Spec {
+    double start = 0.0, bytes = 0.0, cap = 0.0;
+    double abort_at = std::numeric_limits<double>::infinity();
+    std::vector<ResourceId> route;
+  };
+  constexpr int kResources = 8;
+  constexpr int kFlows = 200;
+  constexpr ResourceId kRetuned = 3;
+  constexpr double kRetuneAt = 20.0, kRetunedCapacity = 2500.0;
+  sim::Rng rng(20261018);
+  std::vector<double> capacity(kResources);
+  for (double& c : capacity) c = rng.uniform(1e3, 1e4);
+  std::vector<Spec> specs(kFlows);
+  for (Spec& s : specs) {
+    s.start = rng.uniform(0.0, 50.0);
+    s.bytes = rng.uniform(1e3, 5e4);
+    s.cap = rng.next_below(10) < 3 ? rng.uniform(100.0, 3000.0)
+                                   : FlowNet::no_cap();
+    if (rng.next_below(10) == 0) s.abort_at = s.start + rng.uniform(0.1, 10.0);
+    const int hops = 1 + static_cast<int>(rng.next_below(4));
+    while (static_cast<int>(s.route.size()) < hops) {
+      const auto res = static_cast<ResourceId>(rng.next_below(kResources));
+      if (std::find(s.route.begin(), s.route.end(), res) == s.route.end()) {
+        s.route.push_back(res);
+      }
+    }
+  }
+
+  // FlowNet.
+  std::vector<int> order;
+  std::vector<double> when;
+  {
+    Engine e;
+    FlowNet fn(e);
+    for (int r = 0; r < kResources; ++r) {
+      fn.add_resource("r" + std::to_string(r), capacity[r]);
+    }
+    std::vector<FlowId> ids(kFlows, kInvalidFlow);
+    for (int i = 0; i < kFlows; ++i) {
+      e.schedule_at(specs[i].start, [&, i] {
+        ids[i] = fn.start_flow(specs[i].route, specs[i].bytes, specs[i].cap,
+                               [&, i] {
+                                 order.push_back(i);
+                                 when.push_back(e.now());
+                               });
+      });
+      if (std::isfinite(specs[i].abort_at)) {
+        e.schedule_at(specs[i].abort_at, [&, i] { fn.abort_flow(ids[i]); });
+      }
+    }
+    e.schedule_at(kRetuneAt,
+                  [&] { fn.set_capacity(kRetuned, kRetunedCapacity); });
+    e.run();
+    EXPECT_EQ(fn.active_flows(), 0u);
+  }
+
+  // Reference.
+  std::vector<int> ref_order;
+  std::vector<double> ref_when;
+  {
+    enum { kWaiting, kLive, kGone };
+    std::vector<int> state(kFlows, kWaiting);
+    std::vector<double> remaining(kFlows), rate(kFlows);
+    std::vector<double> cap_now = capacity;
+    bool retuned = false;
+    double t = 0.0;
+    for (;;) {
+      // Max-min rates from scratch over every live flow.
+      std::vector<int> unfixed;
+      for (int i = 0; i < kFlows; ++i) {
+        if (state[i] == kLive) unfixed.push_back(i);
+      }
+      std::vector<double> avail = cap_now;
+      while (!unfixed.empty()) {
+        std::vector<int> users(kResources, 0);
+        for (int i : unfixed) {
+          for (ResourceId r : specs[i].route) ++users[r];
+        }
+        double level = std::numeric_limits<double>::infinity();
+        int tight = -1;
+        for (int r = 0; r < kResources; ++r) {
+          if (users[r] > 0 && avail[r] / users[r] < level) {
+            level = avail[r] / users[r];
+            tight = r;
+          }
+        }
+        int capped = -1;
+        for (int i : unfixed) {
+          if (specs[i].cap < level) {
+            level = specs[i].cap;
+            capped = i;
+          }
+        }
+        std::vector<int> rest;
+        for (int i : unfixed) {
+          const bool on_tight =
+              capped < 0 && std::find(specs[i].route.begin(),
+                                      specs[i].route.end(),
+                                      static_cast<ResourceId>(tight)) !=
+                                specs[i].route.end();
+          if (i == capped || on_tight) {
+            rate[i] = level;
+            for (ResourceId r : specs[i].route) avail[r] -= level;
+          } else {
+            rest.push_back(i);
+          }
+        }
+        unfixed.swap(rest);
+      }
+      // The next event: a completion, a start, an abort or the retune.
+      double next = std::numeric_limits<double>::infinity();
+      int finishing = -1;
+      for (int i = 0; i < kFlows; ++i) {
+        if (state[i] == kLive && t + remaining[i] / rate[i] < next) {
+          next = t + remaining[i] / rate[i];
+          finishing = i;
+        }
+      }
+      double external = retuned ? std::numeric_limits<double>::infinity()
+                                : kRetuneAt;
+      for (int i = 0; i < kFlows; ++i) {
+        if (state[i] == kWaiting) external = std::min(external, specs[i].start);
+        if (state[i] == kLive) external = std::min(external, specs[i].abort_at);
+      }
+      if (external < next) {
+        next = external;
+        finishing = -1;
+      }
+      if (!std::isfinite(next)) break;
+      for (int i = 0; i < kFlows; ++i) {
+        if (state[i] == kLive) remaining[i] -= rate[i] * (next - t);
+      }
+      t = next;
+      if (finishing >= 0) {
+        state[finishing] = kGone;
+        ref_order.push_back(finishing);
+        ref_when.push_back(t);
+        continue;
+      }
+      for (int i = 0; i < kFlows; ++i) {
+        if (state[i] == kWaiting && specs[i].start == t) {
+          state[i] = kLive;
+          remaining[i] = specs[i].bytes;
+        } else if (state[i] == kLive && specs[i].abort_at == t) {
+          state[i] = kGone;
+        }
+      }
+      if (!retuned && t == kRetuneAt) {
+        retuned = true;
+        cap_now[kRetuned] = kRetunedCapacity;
+      }
+    }
+  }
+
+  ASSERT_EQ(order, ref_order);
+  ASSERT_EQ(when.size(), ref_when.size());
+  for (std::size_t k = 0; k < when.size(); ++k) {
+    EXPECT_NEAR(when[k], ref_when[k], 1e-9 * ref_when[k]) << "completion " << k;
+  }
+  // Most flows complete; a few aborts land after their flow finished.
+  EXPECT_GT(order.size(), 170u);
 }
 
 TEST(FlowNet, SetCapacityRebalances) {

@@ -122,6 +122,18 @@ TEST(HanConfigTest, StripeFactorRoundTripAndRejects) {
   EXPECT_FALSE(HanConfig::parse("fs=64K sf=", &out));
 }
 
+TEST(HanConfigTest, WindowPastIntMaxRejected) {
+  // window= is an int: values past INT_MAX fail instead of wrapping
+  // (4294967297 used to load as window 1).
+  HanConfig out;
+  EXPECT_FALSE(HanConfig::parse("fs=64K window=2147483648", &out));
+  EXPECT_FALSE(HanConfig::parse("fs=64K window=4294967297", &out));
+  EXPECT_FALSE(HanConfig::parse("fs=64K window=99999999999999999999", &out));
+  EXPECT_FALSE(HanConfig::parse("fs=64K window=0", &out));
+  ASSERT_TRUE(HanConfig::parse("fs=64K window=2147483647", &out));
+  EXPECT_EQ(out.window, 2147483647);
+}
+
 TEST(HanConfigTest, DefaultHeuristicShape) {
   // Small → libnbc + sm; large → adapt + solo (paper §III-C heuristics).
   const HanConfig small =

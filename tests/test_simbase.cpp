@@ -348,6 +348,34 @@ TEST(Engine, SelfCancelInsideCallbackIsNoop) {
   EXPECT_EQ(e.pending(), 0u);
 }
 
+TEST(Engine, PendingEventId) {
+  Engine e;
+  EXPECT_FALSE(e.pending(EventId{}));
+  bool inside = true;
+  EventId fired{};
+  fired = e.schedule_at(1.0, [&] { inside = e.pending(fired); });
+  const EventId live = e.schedule_at(2.0, [] {});
+  const EventId cancelled = e.schedule_at(3.0, [] {});
+  EXPECT_TRUE(e.pending(fired));
+  EXPECT_TRUE(e.pending(cancelled));
+  e.cancel(cancelled);
+  EXPECT_FALSE(e.pending(cancelled));
+  // The next event recycles the cancelled slot under a new sequence number.
+  const EventId reuse = e.schedule_at(4.0, [] {});
+  ASSERT_EQ(reuse.slot, cancelled.slot);
+  EXPECT_FALSE(e.pending(cancelled));
+  EXPECT_TRUE(e.pending(reuse));
+  e.run_until(1.0);
+  EXPECT_FALSE(inside);  // not pending while its own callback runs
+  EXPECT_FALSE(e.pending(fired));
+  EXPECT_TRUE(e.pending(live));
+  e.run();
+  EXPECT_FALSE(e.pending(live));
+  EXPECT_FALSE(e.pending(reuse));
+  // A handle into a slot beyond the pool is not pending either.
+  EXPECT_FALSE(e.pending(EventId{live.seq, 1u << 20}));
+}
+
 TEST(Engine, CancelWithinDueBatch) {
   // An event cancelled by an earlier event at the SAME timestamp must not
   // fire even though both were already popped into the due batch.
@@ -385,17 +413,18 @@ TEST(Engine, CancelHeavyPurgeKeepsOrder) {
   EXPECT_EQ(e.pending(), 0u);
 }
 
-TEST(Engine, MatchesReferenceOrderUnderRandomOps) {
-  // Model check against a reference that keeps the live events in a
-  // std::set ordered by (t, seq): every firing must be the model's minimum
-  // at the engine's now(). Random schedule / cancel / step / run_until
-  // traffic over six timestamps on a 0.5 grid makes ties the rule.
-  // Callbacks schedule zero-delay and future children and cancel pending
-  // events, often same-time victims already in the due batch. Deadlines
-  // fall below now() (a partly drained batch sits beyond them), on batch
-  // times and between them. Cancel bursts push the stale count past the
-  // purge threshold (64) many times while the queue still holds live
-  // events.
+// Model check against a reference that keeps the live events in a
+// std::set ordered by (t, seq): every firing must be the model's minimum
+// at the engine's now(). Random schedule / cancel / step / run_until
+// traffic over six timestamps on a 0.5 grid makes ties the rule.
+// Callbacks schedule zero-delay and future children and cancel pending
+// events, often same-time victims already in the due batch. Deadlines
+// fall below now() (a partly drained batch sits beyond them), on batch
+// times and between them. Cancel bursts push the stale count past the
+// purge threshold (64) many times while the queue still holds live
+// events. With `resequence`, some cancels become resequence() calls,
+// which the model takes as a cancel and a reschedule at the same time.
+void check_against_model(bool resequence) {
   struct Key {
     Time t;
     std::uint64_t seq;
@@ -425,7 +454,8 @@ TEST(Engine, MatchesReferenceOrderUnderRandomOps) {
     pos_of[last] = pos_of[id];
     live_ids.pop_back();
   };
-  const auto cancel_random = [&](bool same_time) {
+  std::size_t resequenced = 0;
+  const auto touch_random = [&](bool same_time) {
     if (live_ids.empty()) return;
     int victim = live_ids[rng.next_below(live_ids.size())];
     if (same_time) {
@@ -435,6 +465,14 @@ TEST(Engine, MatchesReferenceOrderUnderRandomOps) {
         at_now.push_back(it->id);
       }
       if (!at_now.empty()) victim = at_now[rng.next_below(at_now.size())];
+    }
+    if (resequence && rng.next_below(2) == 0) {
+      model.erase(key_of[victim]);
+      key_of[victim].seq = ++seq;
+      model.insert(key_of[victim]);
+      handle[victim] = e.resequence(handle[victim]);
+      ++resequenced;
+      return;
     }
     e.cancel(handle[victim]);
     forget(victim);
@@ -464,7 +502,7 @@ TEST(Engine, MatchesReferenceOrderUnderRandomOps) {
     } else if (action < 6) {
       schedule(e.now() + 0.5 * (1 + rng.next_below(3)));
     } else if (action < 9) {
-      cancel_random(rng.next_below(2) == 0);
+      touch_random(rng.next_below(2) == 0);
     }
   };
 
@@ -473,7 +511,7 @@ TEST(Engine, MatchesReferenceOrderUnderRandomOps) {
     if (kind < 40) {
       schedule(grid_time());
     } else if (kind < 55) {
-      cancel_random(false);
+      touch_random(false);
     } else if (kind < 75) {
       const bool any = !model.empty();
       const std::size_t before = fired;
@@ -487,7 +525,7 @@ TEST(Engine, MatchesReferenceOrderUnderRandomOps) {
       deadline = kNoDeadline;
     } else {
       for (int i = 0; i < 120; ++i) schedule(grid_time());
-      for (int i = 0; i < 100; ++i) cancel_random(false);
+      for (int i = 0; i < 100; ++i) touch_random(false);
     }
     ASSERT_EQ(e.now(), model_now) << "after op " << op;
     ASSERT_EQ(e.pending(), model.size()) << "after op " << op;
@@ -496,8 +534,20 @@ TEST(Engine, MatchesReferenceOrderUnderRandomOps) {
   EXPECT_TRUE(model.empty());
   EXPECT_EQ(e.events_processed(), fired);
   EXPECT_GT(fired, 2000u);
-  EXPECT_GT(cancelled, 64u * 20);
+  EXPECT_GT(cancelled, 64u * (resequence ? 10 : 20));
+  if (resequence) {
+    EXPECT_GT(resequenced, 1000u);
+  }
 }
+
+TEST(Engine, MatchesReferenceOrderUnderRandomOps) {
+  check_against_model(false);
+}
+
+TEST(Engine, ResequenceMatchesCancelAndReschedule) {
+  check_against_model(true);
+}
+
 
 // --- SlotPool -------------------------------------------------------------
 
