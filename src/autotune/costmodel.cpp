@@ -5,44 +5,37 @@
 #include <string_view>
 #include <vector>
 
+#include "han/synth/spec.hpp"
 #include "han/task/shapes.hpp"
 
 namespace han::tune {
 
 namespace {
 
-// Stage-role bits forming a step signature during a symbolic walk. The
-// model walks the SAME shapes the graph builders emit (task/shapes.hpp):
-// each pipeline step collapses to the set of stages active in it, and the
-// signature selects the benchmarked task cost for that step — no per-kind
-// closed forms to drift from the executor.
-enum : unsigned { kSr = 1, kIr = 2, kIb = 4, kSb = 8, kMr = 16, kMb = 32 };
+using synth::SynthSpec;
 
-unsigned role_bit(const char* role) {
-  const std::string_view r(role);
-  if (r == "sr") return kSr;
-  if (r == "ir") return kIr;
-  if (r == "ib") return kIb;
-  if (r == "sb") return kSb;
-  if (r == "mr") return kMr;
-  if (r == "mb") return kMb;
-  return 0;
+// Stage-role bits forming a step signature during a symbolic walk: bit
+// 1 << chain_pos(role). The model steps the SAME canonical chain the
+// graph builders run (synth::canonical_chain): each pipeline step
+// collapses to the set of stages active in it, and the signature selects
+// the benchmarked task cost for that step — no per-kind closed forms to
+// drift from the executor.
+constexpr unsigned bit(std::string_view role) {
+  return 1u << synth::chain_pos(role);
 }
+constexpr unsigned kSr = bit("sr"), kIr = bit("ir"), kIb = bit("ib"),
+                   kSb = bit("sb"), kMid = bit("mr") | bit("mb");
 
 /// Collapse the stepped pipeline to per-step signatures, in step order.
 /// Empty steps are dropped — the TaskScheduler's frontier skips them too.
 std::vector<unsigned> step_signatures(
-    const std::vector<task::StageSpec>& stages, int u) {
-  const int last = task::shape_steps(stages, u) - 1;
-  std::vector<unsigned> sig;
-  for (int t = 0; t <= last; ++t) {
-    unsigned mask = 0;
-    for (const task::StageSpec& s : stages) {
-      const int seg = t - s.lag;
-      if (s.enabled && seg >= 0 && seg < u) mask |= role_bit(s.role);
-    }
-    if (mask != 0) sig.push_back(mask);
-  }
+    const std::vector<synth::StageSlot>& chain, int u) {
+  std::vector<unsigned> sig(
+      static_cast<std::size_t>(task::shape_steps(chain, u)));
+  task::for_each_task(chain, u, [&](int t, const synth::StageSlot& s, int) {
+    sig[static_cast<std::size_t>(t)] |= bit(s.role);
+  });
+  std::erase(sig, 0u);
   return sig;
 }
 
@@ -109,73 +102,54 @@ const PerLeader& flat_allreduce_cost(const AllreduceTaskCosts& costs,
   }
 }
 
-/// Level placeholders for a model-only ladder walk: the shapes read only
-/// tier indices and the top/leaf positions, so any depth-consistent vector
-/// works.
-std::vector<task::Level> model_levels(int depth) {
-  std::vector<task::Level> v(static_cast<std::size_t>(depth),
-                             task::Level::Mid);
-  v.front() = task::Level::Intra;
-  v.back() = task::Level::Inter;
-  return v;
-}
-
-/// Price every distinct signature of a ladder walk: the flat composite of
-/// the sr/ir/ib/sb bits (zero when a step is mid-only) plus the solo mid
-/// cost when a mid stage is active.
+/// Walk `kind`'s canonical chain on a depth-2 (flat) or depth-3 (NUMA)
+/// ladder. A step costs the benchmarked composite of its sr/ir/ib/sb
+/// stages; a step with a mid stage adds `mid_solo` — mid stages ride the
+/// (slower, cross-domain) memory bus rather than the NIC, so no overlap
+/// with the inter stage is assumed. Depth 2 has no mid steps and is eq.
+/// 3/4 exactly.
 template <typename FlatCost>
-std::map<unsigned, PerLeader> ladder_cost_table(
-    const std::vector<unsigned>& sig, const FlatCost& flat_cost,
-    const PerLeader& mid_solo, const PerLeader& zero_like) {
-  std::map<unsigned, PerLeader> table;
+double ladder_walk(coll::CollKind kind, int depth, int u, int window,
+                   const FlatCost& flat_cost, const PerLeader* mid_solo) {
+  HAN_ASSERT((depth == 2 || depth == 3) && u >= 1);
+  const std::vector<unsigned> sig = step_signatures(
+      (depth == 2 ? SynthSpec::canonical(kind) : SynthSpec::canonical3(kind))
+          .stages,
+      u);
+  // Mid-carrying signatures, priced once: the flat composite of the
+  // sr/ir/ib/sb bits (zero when a step is mid-only) plus the solo mid cost.
+  std::map<unsigned, PerLeader> mid_steps;
   for (unsigned m : sig) {
-    if (table.count(m) != 0) continue;
-    const unsigned flat = m & (kSr | kIr | kIb | kSb);
+    if ((m & kMid) == 0 || mid_steps.count(m) != 0) continue;
     PerLeader c;
-    if (flat != 0) {
-      c = flat_cost(flat);
+    if ((m & ~kMid) != 0) {
+      c = flat_cost(m & ~kMid);
     } else {
-      c.t.assign(zero_like.t.size(), 0.0);
+      c.t.assign(mid_solo->t.size(), 0.0);
     }
-    if ((m & (kMr | kMb)) != 0) {
-      HAN_ASSERT(c.t.size() == mid_solo.t.size());
-      for (std::size_t i = 0; i < c.t.size(); ++i) c.t[i] += mid_solo.t[i];
-    }
-    table.emplace(m, std::move(c));
+    HAN_ASSERT(c.t.size() == mid_solo->t.size());
+    for (std::size_t i = 0; i < c.t.size(); ++i) c.t[i] += mid_solo->t[i];
+    mid_steps.emplace(m, std::move(c));
   }
-  return table;
-}
-
-}  // namespace
-
-double bcast_model_cost(const BcastTaskCosts& costs, int u, int window) {
-  HAN_ASSERT(u >= 1);
-  // ib(0); sbib(1..u-1); sb(u-1) — eq. 3 falls out of the walk.
-  const std::vector<unsigned> sig =
-      step_signatures(task::bcast_shape(/*has_intra=*/true), u);
   return walk_cost(
       sig,
       [&](unsigned m) -> const PerLeader& {
-        return flat_bcast_cost(costs, m);
+        return (m & kMid) != 0 ? mid_steps.at(m) : flat_cost(m);
       },
       window);
 }
 
-double bcast_ladder_model_cost(const BcastTaskCosts& costs,
-                               const MidTaskCosts& mid, int depth, int u,
-                               int window) {
-  HAN_ASSERT(depth >= 2 && u >= 1);
-  if (depth == 2) return bcast_model_cost(costs, u, window);
-  const std::vector<unsigned> sig = step_signatures(
-      task::bcast_ladder_shape(model_levels(depth),
-                               std::vector<bool>(depth, true)),
-      u);
-  const std::map<unsigned, PerLeader> table = ladder_cost_table(
-      sig, [&](unsigned m) { return flat_bcast_cost(costs, m); }, mid.mb,
-      costs.sb0);
-  return walk_cost(
-      sig, [&](unsigned m) -> const PerLeader& { return table.at(m); },
-      window);
+}  // namespace
+
+double bcast_model_cost(const BcastTaskCosts& costs, int u, int window,
+                        int depth, const MidTaskCosts* mid) {
+  // Depth 2: ib(0); sbib(1..u-1); sb(u-1) — eq. 3 falls out of the walk.
+  return ladder_walk(
+      coll::CollKind::Bcast, depth, u, window,
+      [&](unsigned m) -> const PerLeader& {
+        return flat_bcast_cost(costs, m);
+      },
+      depth > 2 ? &mid->mb : nullptr);
 }
 
 AllreduceTaskCosts AllreduceTaskCosts::from_trace(const PipelineTrace& trace) {
@@ -250,10 +224,16 @@ double reduce_scatter_model_cost(const ReduceScatterTaskCosts& costs,
            costs.intra_scatter.at(region);
   }
 
-  // Tree path: the sr ⊕ ir pipeline shape, then the inter scatter and ss.
+  // Tree path: the flat reduce chain (sr ⊕ ir), then the inter scatter
+  // and ss.
   const int u = static_cast<int>((m + fs - 1) / fs);
-  const std::vector<unsigned> sig =
-      step_signatures(task::reduce_scatter_tree_shape(has_intra), u);
+  std::vector<synth::StageSlot> chain =
+      SynthSpec::canonical(coll::CollKind::Reduce).stages;
+  if (!has_intra) {
+    std::erase_if(chain,
+                  [](const synth::StageSlot& s) { return s.role == "sr"; });
+  }
+  const std::vector<unsigned> sig = step_signatures(chain, u);
   const double pipeline = walk_cost(
       sig,
       [&](unsigned s) -> const PerLeader& {
@@ -269,42 +249,25 @@ double reduce_scatter_model_cost(const ReduceScatterTaskCosts& costs,
 }
 
 double allreduce_model_cost(const AllreduceTaskCosts& costs, int u,
-                            int window) {
-  HAN_ASSERT(u >= 1);
-  // sr(0); irsr; ibirsr; sbibirsr(3..u-1); sbibir; sbib; sb — eq. 4.
-  const std::vector<unsigned> sig =
-      step_signatures(task::allreduce_shape(/*has_intra=*/true), u);
-  return walk_cost(
-      sig,
-      [&](unsigned m) -> const PerLeader& {
-        return flat_allreduce_cost(costs, m);
-      },
-      window);
-}
-
-double allreduce_ladder_model_cost(const AllreduceTaskCosts& costs,
-                                   const MidTaskCosts& mid, int depth, int u,
-                                   int window) {
-  HAN_ASSERT(depth >= 2 && u >= 1);
-  if (depth == 2) return allreduce_model_cost(costs, u, window);
+                            int window, int depth, const MidTaskCosts* mid) {
   // The mid reduce and mid bcast lanes of one step share the cross-domain
   // bus like concurrent mids do; one averaged solo cost prices both.
   PerLeader mid_solo;
-  mid_solo.t.assign(mid.mr.t.size(), 0.0);
-  HAN_ASSERT(mid.mr.t.size() == mid.mb.t.size());
-  for (std::size_t i = 0; i < mid_solo.t.size(); ++i) {
-    mid_solo.t[i] = 0.5 * (mid.mr.t[i] + mid.mb.t[i]);
+  if (depth > 2) {
+    HAN_ASSERT(mid->mr.t.size() == mid->mb.t.size());
+    mid_solo.t.assign(mid->mr.t.size(), 0.0);
+    for (std::size_t i = 0; i < mid_solo.t.size(); ++i) {
+      mid_solo.t[i] = 0.5 * (mid->mr.t[i] + mid->mb.t[i]);
+    }
   }
-  const std::vector<unsigned> sig = step_signatures(
-      task::allreduce_ladder_shape(model_levels(depth),
-                                   std::vector<bool>(depth, true)),
-      u);
-  const std::map<unsigned, PerLeader> table = ladder_cost_table(
-      sig, [&](unsigned m) { return flat_allreduce_cost(costs, m); },
-      mid_solo, costs.sb);
-  return walk_cost(
-      sig, [&](unsigned m) -> const PerLeader& { return table.at(m); },
-      window);
+  // Depth 2: sr(0); irsr; ibirsr; sbibirsr(3..u-1); sbibir; sbib; sb —
+  // eq. 4.
+  return ladder_walk(
+      coll::CollKind::Allreduce, depth, u, window,
+      [&](unsigned m) -> const PerLeader& {
+        return flat_allreduce_cost(costs, m);
+      },
+      &mid_solo);
 }
 
 }  // namespace han::tune

@@ -21,13 +21,27 @@ struct BcastTaskCosts {
   PerLeader sbib_stable;  // T_i(sbib(s))
 };
 
-/// Eq. 3. `u` = segment count of the modeled message. The cost is computed
-/// by symbolically walking the bcast pipeline shape (han/task/shapes.hpp)
-/// — the same shape the graph builders execute. `window` mirrors the
-/// TaskScheduler's in-flight step window: 1 (the default) is the paper's
-/// lock-step pipeline, exactly eq. 3; larger windows give an optimistic
-/// bound where step s starts when step s - window finished.
-double bcast_model_cost(const BcastTaskCosts& costs, int u, int window = 1);
+/// Benchmarked solo costs of the mid-level ladder tasks (derived n-level
+/// hierarchies, docs/HIERARCHY.md): one mid-comm bcast/reduce of an fs
+/// segment, timed per node leader like the flat tasks.
+struct MidTaskCosts {
+  PerLeader mb;  // T_i(mb(0))
+  PerLeader mr;  // T_i(mr(0))
+};
+
+/// Eq. 3 on a depth-`depth` ladder. `u` = segment count of the modeled
+/// message. The cost is a symbolic walk of the canonical bcast chain
+/// (synth::canonical_chain) — the stage list the graph builders execute.
+/// `window` mirrors the TaskScheduler's in-flight step window: 1 (the
+/// default) is the paper's lock-step pipeline, exactly eq. 3 at depth 2;
+/// larger windows give an optimistic bound where step s starts when step
+/// s - window finished. At depth 3 (a NUMA ladder) a step's cost is the
+/// flat composite of its ib/sb part plus the solo mid cost `mid->mb`
+/// whenever the mid stage is active — it rides the cross-domain memory
+/// bus, not the NIC, so no overlap is assumed. `mid` is read only at
+/// depth 3.
+double bcast_model_cost(const BcastTaskCosts& costs, int u, int window = 1,
+                        int depth = 2, const MidTaskCosts* mid = nullptr);
 
 struct AllreduceTaskCosts {
   PerLeader sr0;              // T_i(sr(0))
@@ -43,35 +57,13 @@ struct AllreduceTaskCosts {
 };
 
 /// Eq. 4 with the obvious clamping for u < 4 (fewer fill/drain steps than
-/// the pipeline depth) — a symbolic walk of the allreduce shape; see
-/// bcast_model_cost for the window semantics.
+/// the pipeline depth) — a symbolic walk of the canonical allreduce chain;
+/// see bcast_model_cost for the window and depth semantics. At depth 3
+/// the mid reduce and mid bcast share the bus, priced as the mean of
+/// `mid->mr` and `mid->mb`.
 double allreduce_model_cost(const AllreduceTaskCosts& costs, int u,
-                            int window = 1);
-
-/// Benchmarked solo costs of the mid-level ladder tasks (derived n-level
-/// hierarchies, docs/HIERARCHY.md): one mid-comm bcast/reduce of an fs
-/// segment, timed per node leader like the flat tasks.
-struct MidTaskCosts {
-  PerLeader mb;  // T_i(mb(0))
-  PerLeader mr;  // T_i(mr(0))
-};
-
-/// Depth-d generalization of eq. 3: a symbolic walk of
-/// task::bcast_ladder_shape. A step's cost is the flat 2-level composite
-/// benchmark of its sr/ir/ib/sb part plus the solo mid cost whenever a mid
-/// stage is active — mid stages ride the (slower, cross-domain) memory bus
-/// rather than the NIC, so no overlap with the inter stage is assumed;
-/// ladders deeper than 3 price all concurrently active mid stages as one
-/// bus lane, since they share it. Depth 2 is bcast_model_cost exactly.
-double bcast_ladder_model_cost(const BcastTaskCosts& costs,
-                               const MidTaskCosts& mid, int depth, int u,
-                               int window = 1);
-
-/// Depth-d generalization of eq. 4; see bcast_ladder_model_cost for the
-/// additive mid composition. Depth 2 is allreduce_model_cost exactly.
-double allreduce_ladder_model_cost(const AllreduceTaskCosts& costs,
-                                   const MidTaskCosts& mid, int depth, int u,
-                                   int window = 1);
+                            int window = 1, int depth = 2,
+                            const MidTaskCosts* mid = nullptr);
 
 /// Affine cost fit t(bytes) = base + per_byte * bytes from two sampled
 /// points. The simulated fabric is linear in message size past the eager
@@ -90,7 +82,7 @@ struct AffineFit {
 };
 
 /// Benchmarked task costs of the hierarchical reduce-scatter. The tree
-/// path reuses the sr ⊕ ir pipeline structure (a reduce-only trace); the
+/// path walks the flat reduce chain sr ⊕ ir (a reduce-only trace); the
 /// ring path needs only sr plus the strided-ring and scatter fits.
 struct ReduceScatterTaskCosts {
   PerLeader sr0;            // T_i(sr(0)): intra reduce of one fs segment

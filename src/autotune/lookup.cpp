@@ -104,23 +104,22 @@ bool LookupTable::deserialize(const std::string& text, LookupTable* out) {
   LookupTable table;
   std::istringstream in(text);
   std::string line;
-  bool saw_entry = false;
+  bool saw_header = false;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
-    // Optional "version N" header (first non-comment line). Version-less
-    // files are the v1 seed format — their configs carry no synthesized
-    // schedules, so they parse unchanged. Later formats are rejected
-    // rather than misread.
-    if (!saw_entry && line.compare(0, 8, "version ") == 0) {
-      std::istringstream vs(line.substr(8));
+    // The first non-comment line must be the "version 4" header: older
+    // and version-less formats are rejected rather than misread.
+    if (!saw_header) {
+      std::istringstream vs(line);
+      std::string word, trailing;
       int v = 0;
-      if (!(vs >> v) || v < 1 || v > kFormatVersion) return false;
-      std::string trailing;
-      if (vs >> trailing) return false;
-      saw_entry = true;
+      if (!(vs >> word >> v) || word != "version" || v != kFormatVersion ||
+          (vs >> trailing)) {
+        return false;
+      }
+      saw_header = true;
       continue;
     }
-    saw_entry = true;
     std::istringstream ls(line);
     std::string kind_s, colon;
     int nodes = 0, ppn = 0, log2b = 0;
@@ -140,6 +139,7 @@ bool LookupTable::deserialize(const std::string& text, LookupTable* out) {
     if (!core::HanConfig::parse(rest, &cfg)) return false;
     table.entries_[Key{kind, nodes, ppn, log2b}] = cfg;
   }
+  if (!saw_header) return false;
   *out = std::move(table);
   return true;
 }

@@ -21,13 +21,12 @@ namespace han::tune {
 
 class LookupTable {
  public:
-  /// Text-format version written by serialize(). v1 = the version-less
-  /// seed format (plain Table II configs); v2 adds the header line and
-  /// may carry synthesized-schedule ids (`sched=`) in config values; v3
-  /// may carry per-level hierarchy tokens (`lvl=`/`malg=`/`ms=`/`zcs=`,
-  /// docs/HIERARCHY.md); v4 may carry the multi-rail stripe factor
-  /// (`sf=`, docs/FABRIC.md) in config values. deserialize() accepts
-  /// v1-v4 and rejects anything newer.
+  /// Text-format version written by serialize(): a "version 4" header
+  /// line, then one entry per line whose config values may carry
+  /// synthesized-schedule ids (`sched=`), per-level hierarchy tokens
+  /// (`lvl=`/`malg=`/`ms=`/`zcs=`, docs/HIERARCHY.md) and the multi-rail
+  /// stripe factor (`sf=`, docs/FABRIC.md). deserialize() accepts exactly
+  /// this version: a version-less file or any other version fails.
   static constexpr int kFormatVersion = 4;
 
   struct Key {

@@ -418,8 +418,7 @@ void Searcher::prepare(CollKind kind, bool heuristics) {
     }
     // Ladders with a mid level also need the solo mid task costs, so that
     // estimate() stays measurement-free.
-    if (kind != CollKind::ReduceScatter &&
-        han_->ladder_for(*comm_, cfg).depth() > 2) {
+    if (kind != CollKind::ReduceScatter && priced_depth(cfg) > 2) {
       mid_costs(cfg);
     }
   }
@@ -447,29 +446,32 @@ double Searcher::estimate_config(CollKind kind, std::size_t msg_bytes,
   const int u = std::max<int>(
       1, static_cast<int>((msg_bytes + cfg.fs - 1) /
                           std::max<std::size_t>(cfg.fs, 1)));
-  if (kind == CollKind::Bcast) {
-    // Derived ladders deeper than 2 recurse through the mid levels: the
-    // flat composite costs plus the solo mid tasks (costmodel.hpp).
-    const int depth = han_->ladder_for(*comm_, cfg).depth();
-    if (depth > 2) {
-      return bcast_ladder_model_cost(bcast_costs(cfg), mid_costs(cfg),
-                                     depth, u, cfg.window);
-    }
-    return bcast_model_cost(bcast_costs(cfg), u, cfg.window);
-  }
   if (kind == CollKind::ReduceScatter) {
     core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
     return reduce_scatter_model_cost(reduce_scatter_costs(cfg), cfg,
                                      msg_bytes, hc.node_count(),
                                      hc.max_ppn(), cfg.window);
   }
-  HAN_ASSERT(kind == CollKind::Allreduce);
-  const int depth = han_->ladder_for(*comm_, cfg).depth();
-  if (depth > 2) {
-    return allreduce_ladder_model_cost(allreduce_costs(cfg), mid_costs(cfg),
-                                       depth, u, cfg.window);
+  // Flat task costs first, then the mid ones — prepare()'s benchmark order.
+  const int depth = priced_depth(cfg);
+  if (kind == CollKind::Bcast) {
+    const BcastTaskCosts& costs = bcast_costs(cfg);
+    return bcast_model_cost(costs, u, cfg.window, depth,
+                            depth > 2 ? &mid_costs(cfg) : nullptr);
   }
-  return allreduce_model_cost(allreduce_costs(cfg), u, cfg.window);
+  HAN_ASSERT(kind == CollKind::Allreduce);
+  const AllreduceTaskCosts& costs = allreduce_costs(cfg);
+  return allreduce_model_cost(costs, u, cfg.window, depth,
+                              depth > 2 ? &mid_costs(cfg) : nullptr);
+}
+
+int Searcher::priced_depth(const HanConfig& cfg) {
+  // The ladder the builders run, not the descriptor's: a dead mid level is
+  // spliced away (Hierarchy::live_levels), and a collapsed one-node ladder
+  // is priced as the flat pipeline.
+  const int live = static_cast<int>(
+      han_->ladder_for(*comm_, cfg).live_levels().size());
+  return std::max(2, live);
 }
 
 }  // namespace han::tune

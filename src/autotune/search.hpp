@@ -124,6 +124,8 @@ class Searcher {
   const ReduceScatterTaskCosts& reduce_scatter_costs(
       const core::HanConfig& cfg);
   const MidTaskCosts& mid_costs(const core::HanConfig& cfg);
+  /// Depth of the ladder cfg's pipeline runs on (2 or 3).
+  int priced_depth(const core::HanConfig& cfg);
 
   mpi::SimWorld* world_;
   core::HanModule* han_;

@@ -184,7 +184,9 @@ PipelineTrace TaskBench::allreduce_chain(const HanConfig& cfg,
                                          std::size_t seg_bytes, int steps,
                                          int count) {
   std::vector<Stage> stages;
-  for (const task::StageSpec& s : task::allreduce_shape(/*has_intra=*/true)) {
+  for (const task::StageSpec& s : task::ladder_stages(
+           synth::SynthSpec::canonical(coll::CollKind::Allreduce).stages,
+           synth::kFlatTiers)) {
     if (static_cast<int>(stages.size()) == count) break;
     const CollConfig icfg{cfg.iralg, s.op == Op::Reduce ? cfg.irs : cfg.ibs};
     stages.push_back({s.level == Level::Intra ? intra(*han_, cfg, s.op)

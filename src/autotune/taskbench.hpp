@@ -151,8 +151,9 @@ class TaskBench {
                     const std::vector<Stage>& stages, std::size_t bytes,
                     int u, int iters, const PerLeader* delay_by = nullptr);
 
-  /// The first `count` stages of task::allreduce_shape as a pipeline of
-  /// `steps` segments: 4 is the allreduce chain, 2 its sr ⊕ ir half.
+  /// The first `count` stages of the canonical flat allreduce chain as a
+  /// pipeline of `steps` segments: 4 is the whole chain, 2 its sr ⊕ ir
+  /// half.
   PipelineTrace allreduce_chain(const core::HanConfig& cfg,
                                 std::size_t seg_bytes, int steps, int count);
 

@@ -20,7 +20,7 @@ struct HanConfig {
   int window = 1;       // scheduler in-flight step window (1 = lock-step,
                         // the paper's wait-all barrier semantics)
   std::string sched;    // synthesized-schedule id (synth::SynthSpec);
-                        // "" = the hand-written builders
+                        // "" = the kind's canonical stage chain
 
   // --- per-level fields (n-level hierarchies, LookupTable format v3) ------
   int lvl = 0;          // hierarchy depth: 0 = derive from the machine's

@@ -160,6 +160,25 @@ Hierarchy::Hierarchy(mpi::SimWorld& world, const mpi::Comm& parent,
     std::fill(comms_[d - 1].begin(), comms_[d - 1].end(), nullptr);
     std::fill(ranks_[d - 1].begin(), ranks_[d - 1].end(), -1);
   }
+
+  auto live = [&](int l) {
+    return std::any_of(comms_[l].begin(), comms_[l].end(),
+                       [](const mpi::Comm* c) {
+                         return c != nullptr && c->size() > 1;
+                       });
+  };
+  int top = d - 1;
+  while (top > 0 && !live(top)) --top;
+  if (top > 0 || live(0)) {
+    for (int l = 0; l <= top; ++l) live_.push_back(l);
+  }
+  for (std::size_t i = 0; live_.size() > 2 && i + 1 < live_.size();) {
+    if (live(live_[i])) {
+      ++i;
+    } else {
+      live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  }
 }
 
 bool Hierarchy::leader_below(int l, int pr) const {

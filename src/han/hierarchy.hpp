@@ -90,6 +90,16 @@ class Hierarchy {
   int low_rank(int pr) const { return ranks_[0][pr]; }
   int up_rank(int pr) const { return ranks_[depth() - 1][pr]; }
 
+  /// The levels a pipeline runs on, innermost first. Dead outermost
+  /// levels (no family anywhere has two members) collapse away first —
+  /// HanComm's single-node up-nulling, applied from the top down. Below
+  /// the top, a dead level is spliced out while more than two levels
+  /// remain: a deep descriptor on a machine without the matching domains
+  /// runs the flat pipeline instead of pushing lag-chain bubbles (or
+  /// null-comm tasks) through the schedule. At two levels a dead level
+  /// stays, keeping its disabled lag slot (the seed's 2-level shapes).
+  const std::vector<int>& live_levels() const { return live_; }
+
   /// Members of the leader chain's top family (1 on a single node) — the
   /// node count on flat descriptors.
   int node_count() const { return node_count_; }
@@ -107,6 +117,7 @@ class Hierarchy {
   std::vector<std::vector<mpi::Comm*>> comms_;  // [level][parent rank]
   std::vector<std::vector<int>> ranks_;         // [level][parent rank]
   std::vector<mpi::Comm*> sub_comms_;
+  std::vector<int> live_;
   int node_count_ = 0;
   int max_ppn_ = 0;
 };

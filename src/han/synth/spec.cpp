@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "simbase/assert.hpp"
+
 namespace han::synth {
 
 namespace {
@@ -199,36 +201,41 @@ std::string SynthSpec::validate() const {
   return "";
 }
 
-SynthSpec SynthSpec::canonical(coll::CollKind kind) {
-  SynthSpec spec;
-  spec.kind = kind;
-  spec.leaders = 1;
-  if (kind == coll::CollKind::Bcast) {
-    // Mirrors task::bcast_shape: sb(t-1) emitted before ib(t).
-    spec.stages = {{"sb", 1}, {"ib", 0}};
+std::vector<StageSlot> canonical_chain(coll::CollKind kind,
+                                       std::span<const task::Level> tiers) {
+  const int d = static_cast<int>(tiers.size());
+  auto role = [&](int l, char op) {
+    const char lvl = l == 0                          ? 's'
+                     : tiers[l] == task::Level::Mid ? 'm'
+                                                     : 'i';
+    return std::string{lvl, op};
+  };
+  std::vector<StageSlot> chain;
+  chain.reserve(kind == coll::CollKind::Allreduce ? 2 * tiers.size()
+                                                  : tiers.size());
+  if (kind == coll::CollKind::Bcast && d == 2) {
+    chain.push_back({role(0, 'b'), 1});
+    chain.push_back({role(1, 'b'), 0});
+  } else if (kind == coll::CollKind::Bcast) {
+    for (int l = d - 1; l >= 0; --l) chain.push_back({role(l, 'b'), d - 1 - l});
+  } else if (kind == coll::CollKind::Reduce) {
+    for (int l = d - 1; l >= 0; --l) chain.push_back({role(l, 'r'), l});
   } else {
-    // Mirrors task::allreduce_shape (paper Fig. 5).
-    spec.kind = coll::CollKind::Allreduce;
-    spec.stages = {{"sr", 0}, {"ir", 1}, {"ib", 2}, {"sb", 3}};
+    HAN_ASSERT(kind == coll::CollKind::Allreduce);
+    for (int l = 0; l < d; ++l) chain.push_back({role(l, 'r'), l});
+    for (int l = d - 1; l >= 0; --l) {
+      chain.push_back({role(l, 'b'), 2 * d - 1 - l});
+    }
   }
-  return spec;
+  return chain;
+}
+
+SynthSpec SynthSpec::canonical(coll::CollKind kind) {
+  return {kind, canonical_chain(kind, kFlatTiers)};
 }
 
 SynthSpec SynthSpec::canonical3(coll::CollKind kind) {
-  SynthSpec spec;
-  spec.kind = kind;
-  spec.leaders = 1;
-  if (kind == coll::CollKind::Bcast) {
-    // Mirrors task::bcast_ladder_shape at depth 3 (top-down emission).
-    spec.stages = {{"ib", 0}, {"mb", 1}, {"sb", 2}};
-  } else {
-    // Mirrors task::allreduce_ladder_shape at depth 3: reduce stages
-    // ascend the ladder, bcast stages descend.
-    spec.kind = coll::CollKind::Allreduce;
-    spec.stages = {{"sr", 0}, {"mr", 1}, {"ir", 2},
-                   {"ib", 3}, {"mb", 4}, {"sb", 5}};
-  }
-  return spec;
+  return {kind, canonical_chain(kind, kNumaTiers)};
 }
 
 }  // namespace han::synth

@@ -1,23 +1,28 @@
-// SynthSpec: the serializable identity of a *synthesized* hierarchical
-// schedule (docs/SYNTHESIS.md).
+// SynthSpec: the serializable identity of a hierarchical pipeline
+// schedule (docs/SYNTHESIS.md), and the one description of a pipeline.
 //
-// HAN's hand-written builders hard-code one point of the schedule space:
-// the paper's stage lags (sr0.ir1.ib2.sb3 for allreduce), a single leader,
-// and a fixed per-step emission order. A SynthSpec names any point of the
-// bounded generator grammar over the same shape primitives
-// (task/shapes.hpp): the ordered stage list with per-stage pipeline lags,
-// plus a leader (stripe) count. Together with the ordinary Table II knobs
-// carried by HanConfig (fs, imod, smod, algorithms, window) it fully
-// determines a TaskGraph, built by the ladder builders task::build_bcast /
-// task::build_allreduce — so a synthesized schedule can be cached in the
-// autotuner LookupTable and dispatched exactly like a tuned configuration
-// (HanConfig::sched).
+// A HAN collective's stepped pipeline is an ordered stage list: each
+// stage is a role (sr/ir/ib/sb, mr/mb on a mid level) with a pipeline
+// lag, and stage s contributes the task for segment (t - lag_s) at step
+// t. canonical_chain() generates the default schedule of every pipeline
+// builder on the ladder it resolves — the paper's stage lags
+// (sr0.ir1.ib2.sb3 for allreduce) and per-step emission order, one role
+// per live level. A SynthSpec names any point of the bounded generator
+// grammar around it: the stage list plus a leader (stripe) count.
+// Together with the ordinary Table II knobs carried by HanConfig (fs,
+// imod, smod, algorithms, window) it fully determines a TaskGraph, built
+// by the ladder builders task::build_bcast / task::build_allreduce — so a
+// synthesized schedule can be cached in the autotuner LookupTable and
+// dispatched exactly like a tuned configuration (HanConfig::sched).
 //
 // The id grammar is space-free (HanConfig::to_string tokens are
 // space-separated) and versioned:
 //
 //   allreduce:  ar1:k<leaders>[:r<sf>]:sr<lag>.ir<lag>.ib<lag>.sb<lag>
 //   bcast:      bc1:k1[:r<sf>]:ib<lag>.sb<lag>
+//
+// Reduce has a canonical chain but no id grammar: parse() rejects any
+// reduce id.
 //
 // Three-level schedules (derived NUMA ladders, docs/HIERARCHY.md) add the
 // mid roles "mr"/"mb" to the same grammar — the dependency chain grows to
@@ -29,19 +34,21 @@
 // so kVersion stays 1.
 //
 // Stage order in the id IS the per-step emission order (it fixes the
-// per-comm FIFO order, so it is semantically meaningful — see
-// task/shapes.hpp). parse() round-trips id() exactly and rejects any
-// malformed or truncated id loudly; validate() holds the semantic rules
-// (lag monotonicity along the dependency chain, prerequisite-first order
-// for equal lags) that make the built graph well-formed by construction.
+// per-comm FIFO order, so it is semantically meaningful). parse()
+// round-trips id() exactly and rejects any malformed or truncated id
+// loudly; validate() holds the semantic rules (lag monotonicity along the
+// dependency chain, prerequisite-first order for equal lags) that make the
+// built graph well-formed by construction.
 #pragma once
 
 #include <array>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "coll/types.hpp"
+#include "han/task/graph.hpp"
 
 namespace han::synth {
 
@@ -49,7 +56,7 @@ namespace han::synth {
 /// stages ascend the ladder (sr → mr → ir), the bcast stages descend it
 /// (ib → mb → sb). Each kind's chain (chain_roles) is a subsequence, and a
 /// stage's prerequisite is the nearest earlier role a spec contains. The
-/// validator, the generator, the cost walk and the ladder builder all read
+/// validator, the generator and both cost walks (synth and tuner) read
 /// this one table.
 inline constexpr std::array<std::string_view, 6> kChain{"sr", "mr", "ir",
                                                         "ib", "mb", "sb"};
@@ -67,8 +74,8 @@ constexpr int chain_pos(std::string_view role) {
 const std::vector<std::string>& chain_roles(coll::CollKind kind,
                                             bool three_level);
 
-/// One pipeline stage of a synthesized schedule: the stage role (the
-/// shape-primitive names of task/shapes.hpp) and its pipeline lag —
+/// One pipeline stage: the stage role — s*/m*/i* for the intra, mid and
+/// inter level, *r/*b for reduce and bcast — and its pipeline lag:
 /// segment index at step t is t - lag.
 struct StageSlot {
   std::string role;  // "sr" | "ir" | "ib" | "sb" | "mr" | "mb"
@@ -76,6 +83,25 @@ struct StageSlot {
 
   friend bool operator==(const StageSlot&, const StageSlot&) = default;
 };
+
+/// The canonical chain of `kind` on a resolved ladder whose tiers,
+/// innermost first, run at `tiers`. One role per live tier and direction,
+/// named by the tier's level: tier 0 is s*, a Mid tier m*, the Inter tier
+/// i*. Lags and emission order:
+///  - bcast: sb1.ib0 at depth 2 (sb of the previous segment emitted
+///    first); deeper ladders top-down, tier l lagging depth-1-l
+///    (ib0.mb1.sb2);
+///  - reduce: top-down, tier l lagging l (ir1.sr0);
+///  - allreduce: the reduces up the ladder, tier l lagging l, then the
+///    bcasts down it, tier l lagging 2*depth-1-l (sr0.ir1.ib2.sb3).
+std::vector<StageSlot> canonical_chain(coll::CollKind kind,
+                                       std::span<const task::Level> tiers);
+
+/// The paper's flat ladder and the derived NUMA ladder, innermost first.
+inline constexpr std::array<task::Level, 2> kFlatTiers{task::Level::Intra,
+                                                       task::Level::Inter};
+inline constexpr std::array<task::Level, 3> kNumaTiers{
+    task::Level::Intra, task::Level::Mid, task::Level::Inter};
 
 struct SynthSpec {
   /// Schedule ids are versioned; bump when the grammar changes shape.
@@ -120,15 +146,13 @@ struct SynthSpec {
   /// mid multiset, so a lone mid role is rejected loudly).
   bool three_level() const;
 
-  /// The paper's hand-written shapes, as specs: allreduce
-  /// ar1:k1:sr0.ir1.ib2.sb3 and bcast bc1:k1:sb1.ib0 (these build graphs
-  /// structurally identical to task::build_allreduce / task::build_bcast).
+  /// canonical_chain on the paper's flat intra + inter ladder: allreduce
+  /// ar1:k1:sr0.ir1.ib2.sb3, bcast bc1:k1:sb1.ib0 (and the reduce chain
+  /// ir1.sr0, which has no id).
   static SynthSpec canonical(coll::CollKind kind);
 
-  /// The derived three-level ladder's shapes (the retired han3 pipelines):
-  /// allreduce ar1:k1:sr0.mr1.ir2.ib3.mb4.sb5 and bcast
-  /// bc1:k1:ib0.mb1.sb2 — structurally identical to the depth-3 graphs of
-  /// task::build_allreduce / task::build_bcast on a NUMA machine.
+  /// canonical_chain on the derived intra + mid + inter NUMA ladder:
+  /// allreduce ar1:k1:sr0.mr1.ir2.ib3.mb4.sb5, bcast bc1:k1:ib0.mb1.sb2.
   static SynthSpec canonical3(coll::CollKind kind);
 };
 

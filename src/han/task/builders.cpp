@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string_view>
 #include <vector>
 
 #include "han/hierarchy.hpp"
@@ -69,44 +68,8 @@ struct Ladder {
   int de() const { return static_cast<int>(comm.size()); }
 };
 
-/// Does any family at level l have more than one member (i.e. can data
-/// move across this level anywhere in the world)?
-bool level_live(const Hierarchy& h, int l) {
-  for (int pr = 0; pr < h.parent().size(); ++pr) {
-    const mpi::Comm* c = h.comm(l, pr);
-    if (c != nullptr && c->size() > 1) return true;
-  }
-  return false;
-}
-
 Ladder make_ladder(const Hierarchy& h, int me, int root) {
-  const int d = h.depth();
-  // Dead outermost levels collapse away first — exactly HanComm's
-  // single-node up-nulling, applied from the top down.
-  int top = d - 1;
-  while (top > 0 && !level_live(h, top)) --top;
-  std::vector<int> keep;
-  if (top > 0 || level_live(h, 0)) {
-    for (int l = 0; l <= top; ++l) keep.push_back(l);
-  }
-  // Below the top, a dead level is spliced out while the ladder is deeper
-  // than the canonical 2: a deep descriptor on a machine without the
-  // matching domains collapses to the flat pipeline instead of pushing
-  // lag-chain bubbles (or null-comm tasks) through the schedule. At depth
-  // 2 the dead level keeps its disabled lag slot, preserving the seed's
-  // exact 2-level shapes.
-  while (static_cast<int>(keep.size()) > 2) {
-    bool spliced = false;
-    for (std::size_t i = 0; i + 1 < keep.size(); ++i) {
-      if (!level_live(h, keep[i])) {
-        keep.erase(keep.begin() + static_cast<std::ptrdiff_t>(i));
-        spliced = true;
-        break;
-      }
-    }
-    if (!spliced) break;
-  }
-
+  const std::vector<int>& keep = h.live_levels();
   Ladder lad;
   for (std::size_t i = 0; i < keep.size(); ++i) {
     const int l = keep[i];
@@ -157,38 +120,10 @@ struct Pipeline {
   }
 };
 
-/// Map a spec's stages onto the ladder's tiers: s* runs on tier 0, m* on
-/// the mid tier, i* on the inter tier. A role whose tier the ladder lacks
-/// drops out (its dependents fall through to the nearest emitted stage).
-std::vector<StageSpec> spec_stages(const synth::SynthSpec& spec,
-                                   const Ladder& lad) {
-  std::vector<StageSpec> out;
-  for (const synth::StageSlot& slot : spec.stages) {
-    // kChain ascends s→m→i with the reduces, then descends i→m→s with
-    // the bcasts: the position names the op and the rung.
-    const int p = synth::chain_pos(slot.role);
-    const bool reduce = p < 3;
-    const int rung = reduce ? p : 5 - p;  // 0 = s*, 1 = m*, 2 = i*
-    int tier = -1;
-    if (rung == 0) {
-      tier = 0;
-    } else {
-      const Level want = rung == 1 ? Level::Mid : Level::Inter;
-      for (int l = 1; l < lad.de() && tier < 0; ++l) {
-        if (lad.level[l] == want) tier = l;
-      }
-    }
-    if (tier < 0) continue;
-    out.push_back({synth::kChain[p].data(), reduce ? Op::Reduce : Op::Bcast,
-                   lad.level[tier], slot.lag, true, tier});
-  }
-  return out;
-}
-
 /// Resolve cfg's schedule for one rooted ladder operation. sched = ""
-/// (and any reduce, which has no spec grammar) runs the hand-written
-/// ladder shapes on the ladder cfg selects. A SynthSpec id runs its own
-/// stage list: a spec without mid roles pins the paper's flat ladder, a
+/// (and any reduce, which has no spec grammar) runs the kind's canonical
+/// chain on the ladder cfg selects. A SynthSpec id runs its own stage
+/// list: a spec without mid roles pins the paper's flat ladder, a
 /// mid-carrying one the derived ladder (on a flat machine its mid stages
 /// drop out), and k > 1 leaders give stripe j the ladder rooted at rank j
 /// — stripe j's intra stages root at local rank j, and j's own families
@@ -220,17 +155,12 @@ Pipeline resolve_pipeline(core::HanModule& m, const mpi::Comm& comm, int me,
   const Ladder& lad = p.lads.front();
   // Non-members of the root's inter family keep the seed's dedicated
   // lag-0 follower shape on the flat ladder; deeper ladders share one
-  // shape whose per-rank enables encode every role.
+  // stage list whose per-rank enables encode every role.
   if (kind == CollKind::Bcast && lad.flat2 && !lad.member[1]) {
     p.stages = bcast_follower_shape();
-  } else if (has_spec) {
-    p.stages = spec_stages(spec, lad);
   } else {
-    const std::vector<bool> all(static_cast<std::size_t>(de), true);
-    p.stages = kind == CollKind::Bcast ? bcast_ladder_shape(lad.level, all)
-               : kind == CollKind::Reduce
-                   ? reduce_ladder_shape(lad.level, all)
-                   : allreduce_ladder_shape(lad.level, all);
+    if (!has_spec) spec.stages = synth::canonical_chain(kind, lad.level);
+    p.stages = ladder_stages(spec.stages, lad.level);
   }
   return p;
 }
@@ -527,28 +457,31 @@ TaskGraph build_reduce_scatter(core::HanModule& m, const mpi::Comm& comm,
       const CollConfig ircfg{cfg.iralg, cfg.irs};
       const BufView full_red =
           g.temp(w.data_mode() && me_up == 0, total, dtype);
+      std::vector<synth::StageSlot> chain =
+          synth::SynthSpec::canonical(CollKind::Reduce).stages;
+      if (!has_intra) {
+        std::erase_if(chain,
+                      [](const synth::StageSlot& s) { return s.role == "sr"; });
+      }
       std::vector<int> sr_node(u, -1);
       int ir_last = -1;
-      for_each_task(
-          reduce_scatter_tree_shape(has_intra), u,
-          [&](int t, const StageSpec& s, int i) {
-            if (std::string_view(s.role) == "sr") {
-              sr_node[i] = g.add(task(s.op, s.level, t, {}, smod, low, me_low,
-                                      0, seg_of(send, segs, i),
-                                      seg_of(partial, segs, i), dtype, op));
-            } else {  // ir(i)
-              std::vector<int> deps;
-              if (has_intra) deps.push_back(sr_node[i]);
-              ir_last = g.add(task(
-                  s.op, s.level, t, std::move(deps), imod, up, me_up, 0,
-                  seg_of(has_intra ? partial : send, segs, i),
-                  seg_of(full_red, segs, i), dtype, op, ircfg));
-            }
-          });
-      inter_last = g.add(
-          task(Op::Scatter, Level::Inter,
-               shape_steps(reduce_scatter_tree_shape(has_intra), u),
-               {ir_last}, imod, up, me_up, 0, full_red, region_buf));
+      for_each_task(chain, u, [&](int t, const synth::StageSlot& s, int i) {
+        if (s.role == "sr") {
+          sr_node[i] = g.add(task(Op::Reduce, Level::Intra, t, {}, smod, low,
+                                  me_low, 0, seg_of(send, segs, i),
+                                  seg_of(partial, segs, i), dtype, op));
+        } else {  // ir(i)
+          std::vector<int> deps;
+          if (has_intra) deps.push_back(sr_node[i]);
+          ir_last = g.add(task(Op::Reduce, Level::Inter, t, std::move(deps),
+                               imod, up, me_up, 0,
+                               seg_of(has_intra ? partial : send, segs, i),
+                               seg_of(full_red, segs, i), dtype, op, ircfg));
+        }
+      });
+      inter_last = g.add(task(Op::Scatter, Level::Inter,
+                              shape_steps(chain, u), {ir_last}, imod, up,
+                              me_up, 0, full_red, region_buf));
     }
 
     // ss: scatter the node's reduced region into per-rank blocks.

@@ -8,13 +8,14 @@
 //
 // Bcast, reduce and allreduce are level-recursive: they resolve the
 // communicator ladder derived from the machine's topology descriptor
-// (hierarchy.hpp) and emit one pipeline stage per live level, so a flat
-// machine gets the paper's 2-level shapes bit-identically and a NUMA
+// (hierarchy.hpp) and emit the kind's canonical stage chain on it
+// (synth::canonical_chain, one stage per live level and direction), so a
+// flat machine gets the paper's 2-level shapes bit-identically and a NUMA
 // machine gets the 3-level ladder that used to live in han3.cpp.
 //
 // Bcast and allreduce are also the only builders of synthesized schedules
-// (docs/SYNTHESIS.md): a cfg.sched id swaps the hand-written stage list
-// for the spec's own (emission order, lags), its leader count k stripes
+// (docs/SYNTHESIS.md): a cfg.sched id swaps the canonical chain for the
+// spec's own (emission order, lags), its leader count k stripes
 // segment i onto the ladder rooted at local rank i % k, and its rail
 // stripe composes with cfg.sf. The multi-leader allreduce is the
 // canonical spec with k > 1.

@@ -12,10 +12,10 @@
 // step t-1 finished — at scheduler window 1 — while larger windows let
 // later steps start as soon as their data dependencies allow).
 //
-// The same graph shape drives both execution (task/scheduler.hpp) and
-// cost prediction (autotune/costmodel.cpp walks shapes from
-// task/shapes.hpp) — one source of truth, so the model cannot drift from
-// the executor.
+// The same stage list drives both execution (task/scheduler.hpp) and
+// cost prediction (autotune/costmodel.cpp steps the canonical chains of
+// synth/spec.hpp that the builders emit) — one source of truth, so the
+// model cannot drift from the executor.
 #pragma once
 
 #include <cstddef>

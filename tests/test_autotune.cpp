@@ -196,14 +196,18 @@ TEST(LookupTableTest, FileRoundTrip) {
 
 TEST(LookupTableTest, DeserializeRejectsGarbage) {
   LookupTable t;
-  EXPECT_FALSE(LookupTable::deserialize("bcast 64 : nope\n", &t));
-  EXPECT_FALSE(LookupTable::deserialize("quantum 64 12 20 : fs=4M\n", &t));
+  EXPECT_FALSE(LookupTable::deserialize("version 4\nbcast 64 : nope\n", &t));
+  EXPECT_FALSE(
+      LookupTable::deserialize("version 4\nquantum 64 12 20 : fs=4M\n", &t));
   // bucket_of never exceeds 63; a larger bucket would overflow the shift
   // that turns it back into a byte count.
-  EXPECT_FALSE(LookupTable::deserialize("bcast 2 2 64 : fs=64K\n", &t));
-  EXPECT_FALSE(LookupTable::deserialize("bcast 2 2 70 : fs=64K\n", &t));
-  EXPECT_TRUE(LookupTable::deserialize("bcast 2 2 63 : fs=64K\n", &t));
-  EXPECT_TRUE(LookupTable::deserialize("# only comments\n", &t));
+  EXPECT_FALSE(
+      LookupTable::deserialize("version 4\nbcast 2 2 64 : fs=64K\n", &t));
+  EXPECT_FALSE(
+      LookupTable::deserialize("version 4\nbcast 2 2 70 : fs=64K\n", &t));
+  EXPECT_TRUE(
+      LookupTable::deserialize("version 4\nbcast 2 2 63 : fs=64K\n", &t));
+  EXPECT_TRUE(LookupTable::deserialize("# only comments\nversion 4\n", &t));
 }
 
 TEST(LookupTableTest, DeserializeRejectsOverflowingSizes) {
@@ -211,21 +215,21 @@ TEST(LookupTableTest, DeserializeRejectsOverflowingSizes) {
   // (2^54 - 1) KiB still fits.
   LookupTable t;
   EXPECT_FALSE(LookupTable::deserialize(
-      "bcast 2 2 20 : fs=18014398509481985K\n", &t));
+      "version 4\nbcast 2 2 20 : fs=18014398509481985K\n", &t));
   EXPECT_FALSE(LookupTable::deserialize(
-      "bcast 2 2 20 : fs=64K ibs=18446744073709551617\n", &t));
+      "version 4\nbcast 2 2 20 : fs=64K ibs=18446744073709551617\n", &t));
   EXPECT_TRUE(LookupTable::deserialize(
-      "bcast 2 2 20 : fs=64K ibs=18014398509481983K\n", &t));
+      "version 4\nbcast 2 2 20 : fs=64K ibs=18014398509481983K\n", &t));
 }
 
 TEST(LookupTableTest, DeserializeRejectsWindowPastIntMax) {
   LookupTable t;
   EXPECT_FALSE(LookupTable::deserialize(
-      "bcast 2 2 20 : fs=64K window=2147483648\n", &t));
+      "version 4\nbcast 2 2 20 : fs=64K window=2147483648\n", &t));
   EXPECT_FALSE(LookupTable::deserialize(
-      "bcast 2 2 20 : fs=64K window=4294967297\n", &t));
+      "version 4\nbcast 2 2 20 : fs=64K window=4294967297\n", &t));
   EXPECT_TRUE(LookupTable::deserialize(
-      "bcast 2 2 20 : fs=64K window=2147483647\n", &t));
+      "version 4\nbcast 2 2 20 : fs=64K window=2147483647\n", &t));
 }
 
 TEST(LookupTableTest, FormatVersionHeader) {
@@ -235,28 +239,30 @@ TEST(LookupTableTest, FormatVersionHeader) {
                 "version " + std::to_string(LookupTable::kFormatVersion)),
             std::string::npos);
 
-  // Version-less text is the v1 seed format and still parses.
+  // Version-less text (the retired v1 seed format) is rejected; with the
+  // header the same entry parses.
   LookupTable back;
-  EXPECT_TRUE(LookupTable::deserialize(
+  const std::string entry =
       "bcast 2 2 20 : fs=64K imod=adapt smod=sm ibalg=binary iralg=binary "
-      "ibs=32K irs=32K\n",
-      &back));
+      "ibs=32K irs=32K\n";
+  EXPECT_FALSE(LookupTable::deserialize(entry, &back));
+  EXPECT_FALSE(LookupTable::deserialize("# only comments\n", &back));
+  EXPECT_FALSE(LookupTable::deserialize("", &back));
+  ASSERT_TRUE(LookupTable::deserialize("version 4\n" + entry, &back));
   EXPECT_EQ(back.size(), 1u);
 
-  // An explicit v1..v4 header parses; newer or mangled headers do not.
-  EXPECT_TRUE(LookupTable::deserialize("version 1\n", &back));
-  EXPECT_TRUE(LookupTable::deserialize("version 2\n", &back));
-  EXPECT_TRUE(LookupTable::deserialize("version 3\n", &back));
+  // Only the v4 header parses; older, newer or mangled headers do not.
+  EXPECT_FALSE(LookupTable::deserialize("version 1\n", &back));
+  EXPECT_FALSE(LookupTable::deserialize("version 2\n", &back));
+  EXPECT_FALSE(LookupTable::deserialize("version 3\n", &back));
   EXPECT_TRUE(LookupTable::deserialize("version 4\n", &back));
   EXPECT_FALSE(LookupTable::deserialize("version 5\n", &back));
   EXPECT_FALSE(LookupTable::deserialize("version 0\n", &back));
   EXPECT_FALSE(LookupTable::deserialize("version two\n", &back));
-  EXPECT_FALSE(LookupTable::deserialize("version 2 extra\n", &back));
+  EXPECT_FALSE(LookupTable::deserialize("version 4 extra\n", &back));
   // A version line after an entry is not a header.
-  EXPECT_FALSE(LookupTable::deserialize(
-      "bcast 2 2 20 : fs=64K imod=adapt smod=sm ibalg=binary iralg=binary "
-      "ibs=32K irs=32K\nversion 2\n",
-      &back));
+  EXPECT_FALSE(
+      LookupTable::deserialize("version 4\n" + entry + "version 4\n", &back));
 }
 
 TEST(LookupTableTest, RandomizedRoundTripEveryKind) {
@@ -627,11 +633,15 @@ TEST(LadderModel, Depth2MatchesFlatModels) {
   MidTaskCosts mid1;
   mid1.mb = PerLeader{{0.5}};
   mid1.mr = PerLeader{{0.75}};
+  // Depth 2 is eq. 3/4 in closed form, and never reads the mid costs.
   for (int u : {1, 3, 8}) {
-    EXPECT_DOUBLE_EQ(bcast_ladder_model_cost(b, mid, 2, u),
-                     bcast_model_cost(b, u));
-    EXPECT_DOUBLE_EQ(allreduce_ladder_model_cost(a, mid1, 2, u),
-                     allreduce_model_cost(a, u));
+    const double eq3 = std::max(10.0 + (u - 1) * 5.0 + 3.0,
+                                12.0 + (u - 1) * 4.0 + 2.0);
+    EXPECT_DOUBLE_EQ(bcast_model_cost(b, u, 1, 2, &mid), eq3);
+  }
+  for (int u : {4, 8, 16}) {
+    const double eq4 = 1.0 + 2.0 + 3.0 + (u - 3) * 4.0 + 3.0 + 2.0 + 1.0;
+    EXPECT_DOUBLE_EQ(allreduce_model_cost(a, u, 1, 2, &mid1), eq4);
   }
 }
 
@@ -644,10 +654,35 @@ TEST(LadderModel, Depth3AddsSoloMidCosts) {
   mid.mb = PerLeader{{0.5}};
   mid.mr = PerLeader{{0.5}};
   // u=3, depth 3: ib(0)=2; ib+mb=2.5; ib+mb+sb=3.0; mb+sb=1.5; sb=1.0.
-  EXPECT_DOUBLE_EQ(bcast_ladder_model_cost(b, mid, 3, 3), 10.0);
+  EXPECT_DOUBLE_EQ(bcast_model_cost(b, 3, 1, 3, &mid), 10.0);
   for (int u : {1, 4, 16}) {
-    EXPECT_GT(bcast_ladder_model_cost(b, mid, 3, u),
-              bcast_model_cost(b, u));
+    EXPECT_GT(bcast_model_cost(b, u, 1, 3, &mid), bcast_model_cost(b, u));
+  }
+}
+
+TEST(MidLevelSearch, DeadNumaLevelIsPricedAsTheFlatLadder) {
+  // One rank per NUMA domain: the numa level of the derived numa < node <
+  // cluster descriptor is dead, so the builder splices it away and runs
+  // the same flat pipeline at lvl=0 as at lvl=2. The model must price that
+  // ladder: no mb/mr task benchmark, and the depth-2 walk.
+  // Each estimate runs in a fresh world, so equal task benchmarks give
+  // bit-equal costs.
+  auto estimate = [](CollKind kind, int lvl, double* benches) {
+    TuneHarness h(machine::with_numa(machine::make_aries(4, 2), 2));
+    EXPECT_EQ(h.han.hierarchy(h.world.world_comm()).depth(), 3);
+    Searcher s(h.world, h.han, h.world.world_comm(), small_space());
+    HanConfig cfg = cfg_of(64 << 10, "adapt", "sm", Algorithm::Binary, 0);
+    cfg.lvl = lvl;
+    const double t = s.estimate_config(kind, 1 << 20, cfg);
+    *benches = h.world.metrics().counter("tune.taskbench.runs").value();
+    return t;
+  };
+  for (CollKind kind : {CollKind::Bcast, CollKind::Allreduce}) {
+    double t[2], benches[2];
+    t[0] = estimate(kind, /*lvl=*/0, &benches[0]);
+    t[1] = estimate(kind, /*lvl=*/2, &benches[1]);
+    EXPECT_EQ(benches[0], benches[1]) << coll::coll_kind_name(kind);
+    EXPECT_EQ(t[0], t[1]) << coll::coll_kind_name(kind);
   }
 }
 
