@@ -450,7 +450,19 @@ void CollRuntime::maybe_retire(Instance& inst) {
   if (instances_.empty()) {
     templates_.clear();
     instance_pool_.trim();
+    for (const auto& [token, fn] : quiescence_observers_) fn();
   }
+}
+
+int CollRuntime::add_quiescence_observer(std::function<void()> fn) {
+  const int token = next_observer_token_++;
+  quiescence_observers_.emplace_back(token, std::move(fn));
+  return token;
+}
+
+void CollRuntime::remove_quiescence_observer(int token) {
+  std::erase_if(quiescence_observers_,
+                [token](const auto& entry) { return entry.first == token; });
 }
 
 }  // namespace han::coll

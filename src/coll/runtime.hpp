@@ -88,6 +88,15 @@ class CollRuntime {
   void set_plan_checker(PlanChecker checker) {
     plan_checker_ = std::move(checker);
   }
+  bool has_plan_checker() const { return static_cast<bool>(plan_checker_); }
+
+  /// Call `fn` each time the runtime goes quiescent: its last live
+  /// instance retired and its templates were dropped. Caches that must
+  /// follow one busy period, like the templates, subscribe here. Returns a
+  /// token for remove_quiescence_observer, which the observer's owner
+  /// calls before it dies.
+  int add_quiescence_observer(std::function<void()> fn);
+  void remove_quiescence_observer(int token);
 
   /// Label a communicator context as a hierarchy level ("intra", "inter",
   /// ...). Actions on that context are accounted under
@@ -182,6 +191,8 @@ class CollRuntime {
   sim::Tracer* tracer_ = nullptr;
   PlanChecker plan_checker_;
   int destroy_observer_ = -1;  // SimWorld comm-destroy observer token
+  std::vector<std::pair<int, std::function<void()>>> quiescence_observers_;
+  int next_observer_token_ = 0;
   // Per-comm-context, per-comm-rank collective call counters.
   std::unordered_map<int, std::vector<std::uint64_t>> call_seq_;
   // Live instances by (context, seq), as slots of instance_pool_; a

@@ -1,6 +1,10 @@
 #include "han/han.hpp"
 
 #include <algorithm>
+#include <compare>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "han/synth/spec.hpp"
 #include "han/task/builders.hpp"
@@ -14,16 +18,81 @@ using coll::CollKind;
 using mpi::BufView;
 using mpi::Request;
 
+/// The barrier's config: it is never decided, and runs at window 1.
+const HanConfig kBarrierConfig{};
+
+/// The message size decide() keys a call on: the scattered block for
+/// scatter, the send buffer otherwise.
+std::size_t decide_bytes(const task::Call& c) {
+  return c.kind == CollKind::Scatter ? c.recv.bytes : c.send.bytes;
+}
+
+struct DecideKey {
+  int context;
+  CollKind kind;
+  std::size_t bytes;
+  friend auto operator<=>(const DecideKey&, const DecideKey&) = default;
+};
+
+/// A shape set's key: everything a call's shapes depend on besides the
+/// rank's role (the decision follows from (context, kind, bytes)).
+struct ShapeKey {
+  int context;
+  CollKind kind;
+  std::size_t send_bytes, recv_bytes;
+  mpi::Datatype send_type, recv_type, dtype;
+  mpi::ReduceOp op;
+  friend auto operator<=>(const ShapeKey&, const ShapeKey&) = default;
+};
+
 }  // namespace
+
+struct HanModule::Decided {
+  HanConfig cfg;
+  obs::Counter* imod = nullptr;
+  obs::Counter* smod = nullptr;
+};
+
+struct HanModule::Persistent {
+  /// One key's front and its shapes, one per rank role seen this busy
+  /// period (a handful: leaders, followers, the root's family).
+  struct ShapeSet {
+    const Decided* decided = nullptr;  // null for the barrier
+    task::Front front;
+    std::vector<std::pair<std::vector<std::uint8_t>,
+                          std::shared_ptr<const task::GraphShape>>>
+        shapes;
+  };
+
+  // Node-based maps: a set's front points at its Decided's config.
+  std::map<DecideKey, Decided> decided;
+  std::map<ShapeKey, ShapeSet> sets;
+  std::vector<std::uint8_t> role;  // resolve_rank's output, reused
+  std::uint64_t built = 0;
+
+  /// Forget everything keyed on `context` (a destroyed comm's id is
+  /// recycled; its sets point into its ladders and decisions).
+  void drop_context(int context) {
+    auto on_context = [&](const auto& e) { return e.first.context == context; };
+    std::erase_if(sets, on_context);
+    std::erase_if(decided, on_context);
+  }
+};
 
 HanModule::HanModule(mpi::SimWorld& world, coll::CollRuntime& rt,
                      coll::ModuleSet& mods)
-    : coll::CollModule(world, rt), mods_(&mods), sched_(rt) {
+    : coll::CollModule(world, rt),
+      mods_(&mods),
+      sched_(rt),
+      topo_(TopologyDescriptor::from_profile(world.profile())),
+      persistent_(std::make_unique<Persistent>()) {
   // When a communicator dies, its cached ladders must die with it — the
   // context id is recycled, and a later comm reusing it would otherwise
-  // inherit this comm's level splits. Freeing the splits re-enters
-  // free_comm, which evicts the runtime's per-context state for them too.
+  // inherit this comm's level splits (and its decisions and shapes).
+  // Freeing the splits re-enters free_comm, which evicts the runtime's
+  // per-context state for them too.
   destroy_observer_ = world.add_comm_destroy_observer([this](int context) {
+    persistent_->drop_context(context);
     auto it = comms_.find(context);
     if (it == comms_.end()) return;
     std::vector<std::unique_ptr<Hierarchy>> ladders = std::move(it->second);
@@ -32,11 +101,29 @@ HanModule::HanModule(mpi::SimWorld& world, coll::CollRuntime& rt,
       for (mpi::Comm* sub : h->sub_comms()) this->world().free_comm(sub);
     }
   });
+  // Shapes follow one busy period, like the runtime's plan templates.
+  quiescence_observer_ =
+      rt.add_quiescence_observer([this] { persistent_->sets.clear(); });
 }
 
 HanModule::~HanModule() {
+  rt().remove_quiescence_observer(quiescence_observer_);
   world().remove_comm_destroy_observer(destroy_observer_);
 }
+
+void HanModule::set_decider(Decider decider) {
+  decider_ = std::move(decider);
+  persistent_->sets.clear();
+  persistent_->decided.clear();
+}
+
+std::size_t HanModule::live_shapes() const {
+  std::size_t n = 0;
+  for (const auto& [key, set] : persistent_->sets) n += set.shapes.size();
+  return n;
+}
+
+std::uint64_t HanModule::shapes_built() const { return persistent_->built; }
 
 HanConfig HanModule::default_config(CollKind kind, int /*nodes*/, int ppn,
                                     std::size_t bytes) {
@@ -83,22 +170,41 @@ HanConfig HanModule::default_config(CollKind kind, int /*nodes*/, int ppn,
 
 HanConfig HanModule::decide(CollKind kind, const mpi::Comm& comm,
                             std::size_t bytes) {
-  Hierarchy& hc = hierarchy(comm);
-  HanConfig cfg =
-      decider_ ? decider_(kind, hc.node_count(), hc.max_ppn(), bytes)
-               : default_config(kind, hc.node_count(), hc.max_ppn(), bytes);
-  obs::MetricsRegistry& m = world().metrics();
-  obs::Counter*& per_kind = decide_kind_[static_cast<int>(kind)];
-  if (per_kind == nullptr) {
-    per_kind =
-        &m.counter(std::string("han.decide.") + coll::coll_kind_name(kind));
+  return decided(kind, comm, bytes).cfg;
+}
+
+const HanModule::Decided& HanModule::decided(CollKind kind,
+                                             const mpi::Comm& comm,
+                                             std::size_t bytes) {
+  auto [it, fresh] =
+      persistent_->decided.try_emplace(DecideKey{comm.context(), kind, bytes});
+  Decided& d = it->second;
+  if (fresh) {
+    Hierarchy& hc = hierarchy(comm);
+    d.cfg = decider_
+                ? decider_(kind, hc.node_count(), hc.max_ppn(), bytes)
+                : default_config(kind, hc.node_count(), hc.max_ppn(), bytes);
+    obs::MetricsRegistry& m = world().metrics();
+    obs::Counter*& per_kind = decide_kind_[static_cast<int>(kind)];
+    if (per_kind == nullptr) {
+      per_kind =
+          &m.counter(std::string("han.decide.") + coll::coll_kind_name(kind));
+    }
+    if (decide_bytes_ == nullptr) {
+      decide_bytes_ = &m.counter("han.decide.bytes");
+    }
+    d.imod = &named_counter(cfg_imod_, "han.cfg.imod.", d.cfg.imod);
+    d.smod = &named_counter(cfg_smod_, "han.cfg.smod.", d.cfg.smod);
   }
-  per_kind->add(1.0);
-  if (decide_bytes_ == nullptr) decide_bytes_ = &m.counter("han.decide.bytes");
+  count(d, kind, bytes);
+  return d;
+}
+
+void HanModule::count(const Decided& d, CollKind kind, std::size_t bytes) {
+  decide_kind_[static_cast<int>(kind)]->add(1.0);
   decide_bytes_->add(static_cast<double>(bytes));
-  named_counter(cfg_imod_, "han.cfg.imod.", cfg.imod).add(1.0);
-  named_counter(cfg_smod_, "han.cfg.smod.", cfg.smod).add(1.0);
-  return cfg;
+  d.imod->add(1.0);
+  d.smod->add(1.0);
 }
 
 obs::Counter& HanModule::named_counter(NamedCounters& cache,
@@ -136,7 +242,7 @@ Hierarchy& HanModule::hierarchy(const mpi::Comm& comm,
 }
 
 Hierarchy& HanModule::hierarchy(const mpi::Comm& comm) {
-  return hierarchy(comm, TopologyDescriptor::from_profile(world().profile()));
+  return hierarchy(comm, topo_);
 }
 
 Hierarchy& HanModule::flat_hierarchy(const mpi::Comm& comm) {
@@ -164,73 +270,146 @@ coll::CollModule* HanModule::intra_module(const HanConfig& cfg) {
 
 namespace {
 
-/// HAN's two-level data layout requires node-contiguous rank placement on
-/// the parent communicator (true for the world communicator; Open MPI HAN
-/// likewise disables itself otherwise).
-bool node_contiguous(const Hierarchy& hc) {
-  const mpi::Comm& parent = hc.parent();
-  for (int pr = 1; pr < parent.size(); ++pr) {
-    // Parent ranks on the same node must be consecutive.
-    const bool same_low =
-        &hc.low(pr) == &hc.low(pr - 1);
-    if (same_low && hc.low_rank(pr) != hc.low_rank(pr - 1) + 1) return false;
-    if (!same_low && hc.low_rank(pr) != 0) return false;
-  }
-  return true;
+bool flat_only(CollKind kind) {
+  return kind == CollKind::Gather || kind == CollKind::Scatter ||
+         kind == CollKind::Allgather;
+}
+
+/// The placement and size preconditions of a call, checked on every call.
+/// HAN's two-level data layout of the non-recursive collectives needs
+/// node-contiguous rank placement (Open MPI HAN likewise disables itself
+/// otherwise).
+void check_call(const task::Front& f, const task::Call& c) {
+  if (!flat_only(c.kind) && c.kind != CollKind::ReduceScatter) return;
+  HAN_ASSERT_MSG(f.h->node_contiguous(),
+                 "HAN gather/scatter/allgather/reduce_scatter require "
+                 "node-contiguous rank placement");
+  if (c.kind != CollKind::ReduceScatter) return;
+  HAN_ASSERT_MSG(
+      c.send.bytes == c.recv.bytes * static_cast<std::size_t>(c.comm->size()),
+      "reduce_scatter: send must be comm_size equal blocks of recv.bytes");
+  HAN_ASSERT_MSG(f.h->node_count() * f.h->max_ppn() == c.comm->size(),
+                 "HAN reduce_scatter requires a uniform ppn");
 }
 
 }  // namespace
 
-// Every collective below builds its per-rank TaskGraph declaratively
-// (task/builders.cpp) and hands it to the TaskScheduler; cfg.window = 1
-// reproduces the paper's lock-step wait-all pipelines.
+// Every collective below runs its rank's TaskGraph shape (task/builders.cpp)
+// on the TaskScheduler; cfg.window = 1 reproduces the paper's lock-step
+// wait-all pipelines.
+
+HanModule::Binding HanModule::persistent(const task::Call& c) {
+  Persistent& p = *persistent_;
+  const ShapeKey key{c.comm->context(), c.kind,      c.send.bytes,
+                     c.recv.bytes,      c.send.dtype, c.recv.dtype,
+                     c.dtype,           c.op};
+  // A checker must see every plan the graph issues: cache nothing.
+  const bool checked = rt().has_plan_checker();
+  auto it = checked ? p.sets.end() : p.sets.find(key);
+  if (it == p.sets.end()) {
+    // The ladders come into being in the order the explicit-config calls
+    // make them, so communicator context ids do not depend on the cache.
+    if (flat_only(c.kind)) flat_hierarchy(*c.comm);
+    const Decided* d = nullptr;
+    if (c.kind != CollKind::Barrier) {
+      d = &decided(c.kind, *c.comm, decide_bytes(c));
+    }
+    const HanConfig& cfg = d != nullptr ? d->cfg : kBarrierConfig;
+    if (checked) return fresh(c, cfg);
+    it = p.sets
+             .emplace(key, Persistent::ShapeSet{
+                               d, task::resolve_front(*this, *c.comm, c.kind,
+                                                      cfg),
+                               {}})
+             .first;
+  } else if (it->second.decided != nullptr) {
+    count(*it->second.decided, c.kind, decide_bytes(c));
+  }
+  Persistent::ShapeSet& set = it->second;
+  check_call(set.front, c);
+  Binding b;
+  b.view = task::resolve_rank(set.front, c.me, c.root, p.role);
+  b.window = set.front.cfg->window;
+  for (const auto& [role, shape] : set.shapes) {
+    if (role == p.role) {
+      b.shape = shape;
+      return b;
+    }
+  }
+  b.shape = task::TaskScheduler::compile(
+      task::build_shape(*this, set.front, b.view, c), b.view);
+  set.shapes.emplace_back(p.role, b.shape);
+  ++p.built;
+  return b;
+}
+
+HanModule::Binding HanModule::fresh(const task::Call& c,
+                                    const HanConfig& cfg) {
+  const task::Front f = task::resolve_front(*this, *c.comm, c.kind, cfg);
+  check_call(f, c);
+  std::vector<std::uint8_t> role;
+  Binding b;
+  b.view = task::resolve_rank(f, c.me, c.root, role);
+  b.window = cfg.window;
+  b.shape = task::TaskScheduler::compile(task::build_shape(*this, f, b.view, c),
+                                         b.view);
+  return b;
+}
+
+mpi::Request HanModule::run(const task::Call& c, Binding b) {
+  return sched_.run(std::move(b.shape), b.view, c.send, c.recv, b.window,
+                    c.comm->world_rank(c.me));
+}
+
+task::TaskGraph HanModule::persistent_graph(const task::Call& call) {
+  const Binding b = persistent(call);
+  return task::bind(*b.shape, b.view, call.send, call.recv);
+}
 
 mpi::Request HanModule::ibcast_cfg(const mpi::Comm& comm, int me, int root,
                                    BufView buf, mpi::Datatype dtype,
                                    const HanConfig& cfg) {
-  return sched_.run(task::build_bcast(*this, comm, me, root, buf, dtype, cfg),
-                    cfg.window, comm.world_rank(me));
+  const task::Call c{CollKind::Bcast, &comm, me, root, buf, buf, dtype};
+  return run(c, fresh(c, cfg));
 }
 
 mpi::Request HanModule::ibcast(const mpi::Comm& comm, int me, int root,
                                BufView buf, mpi::Datatype dtype,
                                const CollConfig& /*cfg*/) {
-  return ibcast_cfg(comm, me, root, buf, dtype,
-                    decide(CollKind::Bcast, comm, buf.bytes));
+  const task::Call c{CollKind::Bcast, &comm, me, root, buf, buf, dtype};
+  return run(c, persistent(c));
 }
 
 mpi::Request HanModule::ireduce_cfg(const mpi::Comm& comm, int me, int root,
                                     BufView send, BufView recv,
                                     mpi::Datatype dtype, mpi::ReduceOp op,
                                     const HanConfig& cfg) {
-  return sched_.run(
-      task::build_reduce(*this, comm, me, root, send, recv, dtype, op, cfg),
-      cfg.window, comm.world_rank(me));
+  const task::Call c{CollKind::Reduce, &comm, me, root, send, recv, dtype, op};
+  return run(c, fresh(c, cfg));
 }
 
 mpi::Request HanModule::ireduce(const mpi::Comm& comm, int me, int root,
                                 BufView send, BufView recv,
                                 mpi::Datatype dtype, mpi::ReduceOp op,
                                 const CollConfig& /*cfg*/) {
-  return ireduce_cfg(comm, me, root, send, recv, dtype, op,
-                     decide(CollKind::Reduce, comm, send.bytes));
+  const task::Call c{CollKind::Reduce, &comm, me, root, send, recv, dtype, op};
+  return run(c, persistent(c));
 }
 
 mpi::Request HanModule::iallreduce_cfg(const mpi::Comm& comm, int me,
                                        BufView send, BufView recv,
                                        mpi::Datatype dtype, mpi::ReduceOp op,
                                        const HanConfig& cfg) {
-  return sched_.run(
-      task::build_allreduce(*this, comm, me, send, recv, dtype, op, cfg),
-      cfg.window, comm.world_rank(me));
+  const task::Call c{CollKind::Allreduce, &comm, me, 0, send, recv, dtype, op};
+  return run(c, fresh(c, cfg));
 }
 
 mpi::Request HanModule::iallreduce(const mpi::Comm& comm, int me,
                                    BufView send, BufView recv,
                                    mpi::Datatype dtype, mpi::ReduceOp op,
                                    const CollConfig& /*cfg*/) {
-  return iallreduce_cfg(comm, me, send, recv, dtype, op,
-                        decide(CollKind::Allreduce, comm, send.bytes));
+  const task::Call c{CollKind::Allreduce, &comm, me, 0, send, recv, dtype, op};
+  return run(c, persistent(c));
 }
 
 mpi::Request HanModule::iallreduce_multileader(const mpi::Comm& comm, int me,
@@ -258,33 +437,22 @@ mpi::Request HanModule::iallreduce_multileader(const mpi::Comm& comm, int me,
 mpi::Request HanModule::igather(const mpi::Comm& comm, int me, int root,
                                 BufView send, BufView recv,
                                 const CollConfig& /*cfg*/) {
-  HAN_ASSERT_MSG(node_contiguous(flat_hierarchy(comm)),
-                 "HAN gather requires node-contiguous rank placement");
-  const HanConfig cfg = decide(CollKind::Gather, comm, send.bytes);
-  return sched_.run(
-      task::build_gather(*this, comm, me, root, send, recv, cfg), cfg.window,
-      comm.world_rank(me));
+  const task::Call c{CollKind::Gather, &comm, me, root, send, recv};
+  return run(c, persistent(c));
 }
 
 mpi::Request HanModule::iscatter(const mpi::Comm& comm, int me, int root,
                                  BufView send, BufView recv,
                                  const CollConfig& /*cfg*/) {
-  HAN_ASSERT_MSG(node_contiguous(flat_hierarchy(comm)),
-                 "HAN scatter requires node-contiguous rank placement");
-  const HanConfig cfg = decide(CollKind::Scatter, comm, recv.bytes);
-  return sched_.run(
-      task::build_scatter(*this, comm, me, root, send, recv, cfg), cfg.window,
-      comm.world_rank(me));
+  const task::Call c{CollKind::Scatter, &comm, me, root, send, recv};
+  return run(c, persistent(c));
 }
 
 mpi::Request HanModule::iallgather(const mpi::Comm& comm, int me,
                                    BufView send, BufView recv,
                                    const CollConfig& /*cfg*/) {
-  HAN_ASSERT_MSG(node_contiguous(flat_hierarchy(comm)),
-                 "HAN allgather requires node-contiguous rank placement");
-  const HanConfig cfg = decide(CollKind::Allgather, comm, send.bytes);
-  return sched_.run(task::build_allgather(*this, comm, me, send, recv, cfg),
-                    cfg.window, comm.world_rank(me));
+  const task::Call c{CollKind::Allgather, &comm, me, 0, send, recv};
+  return run(c, persistent(c));
 }
 
 mpi::Request HanModule::ireduce_scatter_cfg(const mpi::Comm& comm, int me,
@@ -292,31 +460,23 @@ mpi::Request HanModule::ireduce_scatter_cfg(const mpi::Comm& comm, int me,
                                             mpi::Datatype dtype,
                                             mpi::ReduceOp op,
                                             const HanConfig& cfg) {
-  Hierarchy& hc = flat_hierarchy(comm);
-  HAN_ASSERT_MSG(node_contiguous(hc),
-                 "HAN reduce_scatter requires node-contiguous rank placement");
-  HAN_ASSERT_MSG(
-      send.bytes == recv.bytes * static_cast<std::size_t>(comm.size()),
-      "reduce_scatter: send must be comm_size equal blocks of recv.bytes");
-  HAN_ASSERT_MSG(hc.node_count() * hc.max_ppn() == comm.size(),
-                 "HAN reduce_scatter requires a uniform ppn");
-  return sched_.run(
-      task::build_reduce_scatter(*this, comm, me, send, recv, dtype, op, cfg),
-      cfg.window, comm.world_rank(me));
+  const task::Call c{CollKind::ReduceScatter, &comm, me, 0, send, recv, dtype,
+                     op};
+  return run(c, fresh(c, cfg));
 }
 
 mpi::Request HanModule::ireduce_scatter(const mpi::Comm& comm, int me,
                                         BufView send, BufView recv,
                                         mpi::Datatype dtype, mpi::ReduceOp op,
                                         const CollConfig& /*cfg*/) {
-  return ireduce_scatter_cfg(comm, me, send, recv, dtype, op,
-                             decide(CollKind::ReduceScatter, comm,
-                                    send.bytes));
+  const task::Call c{CollKind::ReduceScatter, &comm, me, 0, send, recv, dtype,
+                     op};
+  return run(c, persistent(c));
 }
 
 mpi::Request HanModule::ibarrier(const mpi::Comm& comm, int me) {
-  return sched_.run(task::build_barrier(*this, comm, me), /*window=*/1,
-                    comm.world_rank(me));
+  const task::Call c{CollKind::Barrier, &comm, me};
+  return run(c, persistent(c));
 }
 
 }  // namespace han::core

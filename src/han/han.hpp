@@ -12,9 +12,18 @@
 // Configuration (Table II: fs/imod/smod/ibalg/iralg/ibs/irs) comes from a
 // pluggable Decider — a static default heuristic out of the box, or the
 // autotuner's lookup table (autotune/).
+//
+// The decided entry points (ibcast … iscatter, ibarrier) are persistent
+// collectives: the first call of a (comm, kind, size, types, reduction)
+// key decides once, and each rank role's graph shape is built and
+// validated once per runtime busy period; every repeat binds a cached
+// shape to the calling rank and issues it (docs/TASKGRAPH.md,
+// "Persistent shapes"). The explicit-config entry points (*_cfg) build
+// fresh graphs on every call.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -27,6 +36,10 @@
 #include "han/hierarchy.hpp"
 #include "han/task/scheduler.hpp"
 #include "obs/metrics.hpp"
+
+namespace han::task {
+struct Call;
+}
 
 namespace han::core {
 
@@ -43,16 +56,30 @@ class HanModule : public coll::CollModule {
   bool nonblocking_capable() const override { return true; }
 
   /// Install a configuration source (the autotuner's decision function).
-  void set_decider(Decider decider) { decider_ = std::move(decider); }
+  /// Drops every memoized decision and cached shape.
+  void set_decider(Decider decider);
 
   /// The static fallback heuristic used when no tuned table is installed.
   static HanConfig default_config(coll::CollKind kind, int nodes, int ppn,
                                   std::size_t bytes);
 
   /// Resolve the configuration for an operation (exposed for tests and
-  /// the benches' reporting).
+  /// the benches' reporting). Memoized per (comm, kind, bytes) until the
+  /// decider changes or the comm dies; the han.decide.* and han.cfg.*
+  /// counters count every call.
   HanConfig decide(coll::CollKind kind, const mpi::Comm& comm,
                    std::size_t bytes);
+
+  /// Graph shapes the decided entry points hold now (none once the
+  /// runtime is quiescent) and have built since construction
+  /// (diagnostics).
+  std::size_t live_shapes() const;
+  std::uint64_t shapes_built() const;
+
+  /// The TaskGraph a decided call (kind, comm, rank, root, buffers, type,
+  /// reduction) issues: its cached shape, built on first use, bound to the
+  /// call exactly as the entry point binds it. For tests and diagnostics.
+  task::TaskGraph persistent_graph(const task::Call& call);
 
   mpi::Request ibcast(const mpi::Comm& comm, int me, int root,
                       mpi::BufView buf, mpi::Datatype dtype,
@@ -145,9 +172,32 @@ class HanModule : public coll::CollModule {
   obs::Counter& named_counter(NamedCounters& cache, std::string_view prefix,
                               const std::string& name);
 
+  struct Decided;
+  struct Persistent;  // the decide memo and the shape cache (han.cpp)
+
+  /// A compiled shape and what binds it to the calling rank.
+  struct Binding {
+    std::shared_ptr<const task::GraphShape> shape;
+    task::RankView view;
+    int window = 1;
+  };
+
+  /// The memoized decision for (comm, kind, bytes), its counters bumped.
+  const Decided& decided(coll::CollKind kind, const mpi::Comm& comm,
+                         std::size_t bytes);
+  void count(const Decided& d, coll::CollKind kind, std::size_t bytes);
+  /// A decided call's cached shape (built on first use); a fresh one while
+  /// a plan checker is installed.
+  Binding persistent(const task::Call& call);
+  /// A call under an explicit config: a fresh shape, cached nowhere.
+  Binding fresh(const task::Call& call, const HanConfig& cfg);
+  mpi::Request run(const task::Call& call, Binding b);
+
   coll::ModuleSet* mods_;
   Decider decider_;
   task::TaskScheduler sched_;
+  TopologyDescriptor topo_;  // the machine's, derived once
+  std::unique_ptr<Persistent> persistent_;
   // decide()'s han.decide.* / han.cfg.* counters, interned on first use
   // (creating them up front would add zero-valued metrics to reports).
   std::array<obs::Counter*, static_cast<int>(coll::CollKind::ReduceScatter) + 1>
@@ -158,7 +208,8 @@ class HanModule : public coll::CollModule {
   // distinct descriptor (flat + derived, typically). Vector scan keeps
   // lookup deterministic and the descriptor set is tiny.
   std::unordered_map<int, std::vector<std::unique_ptr<Hierarchy>>> comms_;
-  int destroy_observer_ = -1;  // SimWorld comm-destroy observer token
+  int destroy_observer_ = -1;     // SimWorld comm-destroy observer token
+  int quiescence_observer_ = -1;  // CollRuntime quiescence observer token
 };
 
 /// One simulated HAN stack: a world, its collective runtime, the

@@ -141,6 +141,15 @@ Hierarchy::Hierarchy(mpi::SimWorld& world, const mpi::Comm& parent,
     max_ppn_ = std::max(max_ppn_, below);
   }
 
+  for (int pr = 1; pr < n && node_contiguous_; ++pr) {
+    // Parent ranks on the same node must be consecutive.
+    if (comms_[0][pr] == comms_[0][pr - 1]) {
+      node_contiguous_ = ranks_[0][pr] == ranks_[0][pr - 1] + 1;
+    } else {
+      node_contiguous_ = ranks_[0][pr] == 0;
+    }
+  }
+
   // Record the distinct splits before degenerate top comms are forgotten
   // below — they exist in the world either way and must be freed with the
   // parent.

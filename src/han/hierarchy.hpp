@@ -107,6 +107,12 @@ class Hierarchy {
   /// of their sub-top communicator sizes.
   int max_ppn() const { return max_ppn_; }
 
+  /// Whether parent ranks on one level-0 domain are consecutive, in
+  /// level-0 rank order: HAN's two-level data layout needs this
+  /// node-contiguous placement (true for the world communicator; Open MPI
+  /// HAN likewise disables itself otherwise).
+  bool node_contiguous() const { return node_contiguous_; }
+
   /// The distinct communicators created by the splits (owners: SimWorld);
   /// exposed so the parent comm's destruction can free them.
   const std::vector<mpi::Comm*>& sub_comms() const { return sub_comms_; }
@@ -120,6 +126,7 @@ class Hierarchy {
   std::vector<int> live_;
   int node_count_ = 0;
   int max_ppn_ = 0;
+  bool node_contiguous_ = true;
 };
 
 }  // namespace han::core

@@ -1,6 +1,7 @@
 #include "han/synth/cost.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 namespace han::synth {
@@ -93,6 +94,36 @@ double walk(const SynthSpec& spec, int u, std::size_t seg_len, int window,
 }
 
 }  // namespace
+
+std::vector<std::size_t> pareto_frontier(std::span<const CostPoint> points) {
+  std::vector<std::size_t> order(points.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const CostPoint& pa = points[a];
+    const CostPoint& pb = points[b];
+    return pa.lat != pb.lat ? pa.lat < pb.lat : pa.bw < pb.bw;
+  });
+  // A point survives iff its bw is below every bw at a smaller lat and
+  // equal to the smallest bw at its own lat.
+  std::vector<char> keep(points.size(), 0);
+  double best_below = std::numeric_limits<double>::infinity();
+  for (std::size_t g = 0; g < order.size();) {
+    const double lat = points[order[g]].lat;
+    const double group_min = points[order[g]].bw;
+    std::size_t end = g;
+    for (; end < order.size() && points[order[end]].lat == lat; ++end) {
+      const double bw = points[order[end]].bw;
+      keep[order[end]] = bw == group_min && bw < best_below;
+    }
+    best_below = std::min(best_below, group_min);
+    g = end;
+  }
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    if (keep[i]) out.push_back(i);
+  }
+  return out;
+}
 
 CostPoint symbolic_cost(const SynthSpec& spec, const core::HanConfig& cfg,
                         int nodes, int ppn, std::size_t msg_bytes,

@@ -20,6 +20,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "han/config.hpp"
 #include "han/synth/spec.hpp"
@@ -37,6 +39,12 @@ struct CostPoint {
     return lat <= o.lat && bw <= o.bw && (lat < o.lat || bw < o.bw);
   }
 };
+
+/// Indices of the points no other point dominates, in ascending order.
+/// Equal points do not dominate each other, so all copies of a frontier
+/// point survive. A sort by (lat, bw) and one sweep: O(n log n). Costs
+/// must not be NaN.
+std::vector<std::size_t> pareto_frontier(std::span<const CostPoint> points);
 
 /// Walk one candidate on the abstract machine. `nodes`/`ppn` give the
 /// topology; cfg contributes fs (segment count) and window (step gating).

@@ -22,18 +22,6 @@ using mpi::Datatype;
 using sim::json_number;
 using sim::json_string;
 
-std::vector<std::size_t> pareto_frontier(const std::vector<Candidate>& pool) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < pool.size() && !dominated; ++j) {
-      dominated = j != i && pool[j].cost.dominates(pool[i].cost);
-    }
-    if (!dominated) out.push_back(i);
-  }
-  return out;
-}
-
 std::string fmt_candidate(const Candidate& c) {
   std::string j = "{\"cfg\": " + json_string(c.cfg.to_string());
   j += ", \"lat\": " + json_number(c.cost.lat);
@@ -175,6 +163,7 @@ SynthCase run_case(const SynthOptions& opts, CollKind kind,
 
   // 1. Enumerate the grammar across the base configs and cost it.
   std::vector<Candidate> pool;
+  std::vector<CostPoint> costs;  // pool[i].cost, for the frontier
   std::set<std::string> seen;
   auto admit = [&](SynthSpec spec, const HanConfig& base) {
     if (!spec.validate().empty()) return;
@@ -185,6 +174,7 @@ SynthCase run_case(const SynthOptions& opts, CollKind kind,
     cand.spec = std::move(spec);
     cand.cost = symbolic_cost(cand.spec, cand.cfg, opts.nodes, opts.ppn,
                               bytes, opts.numa, opts.rails);
+    costs.push_back(cand.cost);
     pool.push_back(std::move(cand));
   };
   GeneratorOptions grammar = opts.grammar;
@@ -204,7 +194,7 @@ SynthCase run_case(const SynthOptions& opts, CollKind kind,
 
   // 2. Pareto prune, then mutate around the frontier.
   sim::Rng rng(opts.seed + 0x9e3779b97f4a7c15ull * (case_ordinal + 1));
-  std::vector<std::size_t> frontier = pareto_frontier(pool);
+  std::vector<std::size_t> frontier = pareto_frontier(costs);
   for (int round = 0; round < opts.mutation_rounds; ++round) {
     for (int mi = 0; mi < opts.mutants_per_round; ++mi) {
       const Candidate& parent =
@@ -213,7 +203,7 @@ SynthCase run_case(const SynthOptions& opts, CollKind kind,
       base.sched.clear();
       admit(mutate_spec(parent.spec, rng, opts.ppn, opts.rails), base);
     }
-    frontier = pareto_frontier(pool);
+    frontier = pareto_frontier(costs);
   }
   c.explored = static_cast<int>(pool.size());
   c.frontier = static_cast<int>(frontier.size());

@@ -1,5 +1,6 @@
 #include "han/task/scheduler.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,153 +43,254 @@ mpi::Request dispatch(sim::Engine& engine, const TaskNode& n) {
   return nullptr;
 }
 
-namespace {
-
-/// Per-run execution state, kept alive by the completion callbacks.
-struct Exec : std::enable_shared_from_this<Exec> {
-  coll::CollRuntime* rt = nullptr;
-  TaskScheduler::Metrics* m = nullptr;  // the scheduler's interned handles
-  TaskGraph g;
+/// Per-run execution state: one rank's run of one shape. Pooled by the
+/// scheduler; the completion callbacks point at it.
+struct TaskScheduler::Exec {
+  TaskScheduler* owner = nullptr;
+  std::shared_ptr<const GraphShape> shape;
+  TaskGraph literal;  // a literal run's calls; empty when binding the shape
+  RankView view;
+  mpi::BufView send, recv;
+  std::vector<std::vector<std::byte>> temps;
   int window = 1;
   int trace_rank = 0;
   mpi::Request done;
 
   std::vector<int> deps_left;
   std::vector<char> issued;
-  std::vector<std::vector<int>> dependents;
-  std::vector<int> ctx_prev;  // previous node on the same comm, -1 if none
-  std::vector<long> step_total, step_done;
+  std::vector<int> step_done;
   int frontier = 0;
   int remaining = 0;
 
-  void init() {
-    const int n = static_cast<int>(g.nodes.size());
-    deps_left.assign(n, 0);
-    issued.assign(n, 0);
-    dependents.assign(n, {});
-    ctx_prev.assign(n, -1);
-    const int steps = g.max_step() + 1;
-    step_total.assign(steps, 0);
-    step_done.assign(steps, 0);
-    remaining = n;
+  coll::CollRuntime& rt() const { return *owner->rt_; }
+  Metrics& m() const { return owner->metrics_; }
 
-    // Per-comm FIFO threading: a graph touches a handful of communicators
-    // (intra/mid/inter), so a flat {ctx, last node} vector with a linear
-    // scan beats a hash map on every shape we build.
-    std::vector<std::pair<int, int>> last_on_ctx;
+  void init() {
+    const GraphShape& s = *shape;
+    const int n = static_cast<int>(s.nodes.size());
+    deps_left.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      const TaskNode& node = g.nodes[i];
-      deps_left[i] = static_cast<int>(node.deps.size());
-      for (int d : node.deps) dependents[d].push_back(i);
-      ++step_total[node.step];
-      if (node.comm != nullptr) {
-        const int ctx = node.comm->context();
-        bool found = false;
-        for (auto& [c, last] : last_on_ctx) {
-          if (c == ctx) {
-            ctx_prev[i] = last;
-            last = i;
-            found = true;
-            break;
-          }
-        }
-        if (!found) last_on_ctx.emplace_back(ctx, i);
+      deps_left[i] = s.deps_begin[i + 1] - s.deps_begin[i];
+    }
+    issued.assign(static_cast<std::size_t>(n), 0);
+    step_done.assign(s.step_total.size(), 0);
+    remaining = n;
+    frontier = 0;
+    advance_frontier();
+
+    Metrics& mx = m();
+    if (mx.inflight == nullptr) {
+      obs::MetricsRegistry& reg = rt().world().metrics();
+      mx.inflight = &reg.gauge("han.task.inflight");
+      mx.issued = &reg.counter("han.task.issued");
+      mx.completed = &reg.counter("han.task.completed");
+      mx.graphs = &reg.counter("han.task.graphs");
+      mx.nodes = &reg.counter("han.task.nodes");
+    }
+    for (const ShapeNode& node : s.nodes) {
+      auto& slot = mx.per_op[static_cast<int>(node.op)];
+      if (slot == nullptr) {
+        slot = &rt().world().metrics().counter(std::string("han.task.op.") +
+                                               op_name(node.op));
       }
     }
-    while (frontier < steps && step_done[frontier] == step_total[frontier]) {
+    mx.graphs->add(1.0);
+    mx.nodes->add(static_cast<double>(n));
+  }
+
+  void advance_frontier() {
+    const std::vector<int>& total = shape->step_total;
+    const int steps = static_cast<int>(total.size());
+    while (frontier < steps && step_done[frontier] == total[frontier]) {
       ++frontier;
     }
-
-    if (m->inflight == nullptr) {
-      obs::MetricsRegistry& reg = rt->world().metrics();
-      m->inflight = &reg.gauge("han.task.inflight");
-      m->issued = &reg.counter("han.task.issued");
-      m->completed = &reg.counter("han.task.completed");
-      m->graphs = &reg.counter("han.task.graphs");
-      m->nodes = &reg.counter("han.task.nodes");
-    }
-    for (const TaskNode& node : g.nodes) {
-      auto& slot = m->per_op[static_cast<int>(node.op)];
-      if (slot == nullptr) {
-        slot = &rt->world().metrics().counter(std::string("han.task.op.") +
-                                              op_name(node.op));
-      }
-    }
-    m->graphs->add(1.0);
-    m->nodes->add(static_cast<double>(n));
   }
 
   bool issuable(int i) const {
+    const int prev = shape->fifo_prev[i];
     return !issued[i] && deps_left[i] == 0 &&
-           g.nodes[i].step < frontier + window &&
-           (ctx_prev[i] < 0 || issued[ctx_prev[i]]);
+           shape->nodes[i].step < frontier + window &&
+           (prev < 0 || issued[prev]);
+  }
+
+  mpi::Request issue(int i) {
+    sim::Engine& engine = rt().world().engine();
+    if (!literal.empty()) return dispatch(engine, literal.nodes[i]);
+    return dispatch(engine, bind_node(*shape, i, view, send, recv, temps));
   }
 
   /// Issue everything currently issuable, in emission order. A single
   /// forward pass suffices: issuing node i can only unblock (via the
   /// per-comm FIFO) nodes emitted after it.
   void pump() {
-    for (int i = 0; i < static_cast<int>(g.nodes.size()); ++i) {
+    Metrics& mx = m();
+    for (int i = 0; i < static_cast<int>(shape->nodes.size()); ++i) {
       if (!issuable(i)) continue;
       issued[i] = 1;
-      m->issued->add(1.0);
-      m->per_op[static_cast<int>(g.nodes[i].op)]->add(1.0);
-      const double t0 = rt->world().now();
-      m->inflight->add(t0, 1.0);
-      mpi::Request req = dispatch(rt->world().engine(), g.nodes[i]);
+      mx.issued->add(1.0);
+      mx.per_op[static_cast<int>(shape->nodes[i].op)]->add(1.0);
+      const double t0 = rt().world().now();
+      mx.inflight->add(t0, 1.0);
+      mpi::Request req = issue(i);
       HAN_ASSERT_MSG(req != nullptr, "task issue returned a null request");
-      req->on_complete([self = shared_from_this(), i, t0] {
-        self->finish(i, t0);
-      });
+      req->on_complete([self = this, i, t0] { self->finish(i, t0); });
     }
   }
 
   void finish(int i, double t0) {
-    const double now = rt->world().now();
-    m->inflight->add(now, -1.0);
-    m->completed->add(1.0);
-    if (sim::Tracer* tr = rt->tracer()) {
-      const TaskNode& node = g.nodes[i];
+    Metrics& mx = m();
+    const double now = rt().world().now();
+    mx.inflight->add(now, -1.0);
+    mx.completed->add(1.0);
+    const ShapeNode& node = shape->nodes[i];
+    if (sim::Tracer* tr = rt().tracer()) {
       const std::string name = std::string("task.") + level_name(node.level) +
                                "." + op_name(node.op);
       tr->span(trace_rank, "han.task", name, t0, now,
-               rt->world().rank(trace_rank).node);
+               rt().world().rank(trace_rank).node);
     }
-    ++step_done[g.nodes[i].step];
-    const int steps = static_cast<int>(step_total.size());
-    while (frontier < steps && step_done[frontier] == step_total[frontier]) {
-      ++frontier;
+    ++step_done[node.step];
+    advance_frontier();
+    const GraphShape& s = *shape;
+    for (int k = s.dependents_begin[i]; k < s.dependents_begin[i + 1]; ++k) {
+      --deps_left[s.dependents[k]];
     }
-    for (int j : dependents[i]) --deps_left[j];
     if (--remaining == 0) {
-      g.temps.clear();
-      done->complete();
+      const mpi::Request d = std::move(done);
+      owner->release(*this);
+      d->complete();
       return;
     }
     pump();
   }
 };
 
+namespace {
+
+/// The run-invariant scheduling tables of a validated shape.
+void tabulate(GraphShape& s) {
+  const int n = static_cast<int>(s.nodes.size());
+  s.dependents_begin.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (int d : s.deps) ++s.dependents_begin[d + 1];
+  for (int i = 0; i < n; ++i) {
+    s.dependents_begin[i + 1] += s.dependents_begin[i];
+  }
+  s.dependents.resize(s.deps.size());
+  std::vector<int> fill(s.dependents_begin.begin(),
+                        s.dependents_begin.end() - 1);
+  for (int i = 0; i < n; ++i) {
+    for (int d : s.deps_of(i)) s.dependents[fill[d]++] = i;
+  }
+  // Per-comm FIFO threading: a shape's tiers are its communicators.
+  s.fifo_prev.assign(static_cast<std::size_t>(n), -1);
+  std::vector<int> last;
+  int steps = 0;
+  for (int i = 0; i < n; ++i) {
+    const ShapeNode& node = s.nodes[i];
+    if (node.tier >= static_cast<int>(last.size())) {
+      last.resize(static_cast<std::size_t>(node.tier) + 1, -1);
+    }
+    s.fifo_prev[i] = last[node.tier];
+    last[node.tier] = i;
+    steps = std::max(steps, node.step + 1);
+  }
+  s.step_total.assign(static_cast<std::size_t>(steps), 0);
+  for (const ShapeNode& node : s.nodes) ++s.step_total[node.step];
+}
+
+/// A literal graph's structure as a shape whose tiers are the distinct
+/// communicators, in first-use order, so the FIFO links follow them.
+GraphShape literal_shape(const TaskGraph& g) {
+  GraphShape s;
+  std::vector<int> contexts;
+  for (const TaskNode& n : g.nodes) {
+    ShapeNode node;
+    node.op = n.op;
+    node.level = n.level;
+    node.step = n.step;
+    node.mod = n.mod;
+    const auto it =
+        std::find(contexts.begin(), contexts.end(), n.comm->context());
+    node.tier = static_cast<int>(it - contexts.begin());
+    if (it == contexts.end()) contexts.push_back(n.comm->context());
+    s.nodes.push_back(node);
+    s.deps.insert(s.deps.end(), n.deps.begin(), n.deps.end());
+    s.deps_begin.push_back(static_cast<int>(s.deps.size()));
+  }
+  return s;
+}
+
 }  // namespace
 
+TaskScheduler::TaskScheduler(coll::CollRuntime& rt) : rt_(&rt) {}
+
+TaskScheduler::~TaskScheduler() = default;
+
+TaskScheduler::Exec& TaskScheduler::acquire() {
+  if (idle_.empty()) {
+    pool_.push_back(std::make_unique<Exec>());
+    pool_.back()->owner = this;
+    return *pool_.back();
+  }
+  Exec& e = *idle_.back();
+  idle_.pop_back();
+  return e;
+}
+
+void TaskScheduler::release(Exec& e) {
+  e.shape.reset();
+  e.literal = TaskGraph();
+  e.temps.clear();
+  idle_.push_back(&e);
+}
+
+std::shared_ptr<const GraphShape> TaskScheduler::compile(
+    GraphShape shape, const RankView& view) {
+  const std::string defect = validate_shape(shape, view);
+  HAN_ASSERT_MSG(defect.empty(), defect.c_str());
+  tabulate(shape);
+  return std::make_shared<const GraphShape>(std::move(shape));
+}
+
+mpi::Request TaskScheduler::run(std::shared_ptr<const GraphShape> shape,
+                                const RankView& view, mpi::BufView send,
+                                mpi::BufView recv, int window,
+                                int trace_rank) {
+  copy_through(*shape, send, recv);
+  if (shape->empty()) return start(nullptr, window, trace_rank);
+  Exec& e = acquire();
+  for (std::size_t bytes : shape->temps) e.temps.emplace_back(bytes);
+  e.shape = std::move(shape);
+  e.view = view;
+  e.send = send;
+  e.recv = recv;
+  return start(&e, window, trace_rank);
+}
+
 mpi::Request TaskScheduler::run(TaskGraph graph, int window, int trace_rank) {
-  HAN_ASSERT_MSG(window >= 1, "scheduler window must be >= 1");
   const std::string defect = validate_graph(graph);
   HAN_ASSERT_MSG(defect.empty(), defect.c_str());
+  if (graph.empty()) return start(nullptr, window, trace_rank);
+  GraphShape shape = literal_shape(graph);
+  tabulate(shape);
+  Exec& e = acquire();
+  e.shape = std::make_shared<const GraphShape>(std::move(shape));
+  e.literal = std::move(graph);
+  return start(&e, window, trace_rank);
+}
+
+mpi::Request TaskScheduler::start(Exec* e, int window, int trace_rank) {
+  HAN_ASSERT_MSG(window >= 1, "scheduler window must be >= 1");
   mpi::Request done = mpi::make_request(rt_->world().engine());
-  if (graph.empty()) {
+  if (e == nullptr) {
     done->complete();  // degenerate: nothing to run
     return done;
   }
-  auto exec = std::make_shared<Exec>();
-  exec->rt = rt_;
-  exec->m = &metrics_;
-  exec->g = std::move(graph);
-  exec->window = window;
-  exec->trace_rank = trace_rank;
-  exec->done = done;
-  exec->init();
-  exec->pump();
+  e->window = window;
+  e->trace_rank = trace_rank;
+  e->done = done;
+  e->init();
+  e->pump();
   return done;
 }
 

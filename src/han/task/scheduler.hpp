@@ -1,4 +1,4 @@
-// TaskScheduler: executes any acyclic TaskGraph over the CollModule
+// TaskScheduler: executes any acyclic task graph over the CollModule
 // interface with a configurable in-flight step window. Issuing a node
 // makes the CollModule call its record names.
 //
@@ -11,9 +11,16 @@
 // window). Window 1 reproduces the seed coroutines' lock-step wait_all
 // barrier semantics exactly; larger windows let later steps start as soon
 // as their data dependencies allow — a new tunable (HanConfig::window).
+//
+// A run executes a compiled GraphShape bound to one rank: validation and
+// the scheduling tables (dependents, FIFO links, step totals) are paid
+// once per shape, and the per-run state is pooled, so a repeat of a call
+// whose shape exists allocates nothing here (temps aside, in data mode).
 #pragma once
 
 #include <array>
+#include <memory>
+#include <vector>
 
 #include "coll/runtime.hpp"
 #include "han/task/graph.hpp"
@@ -30,12 +37,28 @@ mpi::Request dispatch(sim::Engine& engine, const TaskNode& n);
 class TaskScheduler {
  public:
   /// A scheduler issuing over `rt`; both must outlive every run.
-  explicit TaskScheduler(coll::CollRuntime& rt) : rt_(&rt) {}
+  explicit TaskScheduler(coll::CollRuntime& rt);
+  ~TaskScheduler();
+  TaskScheduler(const TaskScheduler&) = delete;
+  TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Execute `graph`. Returns a request that completes when every node
-  /// has completed; an empty graph completes it synchronously. The graph
-  /// is validated (HAN_ASSERT on malformed input). `trace_rank` labels
-  /// tracer spans and is the owning rank's world rank.
+  /// Validate `shape` as bound to `view`'s rank (HAN_ASSERT on a defect)
+  /// and compute its scheduling tables: everything a run needs that does
+  /// not depend on the run.
+  static std::shared_ptr<const GraphShape> compile(GraphShape shape,
+                                                   const RankView& view);
+
+  /// Execute `shape` (compiled) on `view`'s rank with the caller's
+  /// buffers; a copying shape copies send to recv first. Returns a request
+  /// that completes when every node has completed; an empty shape
+  /// completes it synchronously. `trace_rank` labels tracer spans and is
+  /// the owning rank's world rank.
+  mpi::Request run(std::shared_ptr<const GraphShape> shape,
+                   const RankView& view, mpi::BufView send,
+                   mpi::BufView recv, int window, int trace_rank);
+
+  /// Execute a literal graph, validated here (HAN_ASSERT on malformed
+  /// input).
   mpi::Request run(TaskGraph graph, int window, int trace_rank);
 
   /// han.task.* metric handles, interned on first use: a registry lookup
@@ -51,8 +74,18 @@ class TaskScheduler {
   };
 
  private:
+  struct Exec;
+  Exec& acquire();
+  void release(Exec& e);
+  /// Start `e` (nullptr: an empty graph, completed at once).
+  mpi::Request start(Exec* e, int window, int trace_rank);
+
   coll::CollRuntime* rt_;
   Metrics metrics_;
+  // Per-run state: every Exec ever made, and the finished ones, whose
+  // arrays the next run reuses.
+  std::vector<std::unique_ptr<Exec>> pool_;
+  std::vector<Exec*> idle_;
 };
 
 }  // namespace han::task

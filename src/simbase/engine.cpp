@@ -9,7 +9,7 @@ void Engine::heap_push(Entry e) {
   heap_.push_back(e);
   while (i > 0) {
     const std::size_t p = (i - 1) >> 2;
-    if (!before(e, heap_[p])) break;
+    if (!(e.t < heap_[p].t)) break;
     heap_[i] = heap_[p];
     i = p;
   }
@@ -22,12 +22,19 @@ void Engine::sift_down(std::size_t i) {
   for (;;) {
     const std::size_t c = 4 * i + 1;
     if (c >= n) break;
-    const std::size_t last = std::min(c + 4, n);
-    std::size_t best = c;
-    for (std::size_t j = c + 1; j < last; ++j) {
-      if (before(heap_[j], heap_[best])) best = j;
+    std::size_t best;
+    if (c + 4 <= n) {
+      // All four children exist: a tournament of conditional moves.
+      const std::size_t a = heap_[c + 1].t < heap_[c].t ? c + 1 : c;
+      const std::size_t b = heap_[c + 3].t < heap_[c + 2].t ? c + 3 : c + 2;
+      best = heap_[b].t < heap_[a].t ? b : a;
+    } else {
+      best = c;
+      for (std::size_t j = c + 1; j < n; ++j) {
+        if (heap_[j].t < heap_[best].t) best = j;
+      }
     }
-    if (!before(heap_[best], e)) break;
+    if (!(heap_[best].t < e.t)) break;
     heap_[i] = heap_[best];
     i = best;
   }
@@ -82,10 +89,11 @@ bool Engine::step_until(Time limit) {
     }
     if (due_head_ < due_.size()) break;
     // The batch is spent. Pop the entire next equal-time batch before
-    // firing any of it: callbacks that schedule zero-delay events then
-    // append to `due_` directly, preserving global FIFO order without
-    // re-touching the heap. A cancelled head is dropped first, so an
-    // all-cancelled time never advances now().
+    // firing any of it, and sort it by sequence number (the heap keys on
+    // time alone): callbacks that schedule zero-delay events then append
+    // to `due_` directly, preserving global FIFO order without re-touching
+    // the heap. A cancelled head is dropped first, so an all-cancelled
+    // time never advances now().
     while (!heap_.empty() && stale(heap_.front())) {
       heap_pop();
       if (stale_ > 0) --stale_;
@@ -97,6 +105,7 @@ bool Engine::step_until(Time limit) {
     do {
       due_.push_back(heap_pop());
     } while (!heap_.empty() && heap_.front().t == now_);
+    if (due_.size() > 1) std::sort(due_.begin(), due_.end(), before);
   }
   const std::uint32_t slot = due_[due_head_++].slot;
   // The batch announces future record accesses; their slots are scattered

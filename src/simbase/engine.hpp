@@ -11,10 +11,16 @@
 //    number) live in a SlotPool: stable addresses, so a due callback runs
 //    in place, and LIFO slot reuse, so the pool follows the peak number of
 //    pending events.
-//  * The queue is one 4-ary min-heap of {time, seq, slot} entries.
+//  * The queue is one 4-ary min-heap of {time, seq, slot} entries, keyed
+//    on time alone: the smallest of four children is picked without
+//    branches, and equal times need no tie-break inside the heap.
 //  * Same-timestamp batches: all entries due at the next time are popped
-//    into a FIFO batch at once; zero-delay events scheduled while the batch
-//    drains append to it directly, bypassing the heap.
+//    into a batch at once and sorted by (time, seq), which restores the
+//    FIFO order among them. An event scheduled at now() always joins the
+//    batch, bypassing the heap, even when the batch has just drained (the
+//    last event of a batch scheduling a zero-delay child is common). This
+//    keeps the order, because once a batch at time T forms, no heap entry
+//    has time T: every such entry was popped into it.
 //  * cancel() is O(1): the callback is destroyed and the slot released at
 //    once, and the queue entry goes stale (slots recycle, sequence numbers
 //    never do). Stale entries are skipped when they reach the front, and
@@ -77,9 +83,13 @@ class Engine {
       rec.cb.assign(std::forward<F>(f));
     }
     ++live_;
-    if (t == now_ && due_head_ < due_.size()) {
-      // The batch at `now` is still draining: this event belongs to it
-      // (its seq exceeds everything already queued, so FIFO order holds).
+    if (t == now_) {
+      // The event belongs to the batch at `now` (its seq exceeds everything
+      // already queued, so FIFO order holds); a drained batch restarts.
+      if (due_head_ == due_.size()) {
+        due_.clear();
+        due_head_ = 0;
+      }
       due_.push_back(Entry{t, seq, slot});
     } else {
       heap_push(Entry{t, seq, slot});
@@ -198,7 +208,7 @@ class Engine {
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;
   std::size_t stale_ = 0;  // upper bound on dead entries still queued
-  std::vector<Entry> heap_;  // 4-ary min-heap by (t, seq)
+  std::vector<Entry> heap_;  // 4-ary min-heap by t
   // Current same-timestamp batch, drained FIFO from due_head_.
   std::vector<Entry> due_;
   std::size_t due_head_ = 0;

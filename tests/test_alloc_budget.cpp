@@ -8,6 +8,8 @@
 // ADAPT allreduce, eager point-to-point messages around a ring, and a ring
 // reduce-scatter). The first round warms every pool; the second must stay
 // within kBudgetPerAction heap allocations per executed collective action.
+// A second round does the same for the decided HAN entry points, whose
+// repeats bind persistent graph shapes (docs/TASKGRAPH.md).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +21,7 @@
 
 #include "coll/registry.hpp"
 #include "coll/runtime.hpp"
+#include "han/han.hpp"
 #include "simmpi/world.hpp"
 
 namespace {
@@ -120,10 +123,51 @@ struct Round {
   std::vector<mpi::Comm*> node_comms;
 };
 
-TEST(AllocBudget, WarmRoundStaysWithinBudgetPerAction) {
-  mpi::SimWorld world(machine::make_aries(2, 4));
+/// Decided HAN calls on every rank, one after another: an allreduce, a
+/// bcast from two roots, a reduce-scatter and an allgather, at 4 KiB and
+/// 64 KiB, kReps times over, as an application repeats its collectives.
+/// A round is one busy period: its first calls of each key build the graph
+/// shapes (and the plan templates below them) and the repeats bind them.
+struct HanRound {
+  static constexpr int kReps = 8;
+
+  explicit HanRound(core::HanWorld& w) : han(w) {}
+
+  sim::CoTask rank_program(mpi::Rank& rank) {
+    const int r = rank.world_rank;
+    const int n = han.world.world_size();
+    const mpi::Comm& all = han.world.world_comm();
+    const CollConfig cfg;
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (std::size_t bytes : {std::size_t{4} << 10, std::size_t{64} << 10}) {
+        const BufView full = BufView::timing_only(bytes, Datatype::Int32);
+        const BufView block = BufView::timing_only(
+            bytes / static_cast<std::size_t>(n), Datatype::Int32);
+        co_await *han.han.iallreduce(all, r, full, full, Datatype::Int32,
+                                     ReduceOp::Sum, cfg);
+        for (int root : {0, n - 1}) {
+          co_await *han.han.ibcast(all, r, root, full, Datatype::Int32, cfg);
+        }
+        co_await *han.han.ireduce_scatter(all, r, full, block,
+                                          Datatype::Int32, ReduceOp::Sum, cfg);
+        co_await *han.han.iallgather(all, r, block, full, cfg);
+      }
+    }
+  }
+
+  void run() {
+    han.world.run([this](mpi::Rank& rank) { return rank_program(rank); });
+  }
+
+  core::HanWorld& han;
+};
+
+/// Run `round` twice on `world`; the second (warm) run must stay within
+/// the budget. `label` names the round in the printed summary.
+template <typename R>
+void expect_warm_round_within_budget(mpi::SimWorld& world, R& round,
+                                     const char* label) {
   ASSERT_FALSE(world.data_mode());
-  Round round(world);
   round.run();  // cold: templates, pools and match queues grow here
 
   const double actions_before = actions_executed(world.metrics());
@@ -137,12 +181,25 @@ TEST(AllocBudget, WarmRoundStaysWithinBudgetPerAction) {
   ASSERT_GT(actions, 0.0);
   ASSERT_GT(messages, 0u);
   const double per_action = static_cast<double>(allocations) / actions;
-  std::printf("warm round: %ld allocations, %.0f actions, %llu messages: "
+  std::printf("warm %s round: %ld allocations, %.0f actions, %llu messages: "
               "%.3f allocations per action\n",
-              allocations, actions,
+              label, allocations, actions,
               static_cast<unsigned long long>(messages), per_action);
-  RecordProperty("allocations_per_action", std::to_string(per_action));
+  ::testing::Test::RecordProperty("allocations_per_action",
+                                  std::to_string(per_action));
   EXPECT_LE(per_action, kBudgetPerAction);
+}
+
+TEST(AllocBudget, WarmRoundStaysWithinBudgetPerAction) {
+  mpi::SimWorld world(machine::make_aries(2, 4));
+  Round round(world);
+  expect_warm_round_within_budget(world, round, "module");
+}
+
+TEST(AllocBudget, WarmDecidedHanRoundStaysWithinBudgetPerAction) {
+  core::HanWorld han(machine::make_aries(2, 4));
+  HanRound round(han);
+  expect_warm_round_within_budget(han.world, round, "decided HAN");
 }
 
 }  // namespace

@@ -197,6 +197,28 @@ TEST(Engine, NestedSchedulingFromCallback) {
   EXPECT_DOUBLE_EQ(fired_at, 1.5);
 }
 
+TEST(Engine, ZeroDelayChildOfLastBatchEventFiresBeforeLaterHeapEvent) {
+  // The last event of a batch schedules a zero-delay child: the child
+  // restarts the drained batch at the same time, ahead of every later
+  // event still in the heap, and its own zero-delay child follows it.
+  Engine e;
+  std::vector<std::string> order;
+  e.schedule_at(1.0, [&] { order.push_back("a"); });
+  e.schedule_at(1.5, [&] { order.push_back("later"); });
+  e.schedule_at(1.0, [&] {
+    order.push_back("b");
+    e.schedule_after(0.0, [&] {
+      order.push_back("child");
+      EXPECT_DOUBLE_EQ(e.now(), 1.0);
+      e.schedule_after(0.0, [&] { order.push_back("grandchild"); });
+    });
+  });
+  e.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "child", "grandchild",
+                                             "later"}));
+  EXPECT_EQ(e.events_processed(), 5u);
+}
+
 // --- engine: hot-path regression suite ---------------------------------
 //
 // The pooled-event engine must preserve the original implementation's

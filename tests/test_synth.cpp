@@ -273,6 +273,31 @@ TEST(SynthCostTest, CostsArePositiveAndBandwidthDominatesLatency) {
   EXPECT_FALSE(a.dominates(synth::CostPoint{0.5, 3.0}));
 }
 
+TEST(SynthCostTest, ParetoFrontierMatchesPairwiseDefinitionOnTies) {
+  // Coordinates from a tiny range, so equal points, equal lats and equal
+  // bws are everywhere; the sweep must return exactly the indices the
+  // pairwise definition keeps, in the same order.
+  sim::Rng rng(0x9a7e70ull);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = rng.next_below(40);
+    const std::uint64_t range = 1 + rng.next_below(6);
+    std::vector<synth::CostPoint> pts(n);
+    for (synth::CostPoint& p : pts) {
+      p.lat = static_cast<double>(rng.next_below(range));
+      p.bw = static_cast<double>(rng.next_below(range)) * 0.5;
+    }
+    std::vector<std::size_t> expect;
+    for (std::size_t i = 0; i < n; ++i) {
+      bool dominated = false;
+      for (std::size_t j = 0; j < n && !dominated; ++j) {
+        dominated = j != i && pts[j].dominates(pts[i]);
+      }
+      if (!dominated) expect.push_back(i);
+    }
+    EXPECT_EQ(synth::pareto_frontier(pts), expect) << "trial " << trial;
+  }
+}
+
 /// FNV-1a over a byte string: the goldens below pin long deterministic
 /// outputs as one 64-bit digest.
 std::uint64_t fnv1a(const std::string& text,
