@@ -56,6 +56,8 @@ ALLOWLIST = [
     ("src/coll/runtime.hpp", "unordered-include", "<unordered_map>"),
     ("src/coll/runtime.hpp", "unordered-decl", "call_seq_"),
     ("src/coll/runtime.hpp", "unordered-decl", "level_of_"),
+    ("src/autotune/taskbench.hpp", "unordered-include", "<unordered_map>"),
+    ("src/autotune/taskbench.hpp", "unordered-decl", "memo_"),
 ]
 
 

@@ -1,6 +1,7 @@
 #include "autotune/taskbench.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "han/task/scheduler.hpp"
@@ -85,6 +86,11 @@ TaskNode mid(core::HanModule& han, const HanConfig& cfg, Op op,
   return task_of(op, Level::Mid, mod, {cfg.malg, cfg.ms});
 }
 
+/// Folds `v` into the hash `h` (the boost hash_combine step, 64-bit).
+void mix(std::size_t& h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+}
+
 /// Mean over the iterations of a one-step benchmark.
 PerLeader mean(const PipelineTrace& trace) {
   return trace.stabilized(static_cast<int>(trace.steps.size()));
@@ -92,10 +98,51 @@ PerLeader mean(const PipelineTrace& trace) {
 
 }  // namespace
 
+std::size_t TaskBench::RunKeyHash::operator()(const RunKey& k) const {
+  // The fields the benchmarks vary; equality still compares every field.
+  std::size_t h = std::hash<const void*>{}(k.hc);
+  mix(h, k.bytes);
+  mix(h, static_cast<std::uint64_t>(k.u) << 32 |
+             static_cast<std::uint32_t>(k.iters));
+  for (const Stage& s : k.stages) {
+    const TaskNode& n = s.node;
+    mix(h, static_cast<std::uint64_t>(n.op) << 8 |
+               static_cast<std::uint64_t>(n.level));
+    mix(h, std::hash<const void*>{}(n.mod));
+    mix(h, static_cast<std::uint64_t>(n.cfg.alg));
+    mix(h, n.cfg.segment);
+    mix(h, static_cast<std::uint64_t>(n.cfg.rail) << 32 |
+               static_cast<std::uint32_t>(n.sf));
+    mix(h, static_cast<std::uint64_t>(s.lag));
+  }
+  if (k.delay_bits) {
+    for (std::uint64_t b : *k.delay_bits) mix(h, b);
+  }
+  return h;
+}
+
 PipelineTrace TaskBench::run(const core::Hierarchy& hc,
                              const std::vector<Stage>& stages,
                              std::size_t bytes, int u, int iters,
                              const PerLeader* delay_by) {
+  RunKey key{&hc, stages, bytes, u, iters, std::nullopt};
+  if (delay_by != nullptr) {
+    key.delay_bits.emplace(delay_by->t.size());
+    std::transform(delay_by->t.begin(), delay_by->t.end(),
+                   key.delay_bits->begin(),
+                   [](double d) { return std::bit_cast<std::uint64_t>(d); });
+  }
+  if (auto hit = memo_.find(key); hit != memo_.end()) {
+    world_->metrics().counter("tune.taskbench.reused").add(1.0);
+    PipelineTrace out;
+    out.steps.reserve(hit->second.size() / static_cast<std::size_t>(leaders_));
+    for (auto it = hit->second.begin(); it != hit->second.end();
+         it += leaders_) {
+      out.steps.push_back(PerLeader{std::vector<double>(it, it + leaders_)});
+    }
+    return out;
+  }
+
   // What every rank's program reads and writes; it outlives them all,
   // since world_->run returns once every rank has finished.
   struct Job {
@@ -177,6 +224,11 @@ PipelineTrace TaskBench::run(const core::Hierarchy& hc,
   cost_ += elapsed;
   world_->metrics().counter("tune.taskbench.runs").add(1.0);
   world_->metrics().counter("tune.taskbench.seconds").add(elapsed);
+  std::vector<double>& flat = memo_[std::move(key)];
+  flat.reserve(job.out.steps.size() * static_cast<std::size_t>(leaders_));
+  for (const PerLeader& step : job.out.steps) {
+    flat.insert(flat.end(), step.t.begin(), step.t.end());
+  }
   return std::move(job.out);
 }
 

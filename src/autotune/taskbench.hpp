@@ -26,8 +26,23 @@
 //
 // All benchmarks run in the caller's SimWorld; the simulated time they
 // consume is the "tuning cost" the paper's Fig. 8 accounts.
+//
+// Memo: a TaskBench simulates each distinct run once. Its key is
+// everything the runner reads: the hierarchy, every stage (its TaskNode
+// under the defaulted ==, and its lag), the segment bytes, u, iters and
+// the leader delays bit for bit. Configurations that differ only in axes
+// a task never reads (fs for an intra scatter, the mid axes for a flat
+// task) share its run. A repeat returns the stored trace without touching
+// the world: it charges no simulated seconds (an identical measurement is
+// not paid for twice), leaves the clock, tune.taskbench.runs and
+// tune.taskbench.seconds alone, and counts tune.taskbench.reused. The memo
+// lives as long as the TaskBench (one world, one comm, one tuning
+// session); there is no process-wide cache.
 #pragma once
 
+#include <cstdint>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "han/han.hpp"
@@ -142,11 +157,29 @@ class TaskBench {
   struct Stage {
     task::TaskNode node;
     int lag = 0;
+
+    friend bool operator==(const Stage&, const Stage&) = default;
+  };
+
+  /// Everything the runner reads: the memo's key. The delays are bit
+  /// patterns, so only a bitwise-equal delay vector matches.
+  struct RunKey {
+    const core::Hierarchy* hc = nullptr;
+    std::vector<Stage> stages;
+    std::size_t bytes = 0;
+    int u = 0, iters = 0;
+    std::optional<std::vector<std::uint64_t>> delay_bits;
+
+    friend bool operator==(const RunKey&, const RunKey&) = default;
+  };
+  struct RunKeyHash {
+    std::size_t operator()(const RunKey& k) const;
   };
 
   /// The runner (see the file comment): `iters` synchronized iterations
   /// of the stage list over `u` segments of `bytes` on `hc`, charged to
-  /// the tuning cost. Returns iters x steps entries, iteration-major.
+  /// the tuning cost unless the memo already holds the same run. Returns
+  /// iters x steps entries, iteration-major.
   PipelineTrace run(const core::Hierarchy& hc,
                     const std::vector<Stage>& stages, std::size_t bytes,
                     int u, int iters, const PerLeader* delay_by = nullptr);
@@ -162,6 +195,8 @@ class TaskBench {
   const mpi::Comm* comm_;
   int leaders_ = 0;
   double cost_ = 0.0;
+  /// Every trace run() simulated, flattened step-major (steps x leaders).
+  std::unordered_map<RunKey, std::vector<double>, RunKeyHash> memo_;
 };
 
 }  // namespace han::tune

@@ -2,7 +2,10 @@
 // strategies, heuristics, and the lookup table.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <functional>
 #include <random>
 
 #include "autotune/tuner.hpp"
@@ -486,6 +489,143 @@ TEST(TaskBenchTest, GoldenTaskCosts) {
             "mb: 0x1.7ba66afd4a448p-17 0x1.7ba66afd4a448p-17\n"
             "mr: 0x1.17d798ea9ca26p-15 0x1.17d798ea9ca26p-15\n"
             "cost: 0x1.61823a2e322bbp-13\n");
+}
+
+// --- task-benchmark memo -----------------------------------------------------
+
+double counter_of(mpi::SimWorld& world, const char* name) {
+  return world.metrics().counter(name).value();
+}
+
+/// Every per-leader cost of `trace` as its bit pattern.
+std::vector<std::uint64_t> bits_of(const PipelineTrace& trace) {
+  std::vector<std::uint64_t> out;
+  for (const PerLeader& step : trace.steps) {
+    for (double v : step.t) out.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return out;
+}
+
+TEST(TaskBenchMemo, RepeatRunIsServedFromMemo) {
+  TuneHarness h(machine::make_aries(2, 4));
+  TaskBench tb(h.world, h.han, h.world.world_comm());
+  const HanConfig cfg =
+      cfg_of(64 << 10, "adapt", "sm", Algorithm::Binary, 16 << 10);
+  const PerLeader ib = tb.bench_ib(cfg, 64 << 10);
+  const PipelineTrace first = tb.bench_sbib_pipeline(cfg, 64 << 10, 4, ib);
+  const double cost = tb.elapsed_cost();
+  const double now = h.world.now();
+  const double runs = counter_of(h.world, "tune.taskbench.runs");
+  const double seconds = counter_of(h.world, "tune.taskbench.seconds");
+  const double reused = counter_of(h.world, "tune.taskbench.reused");
+  EXPECT_EQ(runs, 2.0);
+  EXPECT_EQ(reused, 0.0);
+
+  const PipelineTrace again = tb.bench_sbib_pipeline(cfg, 64 << 10, 4, ib);
+  EXPECT_EQ(bits_of(again), bits_of(first));
+  EXPECT_EQ(tb.elapsed_cost(), cost);
+  EXPECT_EQ(h.world.now(), now);
+  EXPECT_EQ(counter_of(h.world, "tune.taskbench.runs"), runs);
+  EXPECT_EQ(counter_of(h.world, "tune.taskbench.seconds"), seconds);
+  EXPECT_EQ(counter_of(h.world, "tune.taskbench.reused"), reused + 1.0);
+}
+
+TEST(TaskBenchMemo, AnyInputChangeRunsFresh) {
+  TuneHarness h(machine::with_rails(machine::make_aries(2, 4), 2));
+  TaskBench tb(h.world, h.han, h.world.world_comm());
+  const std::size_t seg = 64 << 10;
+  const HanConfig base =
+      cfg_of(seg, "adapt", "sm", Algorithm::Binary, 16 << 10);
+  const PerLeader delay = tb.bench_ib(base, seg);
+  tb.bench_sb(base, seg);
+  tb.bench_sbib_pipeline(base, seg, 4, delay);
+
+  // Each call differs from an earlier one in exactly one input.
+  HanConfig solo = base;
+  solo.smod = "solo";
+  HanConfig chain = base;
+  chain.ibalg = Algorithm::Chain;
+  HanConfig ibs = base;
+  ibs.ibs = 32 << 10;
+  HanConfig striped = base;
+  striped.sf = 2;
+  PerLeader later = delay;
+  later.t[1] = std::nextafter(later.t[1], 1.0);
+  const std::vector<std::pair<const char*, std::function<void()>>> changes{
+      {"smod", [&] { tb.bench_sb(solo, seg); }},
+      {"bytes", [&] { tb.bench_sb(base, 2 * seg); }},
+      {"ibalg", [&] { tb.bench_ib(chain, seg); }},
+      {"ibs", [&] { tb.bench_ib(ibs, seg); }},
+      {"sf", [&] { tb.bench_ib(striped, seg); }},
+      {"iters", [&] { tb.bench_sb(base, seg, /*iters=*/2); }},
+      {"delay ulp", [&] { tb.bench_sbib_pipeline(base, seg, 4, later); }},
+  };
+  for (const auto& [what, call] : changes) {
+    const double runs = counter_of(h.world, "tune.taskbench.runs");
+    const double cost = tb.elapsed_cost();
+    call();
+    EXPECT_EQ(counter_of(h.world, "tune.taskbench.runs"), runs + 1.0)
+        << what;
+    EXPECT_GT(tb.elapsed_cost(), cost) << what;
+    EXPECT_EQ(counter_of(h.world, "tune.taskbench.reused"), 0.0) << what;
+  }
+}
+
+TEST(TaskBenchMemo, ColdTuneRunsEachDistinctTaskOnce) {
+  // Distinct task inputs of the default space (6 fs x 2 smod x 7 inter
+  // configs: libnbc, adapt {chain, binary, binomial} x ibs {32K, 128K}):
+  //  * bcast: 12 sb (fs x smod) + 42 ib (fs x inter) + 84 sbib (every
+  //    config; its delay is the config's ib) = 138;
+  //  * allreduce: 84 pipelines, one per config;
+  //  * reduce-scatter (84 tree + 12 ring configs), at b1 = fs and b2 = 4 fs,
+  //    8 distinct sizes 64K..8M: 8 intra scatters + 16 inter scatters
+  //    (imod x size) + 84 reduce pipelines + 16 ring sr (smod x size) +
+  //    8 ring inter rs = 132.
+  // The NUMA machine crosses (malg {default, binary}) x (zcs {0, 256K})
+  // into bcast and allreduce. The flat tasks ignore both, and a mid task
+  // reads malg, fs and its module: the smod, or libnbc when fs < zcs.
+  // That is 2 malg x (2 small fs x {sm, solo, libnbc} + 4 fs x {sm, solo})
+  // = 28 inputs each for mb and mr, so 138 + 56 = 194 and 84 + 56 = 140;
+  // reduce-scatter has no mid level and stays at 132.
+  struct Case {
+    const char* name;
+    machine::MachineProfile profile;
+    double bcast, allreduce, reduce_scatter;
+  };
+  const std::vector<Case> cases{
+      {"aries 2x4", machine::make_aries(2, 4), 138, 84, 132},
+      {"opath 2x4 numa2", machine::with_numa(machine::make_opath(2, 4), 2),
+       194, 140, 132},
+  };
+  for (const Case& c : cases) {
+    const std::vector<std::pair<CollKind, double>> kinds{
+        {CollKind::Bcast, c.bcast},
+        {CollKind::Allreduce, c.allreduce},
+        {CollKind::ReduceScatter, c.reduce_scatter}};
+    for (const auto& [kind, want] : kinds) {
+      TuneHarness h(c.profile);
+      Tuner tuner(h.world, h.han, h.world.world_comm());
+      TunerOptions opt;
+      opt.kinds = {kind};
+      tuner.tune(opt);
+      EXPECT_EQ(counter_of(h.world, "tune.taskbench.runs"), want)
+          << c.name << " " << coll::coll_kind_name(kind);
+    }
+    std::vector<std::pair<std::string, double>> reports;
+    for (int jobs : {1, 2}) {
+      TuneHarness h(c.profile);
+      Tuner tuner(h.world, h.han, h.world.world_comm());
+      TunerOptions opt;
+      opt.jobs = jobs;
+      const TuneReport r = tuner.tune(opt);
+      reports.emplace_back(r.table.serialize(), r.tuning_cost);
+      EXPECT_EQ(counter_of(h.world, "tune.taskbench.runs"),
+                c.bcast + c.allreduce + c.reduce_scatter)
+          << c.name << " jobs " << jobs;
+    }
+    EXPECT_EQ(reports[0].first, reports[1].first) << c.name;
+    EXPECT_EQ(reports[0].second, reports[1].second) << c.name;
+  }
 }
 
 // --- model accuracy & search (integration) -----------------------------------
