@@ -61,7 +61,7 @@ class LookupTable {
 
   std::size_t size() const { return entries_.size(); }
 
-  /// Read access for rule compilers (autotune/decision.hpp) and tooling.
+  /// Read access for tooling (lint, verify, TuneDb).
   using Entries = std::map<Key, core::HanConfig>;
   const Entries& entries() const { return entries_; }
 

@@ -59,6 +59,9 @@ TuneReport Tuner::tune(const TunerOptions& options) {
   opts.kinds.erase(std::unique(opts.kinds.begin(), opts.kinds.end()),
                    opts.kinds.end());
 
+  HAN_ASSERT_MSG(comm_ == &world_->world_comm(),
+                 "Tuner replays its jobs on replicas of the world, so it "
+                 "tunes the world communicator only");
   TuneReport report;
   core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
   const int nodes = hc.node_count();
@@ -68,65 +71,44 @@ TuneReport Tuner::tune(const TunerOptions& options) {
   std::size_t entries = 0;
   std::size_t estimates = 0;
 
-  if (comm_ == &world_->world_comm()) {
-    // World-communicator tuning: each kind is an independent job on a
-    // private replica of the machine. The serial jobs=1 run executes the
-    // same jobs inline in the same order, so results are identical by
-    // construction for every jobs value.
-    const machine::MachineProfile& profile = world_->profile();
-    const mpi::SimWorld::Options wopts = world_->options();
-    std::vector<KindOutcome> outcomes = par::parallel_map(
-        opts.jobs, static_cast<int>(opts.kinds.size()),
-        [&](int i) {
-          const coll::CollKind kind = opts.kinds[static_cast<std::size_t>(i)];
-          KindOutcome o;
-          o.tw = std::make_unique<core::HanWorld>(profile, wopts);
-          Searcher s(o.tw->world, o.tw->han, o.tw->world.world_comm(),
-                     searcher_.space());
-          const double cost0 = s.tuning_cost();
-          s.prepare(kind, opts.heuristics);
-          for (std::size_t m : opts.message_sizes) {
-            const SearchResult result = s.estimate(kind, m, opts.heuristics);
-            o.estimates += static_cast<std::size_t>(result.evaluations);
-            if (result.best) o.winners.emplace_back(m, result.best->cfg);
-            o.max_evaluations = std::max(o.max_evaluations,
-                                         result.evaluations);
-          }
-          o.cost = s.tuning_cost() - cost0;
-          return o;
-        });
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const coll::CollKind kind = opts.kinds[i];
-      KindOutcome& o = outcomes[i];
-      for (const auto& [m, cfg] : o.winners) {
-        report.table.insert(kind, nodes, ppn, m, cfg);
-        ++entries;
-      }
-      estimates += o.estimates;
-      report.task_benchmarks =
-          std::max(report.task_benchmarks, o.max_evaluations);
-      report.tuning_cost += o.cost;
-      metrics.merge_counters(o.tw->world.metrics());
-    }
-  } else {
-    // Sub-communicator tuning has no world replica to run in; keep the
-    // in-place serial path on the shared searcher.
-    const double cost0 = searcher_.tuning_cost();
-    for (coll::CollKind kind : opts.kinds) {
-      searcher_.prepare(kind, opts.heuristics);
-      for (std::size_t m : opts.message_sizes) {
-        const SearchResult result =
-            searcher_.estimate(kind, m, opts.heuristics);
-        estimates += static_cast<std::size_t>(result.evaluations);
-        if (result.best) {
-          report.table.insert(kind, nodes, ppn, m, result.best->cfg);
-          ++entries;
+  // Each kind is an independent job on a private replica of the
+  // machine. The serial jobs=1 run executes the same jobs inline in the
+  // same order, so results are identical by construction for every jobs
+  // value.
+  const machine::MachineProfile& profile = world_->profile();
+  const mpi::SimWorld::Options wopts = world_->options();
+  std::vector<KindOutcome> outcomes = par::parallel_map(
+      opts.jobs, static_cast<int>(opts.kinds.size()),
+      [&](int i) {
+        const coll::CollKind kind = opts.kinds[static_cast<std::size_t>(i)];
+        KindOutcome o;
+        o.tw = std::make_unique<core::HanWorld>(profile, wopts);
+        Searcher s(o.tw->world, o.tw->han, o.tw->world.world_comm(),
+                   searcher_.space());
+        const double cost0 = s.tuning_cost();
+        s.prepare(kind, opts.heuristics);
+        for (std::size_t m : opts.message_sizes) {
+          const SearchResult result = s.estimate(kind, m, opts.heuristics);
+          o.estimates += static_cast<std::size_t>(result.evaluations);
+          if (result.best) o.winners.emplace_back(m, result.best->cfg);
+          o.max_evaluations = std::max(o.max_evaluations,
+                                       result.evaluations);
         }
-        report.task_benchmarks =
-            std::max(report.task_benchmarks, result.evaluations);
-      }
+        o.cost = s.tuning_cost() - cost0;
+        return o;
+      });
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const coll::CollKind kind = opts.kinds[i];
+    KindOutcome& o = outcomes[i];
+    for (const auto& [m, cfg] : o.winners) {
+      report.table.insert(kind, nodes, ppn, m, cfg);
+      ++entries;
     }
-    report.tuning_cost = searcher_.tuning_cost() - cost0;
+    estimates += o.estimates;
+    report.task_benchmarks =
+        std::max(report.task_benchmarks, o.max_evaluations);
+    report.tuning_cost += o.cost;
+    metrics.merge_counters(o.tw->world.metrics());
   }
 
   metrics.counter("tune.runs").add(1.0);

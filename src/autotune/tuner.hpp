@@ -31,9 +31,8 @@ struct TunerOptions {
   /// Concurrent per-kind tuning jobs (han::par). Each job rebuilds the
   /// machine in a private SimWorld and the results merge in kind order, so
   /// every jobs value — including the serial 1, the default — produces an
-  /// identical report (0 = one job per hardware thread). Only applies when
-  /// the tuner targets the world communicator; sub-communicator tuning
-  /// cannot be replayed in a fresh world and stays serial in place.
+  /// identical report (0 = one job per hardware thread). A Tuner targets
+  /// the world communicator, which is what a replica can replay.
   int jobs = 1;
 };
 

@@ -2,6 +2,7 @@
 // exactly the output columns of the paper's Table II.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <string>
 
@@ -38,7 +39,7 @@ struct HanConfig {
                         // send into sf slices, one per fabric rail
                         // (1 = unstriped; clamped to the machine's rails)
 
-  friend bool operator==(const HanConfig&, const HanConfig&) = default;
+  friend auto operator<=>(const HanConfig&, const HanConfig&) = default;
 
   std::string to_string() const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <compare>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,12 @@ using mpi::Request;
 /// The barrier's config: it is never decided, and runs at window 1.
 const HanConfig kBarrierConfig{};
 
+/// The kinds defined on the flat 2-level ladder only.
+bool flat_only(CollKind kind) {
+  return kind == CollKind::Gather || kind == CollKind::Scatter ||
+         kind == CollKind::Allgather;
+}
+
 /// The message size decide() keys a call on: the scattered block for
 /// scatter, the send buffer otherwise.
 std::size_t decide_bytes(const task::Call& c) {
@@ -34,15 +41,30 @@ struct DecideKey {
   friend auto operator<=>(const DecideKey&, const DecideKey&) = default;
 };
 
-/// A shape set's key: everything a call's shapes depend on besides the
-/// rank's role (the decision follows from (context, kind, bytes)).
-struct ShapeKey {
+/// Everything a call's shapes depend on besides its config and the rank's
+/// role.
+struct CallKey {
   int context;
   CollKind kind;
   std::size_t send_bytes, recv_bytes;
   mpi::Datatype send_type, recv_type, dtype;
   mpi::ReduceOp op;
-  friend auto operator<=>(const ShapeKey&, const ShapeKey&) = default;
+  friend auto operator<=>(const CallKey&, const CallKey&) = default;
+};
+
+/// A shape set's key. `cfg` is a decided config, which outlives every set
+/// built under it (the barrier's is static; a decider change or a comm's
+/// destruction drops decisions and sets together), or `own`, a copy of an
+/// explicit config. A lookup copies none of the config's strings, and a
+/// decided call's hit meets its own config and compares no fields.
+struct ShapeKey {
+  CallKey call;
+  const HanConfig* cfg;
+  std::unique_ptr<const HanConfig> own;
+  friend bool operator<(const ShapeKey& a, const ShapeKey& b) {
+    if (const auto c = a.call <=> b.call; c != 0) return c < 0;
+    return a.cfg != b.cfg && *a.cfg < *b.cfg;
+  }
 };
 
 }  // namespace
@@ -57,25 +79,27 @@ struct HanModule::Persistent {
   /// One key's front and its shapes, one per rank role seen this busy
   /// period (a handful: leaders, followers, the root's family).
   struct ShapeSet {
-    const Decided* decided = nullptr;  // null for the barrier
     task::Front front;
     std::vector<std::pair<std::vector<std::uint8_t>,
                           std::shared_ptr<const task::GraphShape>>>
         shapes;
   };
 
-  // Node-based maps: a set's front points at its Decided's config.
   std::map<DecideKey, Decided> decided;
+  // Node-based: a set's front points at its key's config.
   std::map<ShapeKey, ShapeSet> sets;
   std::vector<std::uint8_t> role;  // resolve_rank's output, reused
   std::uint64_t built = 0;
 
   /// Forget everything keyed on `context` (a destroyed comm's id is
-  /// recycled; its sets point into its ladders and decisions).
+  /// recycled; its sets point into its ladders).
   void drop_context(int context) {
-    auto on_context = [&](const auto& e) { return e.first.context == context; };
-    std::erase_if(sets, on_context);
-    std::erase_if(decided, on_context);
+    std::erase_if(sets, [&](const auto& e) {
+      return e.first.call.context == context;
+    });
+    std::erase_if(decided, [&](const auto& e) {
+      return e.first.context == context;
+    });
   }
 };
 
@@ -170,16 +194,18 @@ HanConfig HanModule::default_config(CollKind kind, int /*nodes*/, int ppn,
 
 HanConfig HanModule::decide(CollKind kind, const mpi::Comm& comm,
                             std::size_t bytes) {
-  return decided(kind, comm, bytes).cfg;
+  return decided(kind, comm, bytes);
 }
 
-const HanModule::Decided& HanModule::decided(CollKind kind,
-                                             const mpi::Comm& comm,
-                                             std::size_t bytes) {
-  auto [it, fresh] =
+const HanConfig& HanModule::decided(CollKind kind, const mpi::Comm& comm,
+                                    std::size_t bytes) {
+  auto [it, first] =
       persistent_->decided.try_emplace(DecideKey{comm.context(), kind, bytes});
   Decided& d = it->second;
-  if (fresh) {
+  if (first) {
+    // The flat-only kinds make their ladder before the derived one, so
+    // communicator context ids follow the order of first calls alone.
+    if (flat_only(kind)) flat_hierarchy(comm);
     Hierarchy& hc = hierarchy(comm);
     d.cfg = decider_
                 ? decider_(kind, hc.node_count(), hc.max_ppn(), bytes)
@@ -196,15 +222,17 @@ const HanModule::Decided& HanModule::decided(CollKind kind,
     d.imod = &named_counter(cfg_imod_, "han.cfg.imod.", d.cfg.imod);
     d.smod = &named_counter(cfg_smod_, "han.cfg.smod.", d.cfg.smod);
   }
-  count(d, kind, bytes);
-  return d;
-}
-
-void HanModule::count(const Decided& d, CollKind kind, std::size_t bytes) {
   decide_kind_[static_cast<int>(kind)]->add(1.0);
   decide_bytes_->add(static_cast<double>(bytes));
   d.imod->add(1.0);
   d.smod->add(1.0);
+  return d.cfg;
+}
+
+const HanConfig& HanModule::decided(const task::Call& c) {
+  return c.kind == CollKind::Barrier
+             ? kBarrierConfig
+             : decided(c.kind, *c.comm, decide_bytes(c));
 }
 
 obs::Counter& HanModule::named_counter(NamedCounters& cache,
@@ -270,11 +298,6 @@ coll::CollModule* HanModule::intra_module(const HanConfig& cfg) {
 
 namespace {
 
-bool flat_only(CollKind kind) {
-  return kind == CollKind::Gather || kind == CollKind::Scatter ||
-         kind == CollKind::Allgather;
-}
-
 /// The placement and size preconditions of a call, checked on every call.
 /// HAN's two-level data layout of the non-recursive collectives needs
 /// node-contiguous rank placement (Open MPI HAN likewise disables itself
@@ -298,38 +321,27 @@ void check_call(const task::Front& f, const task::Call& c) {
 // on the TaskScheduler; cfg.window = 1 reproduces the paper's lock-step
 // wait-all pipelines.
 
-HanModule::Binding HanModule::persistent(const task::Call& c) {
+HanModule::Binding HanModule::shape_for(const task::Call& c,
+                                        const HanConfig& cfg, bool decision) {
   Persistent& p = *persistent_;
-  const ShapeKey key{c.comm->context(), c.kind,      c.send.bytes,
+  const CallKey call{c.comm->context(), c.kind,      c.send.bytes,
                      c.recv.bytes,      c.send.dtype, c.recv.dtype,
                      c.dtype,           c.op};
-  // A checker must see every plan the graph issues: cache nothing.
-  const bool checked = rt().has_plan_checker();
-  auto it = checked ? p.sets.end() : p.sets.find(key);
+  ShapeKey key{call, &cfg, nullptr};
+  auto it = p.sets.find(key);
   if (it == p.sets.end()) {
-    // The ladders come into being in the order the explicit-config calls
-    // make them, so communicator context ids do not depend on the cache.
-    if (flat_only(c.kind)) flat_hierarchy(*c.comm);
-    const Decided* d = nullptr;
-    if (c.kind != CollKind::Barrier) {
-      d = &decided(c.kind, *c.comm, decide_bytes(c));
+    if (!decision) {
+      key.own = std::make_unique<const HanConfig>(cfg);
+      key.cfg = key.own.get();
     }
-    const HanConfig& cfg = d != nullptr ? d->cfg : kBarrierConfig;
-    if (checked) return fresh(c, cfg);
-    it = p.sets
-             .emplace(key, Persistent::ShapeSet{
-                               d, task::resolve_front(*this, *c.comm, c.kind,
-                                                      cfg),
-                               {}})
-             .first;
-  } else if (it->second.decided != nullptr) {
-    count(*it->second.decided, c.kind, decide_bytes(c));
+    it = p.sets.emplace(std::move(key), Persistent::ShapeSet{}).first;
+    it->second.front =
+        task::resolve_front(*this, *c.comm, c.kind, *it->first.cfg);
   }
   Persistent::ShapeSet& set = it->second;
   check_call(set.front, c);
   Binding b;
   b.view = task::resolve_rank(set.front, c.me, c.root, p.role);
-  b.window = set.front.cfg->window;
   for (const auto& [role, shape] : set.shapes) {
     if (role == p.role) {
       b.shape = shape;
@@ -343,26 +355,21 @@ HanModule::Binding HanModule::persistent(const task::Call& c) {
   return b;
 }
 
-HanModule::Binding HanModule::fresh(const task::Call& c,
-                                    const HanConfig& cfg) {
-  const task::Front f = task::resolve_front(*this, *c.comm, c.kind, cfg);
-  check_call(f, c);
-  std::vector<std::uint8_t> role;
-  Binding b;
-  b.view = task::resolve_rank(f, c.me, c.root, role);
-  b.window = cfg.window;
-  b.shape = task::TaskScheduler::compile(task::build_shape(*this, f, b.view, c),
-                                         b.view);
-  return b;
-}
-
-mpi::Request HanModule::run(const task::Call& c, Binding b) {
-  return sched_.run(std::move(b.shape), b.view, c.send, c.recv, b.window,
+mpi::Request HanModule::run(const task::Call& c, const HanConfig& cfg,
+                            bool decision) {
+  Binding b = shape_for(c, cfg, decision);
+  return sched_.run(std::move(b.shape), b.view, c.send, c.recv, cfg.window,
                     c.comm->world_rank(c.me));
 }
 
+task::TaskGraph HanModule::persistent_graph(const task::Call& call,
+                                            const HanConfig& cfg) {
+  const Binding b = shape_for(call, cfg, /*decision=*/false);
+  return task::bind(*b.shape, b.view, call.send, call.recv);
+}
+
 task::TaskGraph HanModule::persistent_graph(const task::Call& call) {
-  const Binding b = persistent(call);
+  const Binding b = shape_for(call, decided(call), /*decision=*/true);
   return task::bind(*b.shape, b.view, call.send, call.recv);
 }
 
@@ -370,14 +377,14 @@ mpi::Request HanModule::ibcast_cfg(const mpi::Comm& comm, int me, int root,
                                    BufView buf, mpi::Datatype dtype,
                                    const HanConfig& cfg) {
   const task::Call c{CollKind::Bcast, &comm, me, root, buf, buf, dtype};
-  return run(c, fresh(c, cfg));
+  return run(c, cfg, /*decision=*/false);
 }
 
 mpi::Request HanModule::ibcast(const mpi::Comm& comm, int me, int root,
                                BufView buf, mpi::Datatype dtype,
                                const CollConfig& /*cfg*/) {
   const task::Call c{CollKind::Bcast, &comm, me, root, buf, buf, dtype};
-  return run(c, persistent(c));
+  return run(c, decided(c), /*decision=*/true);
 }
 
 mpi::Request HanModule::ireduce_cfg(const mpi::Comm& comm, int me, int root,
@@ -385,7 +392,7 @@ mpi::Request HanModule::ireduce_cfg(const mpi::Comm& comm, int me, int root,
                                     mpi::Datatype dtype, mpi::ReduceOp op,
                                     const HanConfig& cfg) {
   const task::Call c{CollKind::Reduce, &comm, me, root, send, recv, dtype, op};
-  return run(c, fresh(c, cfg));
+  return run(c, cfg, /*decision=*/false);
 }
 
 mpi::Request HanModule::ireduce(const mpi::Comm& comm, int me, int root,
@@ -393,7 +400,7 @@ mpi::Request HanModule::ireduce(const mpi::Comm& comm, int me, int root,
                                 mpi::Datatype dtype, mpi::ReduceOp op,
                                 const CollConfig& /*cfg*/) {
   const task::Call c{CollKind::Reduce, &comm, me, root, send, recv, dtype, op};
-  return run(c, persistent(c));
+  return run(c, decided(c), /*decision=*/true);
 }
 
 mpi::Request HanModule::iallreduce_cfg(const mpi::Comm& comm, int me,
@@ -401,7 +408,7 @@ mpi::Request HanModule::iallreduce_cfg(const mpi::Comm& comm, int me,
                                        mpi::Datatype dtype, mpi::ReduceOp op,
                                        const HanConfig& cfg) {
   const task::Call c{CollKind::Allreduce, &comm, me, 0, send, recv, dtype, op};
-  return run(c, fresh(c, cfg));
+  return run(c, cfg, /*decision=*/false);
 }
 
 mpi::Request HanModule::iallreduce(const mpi::Comm& comm, int me,
@@ -409,7 +416,7 @@ mpi::Request HanModule::iallreduce(const mpi::Comm& comm, int me,
                                    mpi::Datatype dtype, mpi::ReduceOp op,
                                    const CollConfig& /*cfg*/) {
   const task::Call c{CollKind::Allreduce, &comm, me, 0, send, recv, dtype, op};
-  return run(c, persistent(c));
+  return run(c, decided(c), /*decision=*/true);
 }
 
 mpi::Request HanModule::iallreduce_multileader(const mpi::Comm& comm, int me,
@@ -438,21 +445,21 @@ mpi::Request HanModule::igather(const mpi::Comm& comm, int me, int root,
                                 BufView send, BufView recv,
                                 const CollConfig& /*cfg*/) {
   const task::Call c{CollKind::Gather, &comm, me, root, send, recv};
-  return run(c, persistent(c));
+  return run(c, decided(c), /*decision=*/true);
 }
 
 mpi::Request HanModule::iscatter(const mpi::Comm& comm, int me, int root,
                                  BufView send, BufView recv,
                                  const CollConfig& /*cfg*/) {
   const task::Call c{CollKind::Scatter, &comm, me, root, send, recv};
-  return run(c, persistent(c));
+  return run(c, decided(c), /*decision=*/true);
 }
 
 mpi::Request HanModule::iallgather(const mpi::Comm& comm, int me,
                                    BufView send, BufView recv,
                                    const CollConfig& /*cfg*/) {
   const task::Call c{CollKind::Allgather, &comm, me, 0, send, recv};
-  return run(c, persistent(c));
+  return run(c, decided(c), /*decision=*/true);
 }
 
 mpi::Request HanModule::ireduce_scatter_cfg(const mpi::Comm& comm, int me,
@@ -462,7 +469,7 @@ mpi::Request HanModule::ireduce_scatter_cfg(const mpi::Comm& comm, int me,
                                             const HanConfig& cfg) {
   const task::Call c{CollKind::ReduceScatter, &comm, me, 0, send, recv, dtype,
                      op};
-  return run(c, fresh(c, cfg));
+  return run(c, cfg, /*decision=*/false);
 }
 
 mpi::Request HanModule::ireduce_scatter(const mpi::Comm& comm, int me,
@@ -471,12 +478,12 @@ mpi::Request HanModule::ireduce_scatter(const mpi::Comm& comm, int me,
                                         const CollConfig& /*cfg*/) {
   const task::Call c{CollKind::ReduceScatter, &comm, me, 0, send, recv, dtype,
                      op};
-  return run(c, persistent(c));
+  return run(c, decided(c), /*decision=*/true);
 }
 
 mpi::Request HanModule::ibarrier(const mpi::Comm& comm, int me) {
   const task::Call c{CollKind::Barrier, &comm, me};
-  return run(c, persistent(c));
+  return run(c, decided(c), /*decision=*/true);
 }
 
 }  // namespace han::core

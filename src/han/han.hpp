@@ -13,13 +13,12 @@
 // pluggable Decider — a static default heuristic out of the box, or the
 // autotuner's lookup table (autotune/).
 //
-// The decided entry points (ibcast … iscatter, ibarrier) are persistent
-// collectives: the first call of a (comm, kind, size, types, reduction)
-// key decides once, and each rank role's graph shape is built and
-// validated once per runtime busy period; every repeat binds a cached
-// shape to the calling rank and issues it (docs/TASKGRAPH.md,
-// "Persistent shapes"). The explicit-config entry points (*_cfg) build
-// fresh graphs on every call.
+// Every entry point runs a persistent collective: a call under a config
+// (the decided ones take theirs from the decider, memoized per (comm,
+// kind, size)) builds and validates each rank role's graph shape once per
+// runtime busy period, keyed on (comm, kind, sizes, types, reduction,
+// config); every repeat binds a cached shape to the calling rank and
+// issues it (docs/TASKGRAPH.md, "Persistent shapes").
 #pragma once
 
 #include <array>
@@ -70,15 +69,19 @@ class HanModule : public coll::CollModule {
   HanConfig decide(coll::CollKind kind, const mpi::Comm& comm,
                    std::size_t bytes);
 
-  /// Graph shapes the decided entry points hold now (none once the
+  /// Graph shapes the entry points hold now (none once the
   /// runtime is quiescent) and have built since construction
   /// (diagnostics).
   std::size_t live_shapes() const;
   std::uint64_t shapes_built() const;
 
-  /// The TaskGraph a decided call (kind, comm, rank, root, buffers, type,
-  /// reduction) issues: its cached shape, built on first use, bound to the
-  /// call exactly as the entry point binds it. For tests and diagnostics.
+  /// The TaskGraph a call (kind, comm, rank, root, buffers, type,
+  /// reduction) issues under `cfg`: its cached shape, built on first use,
+  /// bound to the call exactly as the entry points bind it. For tests and
+  /// diagnostics.
+  task::TaskGraph persistent_graph(const task::Call& call,
+                                   const HanConfig& cfg);
+  /// The same for a decided call, under its decided config.
   task::TaskGraph persistent_graph(const task::Call& call);
 
   mpi::Request ibcast(const mpi::Comm& comm, int me, int root,
@@ -111,7 +114,8 @@ class HanModule : public coll::CollModule {
   mpi::Request ibarrier(const mpi::Comm& comm, int me) override;
 
   /// Explicit-config entry points (used by the autotuner's searches,
-  /// which must pin every Table II parameter).
+  /// which must pin every Table II parameter); they share the decided
+  /// calls' shape cache.
   mpi::Request ibcast_cfg(const mpi::Comm& comm, int me, int root,
                           mpi::BufView buf, mpi::Datatype dtype,
                           const HanConfig& cfg);
@@ -179,19 +183,21 @@ class HanModule : public coll::CollModule {
   struct Binding {
     std::shared_ptr<const task::GraphShape> shape;
     task::RankView view;
-    int window = 1;
   };
 
   /// The memoized decision for (comm, kind, bytes), its counters bumped.
-  const Decided& decided(coll::CollKind kind, const mpi::Comm& comm,
-                         std::size_t bytes);
-  void count(const Decided& d, coll::CollKind kind, std::size_t bytes);
-  /// A decided call's cached shape (built on first use); a fresh one while
-  /// a plan checker is installed.
-  Binding persistent(const task::Call& call);
-  /// A call under an explicit config: a fresh shape, cached nowhere.
-  Binding fresh(const task::Call& call, const HanConfig& cfg);
-  mpi::Request run(const task::Call& call, Binding b);
+  const HanConfig& decided(coll::CollKind kind, const mpi::Comm& comm,
+                           std::size_t bytes);
+  /// A decided call's config (the barrier's is fixed and never counted).
+  const HanConfig& decided(const task::Call& call);
+  /// The one path from a call to its graph: the cached shape of `call`
+  /// under `cfg` for the calling rank's role, built on first use. A
+  /// `decision` (decided()'s result) outlives the cache, which refers to
+  /// it; any other config is copied when its set is made.
+  Binding shape_for(const task::Call& call, const HanConfig& cfg,
+                    bool decision);
+  mpi::Request run(const task::Call& call, const HanConfig& cfg,
+                   bool decision);
 
   coll::ModuleSet* mods_;
   Decider decider_;

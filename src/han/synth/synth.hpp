@@ -14,8 +14,8 @@
 //      TaskScheduler path, against a baseline of the same base configs
 //      dispatched to the hand-written builders;
 //   5. persist each case's winner as a first-class LookupTable entry
-//      (cfg.sched = the spec id), dispatched by Tuner/DecisionRules
-//      exactly like any tuned config.
+//      (cfg.sched = the spec id), dispatched by the LookupTable's
+//      decider exactly like any tuned config.
 //
 // Everything is deterministic: fixed seeds, sorted candidate orders, a
 // simulated fitness oracle, and a byte-stable JSON report (tools/han_synth

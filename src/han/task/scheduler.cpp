@@ -48,7 +48,6 @@ mpi::Request dispatch(sim::Engine& engine, const TaskNode& n) {
 struct TaskScheduler::Exec {
   TaskScheduler* owner = nullptr;
   std::shared_ptr<const GraphShape> shape;
-  TaskGraph literal;  // a literal run's calls; empty when binding the shape
   RankView view;
   mpi::BufView send, recv;
   std::vector<std::vector<std::byte>> temps;
@@ -114,9 +113,8 @@ struct TaskScheduler::Exec {
   }
 
   mpi::Request issue(int i) {
-    sim::Engine& engine = rt().world().engine();
-    if (!literal.empty()) return dispatch(engine, literal.nodes[i]);
-    return dispatch(engine, bind_node(*shape, i, view, send, recv, temps));
+    return dispatch(rt().world().engine(),
+                    bind_node(*shape, i, view, send, recv, temps));
   }
 
   /// Issue everything currently issuable, in emission order. A single
@@ -198,28 +196,6 @@ void tabulate(GraphShape& s) {
   for (const ShapeNode& node : s.nodes) ++s.step_total[node.step];
 }
 
-/// A literal graph's structure as a shape whose tiers are the distinct
-/// communicators, in first-use order, so the FIFO links follow them.
-GraphShape literal_shape(const TaskGraph& g) {
-  GraphShape s;
-  std::vector<int> contexts;
-  for (const TaskNode& n : g.nodes) {
-    ShapeNode node;
-    node.op = n.op;
-    node.level = n.level;
-    node.step = n.step;
-    node.mod = n.mod;
-    const auto it =
-        std::find(contexts.begin(), contexts.end(), n.comm->context());
-    node.tier = static_cast<int>(it - contexts.begin());
-    if (it == contexts.end()) contexts.push_back(n.comm->context());
-    s.nodes.push_back(node);
-    s.deps.insert(s.deps.end(), n.deps.begin(), n.deps.end());
-    s.deps_begin.push_back(static_cast<int>(s.deps.size()));
-  }
-  return s;
-}
-
 }  // namespace
 
 TaskScheduler::TaskScheduler(coll::CollRuntime& rt) : rt_(&rt) {}
@@ -239,7 +215,6 @@ TaskScheduler::Exec& TaskScheduler::acquire() {
 
 void TaskScheduler::release(Exec& e) {
   e.shape.reset();
-  e.literal = TaskGraph();
   e.temps.clear();
   idle_.push_back(&e);
 }
@@ -256,41 +231,24 @@ mpi::Request TaskScheduler::run(std::shared_ptr<const GraphShape> shape,
                                 const RankView& view, mpi::BufView send,
                                 mpi::BufView recv, int window,
                                 int trace_rank) {
+  HAN_ASSERT_MSG(window >= 1, "scheduler window must be >= 1");
   copy_through(*shape, send, recv);
-  if (shape->empty()) return start(nullptr, window, trace_rank);
+  mpi::Request done = mpi::make_request(rt_->world().engine());
+  if (shape->empty()) {
+    done->complete();  // degenerate: nothing to run
+    return done;
+  }
   Exec& e = acquire();
   for (std::size_t bytes : shape->temps) e.temps.emplace_back(bytes);
   e.shape = std::move(shape);
   e.view = view;
   e.send = send;
   e.recv = recv;
-  return start(&e, window, trace_rank);
-}
-
-mpi::Request TaskScheduler::run(TaskGraph graph, int window, int trace_rank) {
-  const std::string defect = validate_graph(graph);
-  HAN_ASSERT_MSG(defect.empty(), defect.c_str());
-  if (graph.empty()) return start(nullptr, window, trace_rank);
-  GraphShape shape = literal_shape(graph);
-  tabulate(shape);
-  Exec& e = acquire();
-  e.shape = std::make_shared<const GraphShape>(std::move(shape));
-  e.literal = std::move(graph);
-  return start(&e, window, trace_rank);
-}
-
-mpi::Request TaskScheduler::start(Exec* e, int window, int trace_rank) {
-  HAN_ASSERT_MSG(window >= 1, "scheduler window must be >= 1");
-  mpi::Request done = mpi::make_request(rt_->world().engine());
-  if (e == nullptr) {
-    done->complete();  // degenerate: nothing to run
-    return done;
-  }
-  e->window = window;
-  e->trace_rank = trace_rank;
-  e->done = done;
-  e->init();
-  e->pump();
+  e.window = window;
+  e.trace_rank = trace_rank;
+  e.done = done;
+  e.init();
+  e.pump();
   return done;
 }
 

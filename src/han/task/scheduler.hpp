@@ -57,10 +57,6 @@ class TaskScheduler {
                    const RankView& view, mpi::BufView send,
                    mpi::BufView recv, int window, int trace_rank);
 
-  /// Execute a literal graph, validated here (HAN_ASSERT on malformed
-  /// input).
-  mpi::Request run(TaskGraph graph, int window, int trace_rank);
-
   /// han.task.* metric handles, interned on first use: a registry lookup
   /// per graph is measurable on the issue path, and creating them up
   /// front would add zero-valued metrics to every report.
@@ -77,8 +73,6 @@ class TaskScheduler {
   struct Exec;
   Exec& acquire();
   void release(Exec& e);
-  /// Start `e` (nullptr: an empty graph, completed at once).
-  mpi::Request start(Exec* e, int window, int trace_rank);
 
   coll::CollRuntime* rt_;
   Metrics metrics_;

@@ -9,7 +9,8 @@
 // reduce-scatter). The first round warms every pool; the second must stay
 // within kBudgetPerAction heap allocations per executed collective action.
 // A second round does the same for the decided HAN entry points, whose
-// repeats bind persistent graph shapes (docs/TASKGRAPH.md).
+// repeats bind persistent graph shapes (docs/TASKGRAPH.md), and once more
+// with a schedule named by an id too long for the small-string buffer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -163,10 +164,12 @@ struct HanRound {
 };
 
 /// Run `round` twice on `world`; the second (warm) run must stay within
-/// the budget. `label` names the round in the printed summary.
+/// the budget. `label` names the round in the printed summary; the warm
+/// run's allocations go to `warm_allocations` if given.
 template <typename R>
 void expect_warm_round_within_budget(mpi::SimWorld& world, R& round,
-                                     const char* label) {
+                                     const char* label,
+                                     long* warm_allocations = nullptr) {
   ASSERT_FALSE(world.data_mode());
   round.run();  // cold: templates, pools and match queues grow here
 
@@ -188,6 +191,7 @@ void expect_warm_round_within_budget(mpi::SimWorld& world, R& round,
   ::testing::Test::RecordProperty("allocations_per_action",
                                   std::to_string(per_action));
   EXPECT_LE(per_action, kBudgetPerAction);
+  if (warm_allocations != nullptr) *warm_allocations = allocations;
 }
 
 TEST(AllocBudget, WarmRoundStaysWithinBudgetPerAction) {
@@ -197,9 +201,31 @@ TEST(AllocBudget, WarmRoundStaysWithinBudgetPerAction) {
 }
 
 TEST(AllocBudget, WarmDecidedHanRoundStaysWithinBudgetPerAction) {
-  core::HanWorld han(machine::make_aries(2, 4));
-  HanRound round(han);
-  expect_warm_round_within_budget(han.world, round, "decided HAN");
+  core::HanWorld plain(machine::make_aries(2, 4));
+  HanRound plain_round(plain);
+  long plain_allocations = 0;
+  expect_warm_round_within_budget(plain.world, plain_round, "decided HAN",
+                                  &plain_allocations);
+
+  // The same round with the allreduce's canonical chain named by its spec
+  // id. The id may cost where a shape is built; a repeat that copied it
+  // would allocate once per allreduce call.
+  core::HanWorld named(machine::make_aries(2, 4));
+  named.han.set_decider([](CollKind kind, int nodes, int ppn,
+                           std::size_t bytes) {
+    core::HanConfig cfg =
+        core::HanModule::default_config(kind, nodes, ppn, bytes);
+    if (kind == CollKind::Allreduce) cfg.sched = "ar1:k1:sr0.ir1.ib2.sb3";
+    return cfg;
+  });
+  HanRound named_round(named);
+  long named_allocations = 0;
+  expect_warm_round_within_budget(named.world, named_round,
+                                  "decided HAN, named schedule",
+                                  &named_allocations);
+  const long allreduce_calls =
+      HanRound::kReps * 2L * named.world.world_size();
+  EXPECT_LT(named_allocations - plain_allocations, allreduce_calls);
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
-// Persistent HAN collectives: the decided entry points build each rank
-// role's graph shape once per busy period and bind repeats to it
-// (docs/TASKGRAPH.md, "Persistent shapes"). A bound shape must be the
-// graph a fresh build makes, node for node, on every machine shape, for
-// every rank, root and kind; the cache must die with its communicator, its
-// decider and its busy period; temps must be per run; and a plan checker
-// must see every plan.
+// Persistent HAN collectives: every entry point, decided or under an
+// explicit config, builds each rank role's graph shape once per busy
+// period and binds repeats to it (docs/TASKGRAPH.md, "Persistent
+// shapes"). A bound shape must be the graph a fresh build makes, node for
+// node, on every machine shape, for every rank, root, kind and config; the
+// config must be part of the key; the cache must die with its
+// communicator, its decider and its busy period; temps must be per run;
+// and a plan checker must see every plan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "autotune/search.hpp"
 #include "coll_test_util.hpp"
 #include "han/han.hpp"
 #include "han/task/builders.hpp"
@@ -246,6 +249,138 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(shape.param.tag);
     });
 
+/// Off-default explicit configs of `kind`: a small segment and window 2,
+/// each alone and with one of a k=2 (or 3-level) schedule, two stripes,
+/// the flat ladder, or a zero-copy switchover.
+std::vector<HanConfig> explicit_configs(CollKind kind) {
+  HanConfig base = test_config(kind, 64 << 10, /*window=*/2, /*sf=*/1);
+  base.fs = 8 << 10;
+  std::vector<HanConfig> out{base};
+  HanConfig sched = base;
+  if (kind == CollKind::Allreduce) sched.sched = "ar1:k2:sr0.ir0.ib1.sb2";
+  if (kind == CollKind::Bcast) sched.sched = "bc1:k1:ib0.mb1.sb2";
+  if (kind == CollKind::ReduceScatter) sched.imod = "ring";
+  if (!(sched == base)) out.push_back(sched);
+  HanConfig striped = base;
+  striped.sf = 2;
+  out.push_back(striped);
+  HanConfig flat = base;
+  flat.lvl = 2;
+  out.push_back(flat);
+  HanConfig zero_copy = base;
+  zero_copy.zcs = 16 << 10;
+  out.push_back(zero_copy);
+  return out;
+}
+
+TEST(ShapeCache, ExplicitConfigGraphsEqualFreshBuilds) {
+  const std::pair<const char*, machine::MachineProfile> machines[] = {
+      {"flat", machine::make_aries(2, 4)},
+      {"numa", machine::with_numa(machine::make_aries(2, 4), 2)},
+      {"rail2", machine::with_rails(machine::make_aries(2, 4), 2)}};
+  for (const auto& [tag, profile] : machines) {
+    mpi::SimWorld::Options opts;
+    opts.data_mode = true;  // temps get storage, so their offsets compare
+    core::HanWorld sw(profile, opts);
+    const mpi::Comm& wc = sw.world.world_comm();
+    const int n = wc.size();
+    for (CollKind kind : {CollKind::Bcast, CollKind::Reduce,
+                          CollKind::Allreduce, CollKind::ReduceScatter}) {
+      for (const HanConfig& cfg : explicit_configs(kind)) {
+        for (int root : {0, n - 1}) {
+          for (int me = 0; me < n; ++me) {
+            const std::string label =
+                std::string(tag) + " " + coll::coll_kind_name(kind) + " " +
+                cfg.to_string() + " root " + std::to_string(root) +
+                " rank " + std::to_string(me);
+            Bufs b;
+            const task::Call c = make_call(kind, wc, me, root, 64 << 10, b);
+            const task::TaskGraph first = sw.han.persistent_graph(c, cfg);
+            const std::uint64_t built = sw.han.shapes_built();
+            const task::TaskGraph repeat = sw.han.persistent_graph(c, cfg);
+            EXPECT_EQ(sw.han.shapes_built(), built) << label;
+            const task::TaskGraph fresh = fresh_graph(sw.han, c, cfg);
+            expect_same(first, fresh, c.send, c.recv, label + " first");
+            expect_same(repeat, fresh, c.send, c.recv, label + " repeat");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ShapeCache, ConfigIsPartOfTheKey) {
+  core::HanWorld sw(machine::make_aries(2, 4));
+  const mpi::Comm& wc = sw.world.world_comm();
+  const BufView full = BufView::timing_only(64 << 10, Datatype::Int32);
+  const task::Call call{CollKind::Allreduce, &wc, 0, 0, full, full,
+                        Datatype::Int32, ReduceOp::Sum};
+  const HanConfig base = test_config(CollKind::Allreduce, 64 << 10, 1, 1);
+  // One variant per field, each differing from `base` in that field alone.
+  std::vector<HanConfig> variants(14, base);
+  variants[0].fs = 16 << 10;
+  variants[1].imod = "libnbc";
+  variants[2].smod = "solo";
+  variants[3].ibalg = coll::Algorithm::Chain;
+  variants[4].iralg = coll::Algorithm::Chain;
+  variants[5].ibs = 64 << 10;
+  variants[6].irs = 64 << 10;
+  variants[7].window = 2;
+  variants[8].sched = "ar1:k2:sr0.ir0.ib1.sb2";
+  variants[9].lvl = 2;
+  variants[10].malg = coll::Algorithm::Chain;
+  variants[11].ms = 16 << 10;
+  variants[12].zcs = 1 << 10;
+  variants[13].sf = 2;
+  sw.han.persistent_graph(call, base);
+  EXPECT_EQ(sw.han.shapes_built(), 1u);
+  for (const HanConfig& cfg : variants) {
+    const std::uint64_t built = sw.han.shapes_built();
+    sw.han.persistent_graph(call, cfg);
+    EXPECT_EQ(sw.han.shapes_built(), built + 1) << cfg.to_string();
+    sw.han.persistent_graph(call, cfg);
+    EXPECT_EQ(sw.han.shapes_built(), built + 1) << cfg.to_string();
+  }
+  // A decided call under a config an explicit call already used binds
+  // the explicit call's shape, and the other way round.
+  const auto decide_base = [&](CollKind, int, int, std::size_t) {
+    return base;
+  };
+  sw.han.set_decider(decide_base);
+  sw.han.persistent_graph(call, base);
+  std::uint64_t built = sw.han.shapes_built();
+  sw.han.persistent_graph(call);
+  EXPECT_EQ(sw.han.shapes_built(), built);
+  EXPECT_EQ(sw.han.live_shapes(), 1u);
+  sw.han.set_decider(decide_base);
+  sw.han.persistent_graph(call);
+  built = sw.han.shapes_built();
+  sw.han.persistent_graph(call, base);
+  EXPECT_EQ(sw.han.shapes_built(), built);
+  EXPECT_EQ(sw.han.live_shapes(), 1u);
+}
+
+TEST(ShapeCache, MeasurementBuildsOneShapePerRole) {
+  // A measurement issues one config from every rank for two iterations,
+  // each its own busy period: one shape per rank role per iteration.
+  for (int nodes : {2, 4}) {
+    core::HanWorld sw(machine::make_aries(nodes, 4));
+    tune::Searcher searcher(sw.world, sw.han, sw.world.world_comm());
+    const std::pair<CollKind, std::uint64_t> expected[] = {
+        {CollKind::Bcast, 4},
+        {CollKind::Allreduce, 4},
+        {CollKind::ReduceScatter, 6}};
+    for (const auto& [kind, shapes] : expected) {
+      const HanConfig cfg = core::HanModule::default_config(
+          kind, nodes, 4, std::size_t{64} << 10);
+      const std::uint64_t built = sw.han.shapes_built();
+      searcher.measure_collective(kind, std::size_t{64} << 10, cfg);
+      EXPECT_EQ(sw.han.shapes_built() - built, shapes)
+          << coll::coll_kind_name(kind) << " on " << nodes << "x4";
+    }
+  }
+}
+
 /// An allreduce of 4 KiB Int32 on `comm`, rank `me`.
 task::Call allreduce_call(const mpi::Comm& comm, int me, Bufs& b) {
   b = {std::vector<std::byte>(4096), std::vector<std::byte>(4096)};
@@ -401,7 +536,9 @@ TEST(ShapeCache, ConcurrentRepeatsOwnTheirTemps) {
   EXPECT_EQ(sw.han.live_shapes(), 0u);  // dropped at quiescence
 }
 
-TEST(ShapeCache, PlanCheckerBypassesTheCache) {
+TEST(ShapeCache, PlanCheckerSeesEveryPlan) {
+  // The runtime builds every plan fresh while a checker is installed, so
+  // the cached shapes still show it each plan the calls issue.
   core::HanWorld sw(machine::make_aries(2, 4),
                     [] {
                       mpi::SimWorld::Options o;
@@ -421,8 +558,8 @@ TEST(ShapeCache, PlanCheckerBypassesTheCache) {
       EXPECT_EQ(recv[call * n + me], expected_sum(call, n, 1024));
     }
   }
-  EXPECT_GT(plans, 0);
-  EXPECT_EQ(sw.han.shapes_built(), 0u);
+  EXPECT_EQ(plans, 12);
+  EXPECT_EQ(sw.han.shapes_built(), 2u);
   EXPECT_EQ(sw.han.live_shapes(), 0u);
 }
 

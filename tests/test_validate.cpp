@@ -1,10 +1,11 @@
 // Structural validators: coll::validate_plan and task::validate_graph
-// must name the first defect of a malformed schedule, and the runtime /
-// scheduler entry points must refuse to execute one.
+// must name the first defect of a malformed schedule, and the runtime's
+// entry point and the scheduler's compile must refuse one.
 #include <gtest/gtest.h>
 
 #include "coll_test_util.hpp"
 #include "coll/validate.hpp"
+#include "han/han.hpp"
 #include "han/task/graph.hpp"
 #include "han/task/scheduler.hpp"
 
@@ -161,12 +162,18 @@ using ValidateDeath = ::testing::Test;
 
 TEST(ValidateDeath, SchedulerRejectsCyclicGraph) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  test::CollHarness h(machine::make_aries(1, 2));
-  task::TaskGraph g;
-  g.add(noop_node(0, {1}));
-  g.add(noop_node(0, {0}));
-  task::TaskScheduler sched(h.rt);
-  EXPECT_DEATH(sched.run(std::move(g), /*window=*/1, 0), "cycle");
+  core::HanWorld hw(machine::make_aries(1, 2));
+  // Two node-level tasks of rank 0, each waiting on the other.
+  task::RankView view;
+  view.h = &hw.han.flat_hierarchy(hw.world.world_comm());
+  view.tiers = 1;
+  task::ShapeNode node;
+  node.mod = &hw.mods.libnbc();
+  task::GraphShape shape;
+  shape.nodes = {node, node};
+  shape.deps_begin = {0, 1, 2};
+  shape.deps = {1, 0};
+  EXPECT_DEATH(task::TaskScheduler::compile(std::move(shape), view), "cycle");
 }
 
 TEST(ValidateDeath, RuntimeRejectsMalformedPlan) {
