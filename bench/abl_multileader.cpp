@@ -12,24 +12,12 @@ namespace han::bench {
 
 double measure_multileader(core::HanWorld& hw, std::size_t msg,
                            const core::HanConfig& cfg, int k) {
-  auto sync = std::make_shared<mpi::SyncDomain>(hw.world.engine(),
-                                                hw.world.world_size());
-  auto worst = std::make_shared<double>(0.0);
-  hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](core::HanWorld& hw2, std::shared_ptr<mpi::SyncDomain> sync2,
-              std::shared_ptr<double> worst2, std::size_t msg2,
-              core::HanConfig cfg2, int k2, int me) -> sim::CoTask {
-      co_await *sync2->arrive();
-      const double t0 = hw2.world.now();
-      mpi::Request r = hw2.han.iallreduce_multileader(
-          hw2.world.world_comm(), me, mpi::BufView::timing_only(msg2),
-          mpi::BufView::timing_only(msg2), mpi::Datatype::Byte,
-          mpi::ReduceOp::Sum, cfg2, k2);
-      co_await *r;
-      *worst2 = std::max(*worst2, hw2.world.now() - t0);
-    }(hw, sync, worst, msg, cfg, k, rank.world_rank);
-  });
-  return *worst;
+  return mpi::time_rounds(hw.world, 1, [&](int me, int /*round*/) {
+    return hw.han.iallreduce_multileader(
+        hw.world.world_comm(), me, mpi::BufView::timing_only(msg),
+        mpi::BufView::timing_only(msg), mpi::Datatype::Byte,
+        mpi::ReduceOp::Sum, cfg, k);
+  })[0];
 }
 
 }  // namespace han::bench

@@ -12,34 +12,17 @@
 
 #include "bench_util.hpp"
 #include "coll_support.hpp"
+#include "simbase/json.hpp"
 
 namespace han::bench {
 
 double timed(core::HanWorld& hw, std::size_t bytes,
              const core::HanConfig& cfg) {
-  auto sync = std::make_shared<mpi::SyncDomain>(hw.world.engine(),
-                                                hw.world.world_size());
-  auto worst = std::make_shared<double>(0.0);
-  hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](core::HanWorld& hw2, std::shared_ptr<mpi::SyncDomain> sync2,
-              std::shared_ptr<double> worst2, std::size_t bytes2,
-              core::HanConfig cfg2, int me) -> sim::CoTask {
-      co_await *sync2->arrive();
-      const double t0 = hw2.world.now();
-      mpi::Request r = hw2.han.ibcast_cfg(hw2.world.world_comm(), me, 0,
-                                          mpi::BufView::timing_only(bytes2),
-                                          mpi::Datatype::Byte, cfg2);
-      co_await *r;
-      *worst2 = std::max(*worst2, hw2.world.now() - t0);
-    }(hw, sync, worst, bytes, cfg, rank.world_rank);
-  });
-  return *worst;
-}
-
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
+  return mpi::time_rounds(hw.world, 1, [&](int me, int /*round*/) {
+    return hw.han.ibcast_cfg(hw.world.world_comm(), me, 0,
+                             mpi::BufView::timing_only(bytes),
+                             mpi::Datatype::Byte, cfg);
+  })[0];
 }
 
 }  // namespace han::bench
@@ -108,19 +91,19 @@ int main(int argc, char** argv) {
     j += "  \"machine\": \"aries " + std::to_string(scale.nodes) + "x" +
          std::to_string(scale.ppn) + " numa=" + std::to_string(domains) +
          "\",\n";
-    j += "  \"config\": \"" + flat_cfg.to_string() + "\",\n";
+    j += "  \"config\": " + sim::json_string(flat_cfg.to_string()) + ",\n";
     j += "  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       j += "    {\"bytes\": " + std::to_string(r.bytes) +
-           ", \"flat_seconds\": " + bench::fmt_double(r.t2) +
-           ", \"derived_seconds\": " + bench::fmt_double(r.t3) +
-           ", \"speedup\": " + bench::fmt_double(r.t2 / r.t3) + "}" +
+           ", \"flat_seconds\": " + sim::json_number(r.t2) +
+           ", \"derived_seconds\": " + sim::json_number(r.t3) +
+           ", \"speedup\": " + sim::json_number(r.t2 / r.t3) + "}" +
            (i + 1 < rows.size() ? ",\n" : "\n");
     }
     j += "  ],\n";
     j += "  \"largest_message_speedup\": " +
-         bench::fmt_double(rows.back().t2 / rows.back().t3) + "\n";
+         sim::json_number(rows.back().t2 / rows.back().t3) + "\n";
     j += "}\n";
     std::FILE* f = std::fopen(bench_json.c_str(), "w");
     if (f == nullptr) {

@@ -21,43 +21,17 @@
 #include "autotune/tuner.hpp"
 #include "bench_util.hpp"
 #include "coll_support.hpp"
+#include "simbase/json.hpp"
 
 namespace han::bench {
 
 double timed(core::HanWorld& hw, std::size_t bytes,
              const core::HanConfig& cfg) {
-  auto sync = std::make_shared<mpi::SyncDomain>(hw.world.engine(),
-                                                hw.world.world_size());
-  auto worst = std::make_shared<double>(0.0);
-  hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](core::HanWorld& hw2, std::shared_ptr<mpi::SyncDomain> sync2,
-              std::shared_ptr<double> worst2, std::size_t bytes2,
-              core::HanConfig cfg2, int me) -> sim::CoTask {
-      co_await *sync2->arrive();
-      const double t0 = hw2.world.now();
-      mpi::Request r = hw2.han.ibcast_cfg(hw2.world.world_comm(), me, 0,
-                                          mpi::BufView::timing_only(bytes2),
-                                          mpi::Datatype::Byte, cfg2);
-      co_await *r;
-      *worst2 = std::max(*worst2, hw2.world.now() - t0);
-    }(hw, sync, worst, bytes, cfg, rank.world_rank);
-  });
-  return *worst;
-}
-
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
+  return mpi::time_rounds(hw.world, 1, [&](int me, int /*round*/) {
+    return hw.han.ibcast_cfg(hw.world.world_comm(), me, 0,
+                             mpi::BufView::timing_only(bytes),
+                             mpi::Datatype::Byte, cfg);
+  })[0];
 }
 
 }  // namespace han::bench
@@ -193,16 +167,15 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       j += "    {\"bytes\": " + std::to_string(r.bytes) +
-           ", \"single_rail_seconds\": " + bench::fmt_double(r.single.t) +
-           ", \"striped_seconds\": " + bench::fmt_double(r.striped.t) +
-           ", \"striped_cfg\": \"" +
-           bench::json_escape(r.striped.cfg.to_string()) +
-           "\", \"speedup\": " +
-           bench::fmt_double(r.single.t / r.striped.t) + "}" +
+           ", \"single_rail_seconds\": " + sim::json_number(r.single.t) +
+           ", \"striped_seconds\": " + sim::json_number(r.striped.t) +
+           ", \"striped_cfg\": " +
+           sim::json_string(r.striped.cfg.to_string()) + ", \"speedup\": " +
+           sim::json_number(r.single.t / r.striped.t) + "}" +
            (i + 1 < rows.size() ? ",\n" : "\n");
     }
     j += "  ],\n";
-    j += "  \"largest_message_speedup\": " + bench::fmt_double(top_speedup) +
+    j += "  \"largest_message_speedup\": " + sim::json_number(top_speedup) +
          ",\n";
     j += "  \"tuned\": [\n";
     const auto& entries = report.table.entries();
@@ -211,8 +184,8 @@ int main(int argc, char** argv) {
       j += std::string("    {\"kind\": \"") + coll::coll_kind_name(key.kind) +
            "\", \"bytes\": " +
            std::to_string(std::size_t{1} << key.log2_bytes) +
-           ", \"sf\": " + std::to_string(cfg.sf) + ", \"cfg\": \"" +
-           bench::json_escape(cfg.to_string()) + "\"}" +
+           ", \"sf\": " + std::to_string(cfg.sf) + ", \"cfg\": " +
+           sim::json_string(cfg.to_string()) + "}" +
            (++i < entries.size() ? ",\n" : "\n");
     }
     j += "  ],\n";

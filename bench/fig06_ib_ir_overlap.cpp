@@ -23,45 +23,33 @@ OverlapResult measure_overlap(core::HanWorld& hw, const core::HanConfig& cfg,
   const CollConfig ircfg{cfg.iralg, cfg.irs};
 
   OverlapResult result;
-  auto run_phase = [&](int phase, double* out) {
-    auto sync = std::make_shared<mpi::SyncDomain>(hw.world.engine(),
-                                                  hw.world.world_size());
-    auto worst = std::make_shared<double>(0.0);
-    hw.world.run([&](mpi::Rank& rank) -> sim::CoTask {
-      return [](core::HanWorld& hw3, core::Hierarchy& hc2,
-                coll::CollModule* imod2,
-                CollConfig ibcfg2, CollConfig ircfg2,
-                std::shared_ptr<mpi::SyncDomain> sync2,
-                std::shared_ptr<double> worst3, std::size_t seg2, int phase2,
-                int pr) -> sim::CoTask {
-        co_await *sync2->arrive();
-        if (hc2.low_rank(pr) != 0) co_return;
-        const mpi::Comm& up = *hc2.up(pr);
-        const int me = hc2.up_rank(pr);
-        const double t0 = hw3.world.now();
-        std::vector<mpi::Request> task;
-        if (phase2 == 0 || phase2 == 2) {
-          task.push_back(imod2->ibcast(up, me, 0,
-                                      mpi::BufView::timing_only(seg2),
-                                      mpi::Datatype::Byte, ibcfg2));
+  // Only the node leaders take part; everyone else idles through the
+  // round on an already-complete gate.
+  auto run_phase = [&](int phase) {
+    return mpi::time_rounds(hw.world, 1, [&](int pr, int /*round*/) {
+      std::vector<mpi::Request> task;
+      if (hc.low_rank(pr) == 0) {
+        const mpi::Comm& up = *hc.up(pr);
+        const int me = hc.up_rank(pr);
+        if (phase == 0 || phase == 2) {
+          task.push_back(imod->ibcast(up, me, 0,
+                                      mpi::BufView::timing_only(seg),
+                                      mpi::Datatype::Byte, ibcfg));
         }
-        if (phase2 == 1 || phase2 == 2) {
-          task.push_back(imod2->ireduce(up, me, 0,
-                                       mpi::BufView::timing_only(seg2),
-                                       mpi::BufView::timing_only(seg2),
+        if (phase == 1 || phase == 2) {
+          task.push_back(imod->ireduce(up, me, 0,
+                                       mpi::BufView::timing_only(seg),
+                                       mpi::BufView::timing_only(seg),
                                        mpi::Datatype::Byte,
-                                       mpi::ReduceOp::Sum, ircfg2));
+                                       mpi::ReduceOp::Sum, ircfg));
         }
-        co_await mpi::wait_all(hw3.world.engine(), std::move(task));
-        *worst3 = std::max(*worst3, hw3.world.now() - t0);
-      }(hw, hc, imod, ibcfg, ircfg, sync, worst, seg, phase,
-        rank.world_rank);
-    });
-    *out = *worst;
+      }
+      return mpi::wait_all(hw.world.engine(), std::move(task)).gate();
+    })[0];
   };
-  run_phase(0, &result.ib_max);
-  run_phase(1, &result.ir_max);
-  run_phase(2, &result.both_max);
+  result.ib_max = run_phase(0);
+  result.ir_max = run_phase(1);
+  result.both_max = run_phase(2);
   return result;
 }
 

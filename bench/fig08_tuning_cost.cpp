@@ -24,6 +24,7 @@
 #include "coll_support.hpp"
 #include "obs/report.hpp"
 #include "parallel/pool.hpp"
+#include "simbase/json.hpp"
 
 namespace {
 
@@ -76,12 +77,6 @@ FleetPass fleet_tune(tune::TuneDb& db, const std::vector<FleetShape>& fleet,
     }
   }
   return pass;
-}
-
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -220,19 +215,19 @@ int main(int argc, char** argv) {
     j += "  \"fleet\": [";
     for (std::size_t i = 0; i < fleet.size(); ++i) {
       if (i > 0) j += ", ";
-      j += "\"" + tune::signature_of(fleet_profile(fleet[i])).key() + "\"";
+      j += sim::json_string(tune::signature_of(fleet_profile(fleet[i])).key());
     }
     j += "],\n";
-    j += "  \"perturbed\": \"" + tune::signature_of(perturbed).key() +
-         "\",\n";
+    j += "  \"perturbed\": " +
+         sim::json_string(tune::signature_of(perturbed).key()) + ",\n";
     j += "  \"perturbation\": \"net_efficiency x0.85 at >= 2M\",\n";
-    j += "  \"cold_cost_seconds\": " + fmt_double(cold.cost) + ",\n";
-    j += "  \"warm_noop_cost_seconds\": " + fmt_double(noop.cost) + ",\n";
+    j += "  \"cold_cost_seconds\": " + sim::json_number(cold.cost) + ",\n";
+    j += "  \"warm_noop_cost_seconds\": " + sim::json_number(noop.cost) + ",\n";
     j += "  \"warm_noop_retuned\": " + std::to_string(noop.retuned) + ",\n";
-    j += "  \"warm_cost_seconds\": " + fmt_double(warm.cost) + ",\n";
+    j += "  \"warm_cost_seconds\": " + sim::json_number(warm.cost) + ",\n";
     j += "  \"warm_reused\": " + std::to_string(warm.reused) + ",\n";
     j += "  \"warm_retuned\": " + std::to_string(warm.retuned) + ",\n";
-    j += "  \"speedup_cold_over_warm\": " + fmt_double(speedup) + "\n";
+    j += "  \"speedup_cold_over_warm\": " + sim::json_number(speedup) + "\n";
     j += "}\n";
     std::FILE* f = std::fopen(bench_json.c_str(), "w");
     if (f == nullptr) {

@@ -39,36 +39,22 @@ std::vector<unsigned> step_signatures(
   return sig;
 }
 
-/// Walk the signature sequence under the TaskScheduler's frontier rule:
-/// step s starts when step s - window completed. At window = 1 this is the
-/// lock-step serial sum (exact — runs of equal signatures are multiplied
-/// out, reproducing the paper's eq. 3/4 arithmetic bit for bit); for
-/// window > 1 it ignores intra-step data dependencies, so it is an
-/// optimistic bound. Collective cost = the slowest leader's walk.
+/// Walk the signature sequence in the TaskScheduler's lock-step pipeline:
+/// the serial sum of the step costs (exact — runs of equal signatures are
+/// multiplied out, reproducing the paper's eq. 3/4 arithmetic bit for
+/// bit). Collective cost = the slowest leader's walk.
 template <typename CostOf>
-double walk_cost(const std::vector<unsigned>& sig, const CostOf& cost_of,
-                 int window) {
+double walk_cost(const std::vector<unsigned>& sig, const CostOf& cost_of) {
   if (sig.empty()) return 0.0;
   const std::size_t leaders = cost_of(sig[0]).t.size();
   double worst = 0.0;
   for (std::size_t i = 0; i < leaders; ++i) {
     double total = 0.0;
-    if (window <= 1) {
-      for (std::size_t s = 0; s < sig.size();) {
-        std::size_t run = s + 1;
-        while (run < sig.size() && sig[run] == sig[s]) ++run;
-        total += static_cast<double>(run - s) * cost_of(sig[s]).t[i];
-        s = run;
-      }
-    } else {
-      std::vector<double> done(sig.size(), 0.0);
-      for (std::size_t s = 0; s < sig.size(); ++s) {
-        const double start = s >= static_cast<std::size_t>(window)
-                                 ? done[s - window]
-                                 : 0.0;
-        done[s] = start + cost_of(sig[s]).t[i];
-      }
-      total = done.back();
+    for (std::size_t s = 0; s < sig.size();) {
+      std::size_t run = s + 1;
+      while (run < sig.size() && sig[run] == sig[s]) ++run;
+      total += static_cast<double>(run - s) * cost_of(sig[s]).t[i];
+      s = run;
     }
     worst = std::max(worst, total);
   }
@@ -109,7 +95,7 @@ const PerLeader& flat_allreduce_cost(const AllreduceTaskCosts& costs,
 /// with the inter stage is assumed. Depth 2 has no mid steps and is eq.
 /// 3/4 exactly.
 template <typename FlatCost>
-double ladder_walk(coll::CollKind kind, int depth, int u, int window,
+double ladder_walk(coll::CollKind kind, int depth, int u,
                    const FlatCost& flat_cost, const PerLeader* mid_solo) {
   HAN_ASSERT((depth == 2 || depth == 3) && u >= 1);
   const std::vector<unsigned> sig = step_signatures(
@@ -131,21 +117,18 @@ double ladder_walk(coll::CollKind kind, int depth, int u, int window,
     for (std::size_t i = 0; i < c.t.size(); ++i) c.t[i] += mid_solo->t[i];
     mid_steps.emplace(m, std::move(c));
   }
-  return walk_cost(
-      sig,
-      [&](unsigned m) -> const PerLeader& {
-        return (m & kMid) != 0 ? mid_steps.at(m) : flat_cost(m);
-      },
-      window);
+  return walk_cost(sig, [&](unsigned m) -> const PerLeader& {
+    return (m & kMid) != 0 ? mid_steps.at(m) : flat_cost(m);
+  });
 }
 
 }  // namespace
 
-double bcast_model_cost(const BcastTaskCosts& costs, int u, int window,
-                        int depth, const MidTaskCosts* mid) {
+double bcast_model_cost(const BcastTaskCosts& costs, int u, int depth,
+                        const MidTaskCosts* mid) {
   // Depth 2: ib(0); sbib(1..u-1); sb(u-1) — eq. 3 falls out of the walk.
   return ladder_walk(
-      coll::CollKind::Bcast, depth, u, window,
+      coll::CollKind::Bcast, depth, u,
       [&](unsigned m) -> const PerLeader& {
         return flat_bcast_cost(costs, m);
       },
@@ -199,8 +182,7 @@ AffineFit AffineFit::from_points(std::size_t b1, double t1, std::size_t b2,
 
 double reduce_scatter_model_cost(const ReduceScatterTaskCosts& costs,
                                  const core::HanConfig& cfg,
-                                 std::size_t msg_bytes, int nodes, int ppn,
-                                 int window) {
+                                 std::size_t msg_bytes, int nodes, int ppn) {
   HAN_ASSERT(nodes >= 1 && ppn >= 1);
   const std::size_t m = std::max<std::size_t>(msg_bytes, 1);
   const std::size_t region = std::max<std::size_t>(m / nodes, 1);
@@ -234,22 +216,20 @@ double reduce_scatter_model_cost(const ReduceScatterTaskCosts& costs,
                   [](const synth::StageSlot& s) { return s.role == "sr"; });
   }
   const std::vector<unsigned> sig = step_signatures(chain, u);
-  const double pipeline = walk_cost(
-      sig,
-      [&](unsigned s) -> const PerLeader& {
+  const double pipeline =
+      walk_cost(sig, [&](unsigned s) -> const PerLeader& {
         switch (s) {
           case kSr: return costs.sr0;
           case kSr | kIr: return costs.irsr_stable;
           default: return costs.ir_tail;  // kIr
         }
-      },
-      window);
+      });
   return pipeline + costs.inter_scatter.at(m) +
          (has_intra ? costs.intra_scatter.at(region) : 0.0);
 }
 
 double allreduce_model_cost(const AllreduceTaskCosts& costs, int u,
-                            int window, int depth, const MidTaskCosts* mid) {
+                            int depth, const MidTaskCosts* mid) {
   // The mid reduce and mid bcast lanes of one step share the cross-domain
   // bus like concurrent mids do; one averaged solo cost prices both.
   PerLeader mid_solo;
@@ -263,7 +243,7 @@ double allreduce_model_cost(const AllreduceTaskCosts& costs, int u,
   // Depth 2: sr(0); irsr; ibirsr; sbibirsr(3..u-1); sbibir; sbib; sb —
   // eq. 4.
   return ladder_walk(
-      coll::CollKind::Allreduce, depth, u, window,
+      coll::CollKind::Allreduce, depth, u,
       [&](unsigned m) -> const PerLeader& {
         return flat_allreduce_cost(costs, m);
       },

@@ -31,17 +31,14 @@ struct MidTaskCosts {
 
 /// Eq. 3 on a depth-`depth` ladder. `u` = segment count of the modeled
 /// message. The cost is a symbolic walk of the canonical bcast chain
-/// (synth::canonical_chain) — the stage list the graph builders execute.
-/// `window` mirrors the TaskScheduler's in-flight step window: 1 (the
-/// default) is the paper's lock-step pipeline, exactly eq. 3 at depth 2;
-/// larger windows give an optimistic bound where step s starts when step
-/// s - window finished. At depth 3 (a NUMA ladder) a step's cost is the
-/// flat composite of its ib/sb part plus the solo mid cost `mid->mb`
-/// whenever the mid stage is active — it rides the cross-domain memory
-/// bus, not the NIC, so no overlap is assumed. `mid` is read only at
-/// depth 3.
-double bcast_model_cost(const BcastTaskCosts& costs, int u, int window = 1,
-                        int depth = 2, const MidTaskCosts* mid = nullptr);
+/// (synth::canonical_chain) — the stage list the graph builders execute,
+/// in the scheduler's lock-step pipeline, so exactly eq. 3 at depth 2. At
+/// depth 3 (a NUMA ladder) a step's cost is the flat composite of its
+/// ib/sb part plus the solo mid cost `mid->mb` whenever the mid stage is
+/// active — it rides the cross-domain memory bus, not the NIC, so no
+/// overlap is assumed. `mid` is read only at depth 3.
+double bcast_model_cost(const BcastTaskCosts& costs, int u, int depth = 2,
+                        const MidTaskCosts* mid = nullptr);
 
 struct AllreduceTaskCosts {
   PerLeader sr0;              // T_i(sr(0))
@@ -58,12 +55,11 @@ struct AllreduceTaskCosts {
 
 /// Eq. 4 with the obvious clamping for u < 4 (fewer fill/drain steps than
 /// the pipeline depth) — a symbolic walk of the canonical allreduce chain;
-/// see bcast_model_cost for the window and depth semantics. At depth 3
-/// the mid reduce and mid bcast share the bus, priced as the mean of
-/// `mid->mr` and `mid->mb`.
+/// see bcast_model_cost for the depth semantics. At depth 3 the mid
+/// reduce and mid bcast share the bus, priced as the mean of `mid->mr`
+/// and `mid->mb`.
 double allreduce_model_cost(const AllreduceTaskCosts& costs, int u,
-                            int window = 1, int depth = 2,
-                            const MidTaskCosts* mid = nullptr);
+                            int depth = 2, const MidTaskCosts* mid = nullptr);
 
 /// Affine cost fit t(bytes) = base + per_byte * bytes from two sampled
 /// points. The simulated fabric is linear in message size past the eager
@@ -103,7 +99,6 @@ struct ReduceScatterTaskCosts {
 ///     max_i( u*sr(0) ) + ring(n*slice) + ss(m/n)
 double reduce_scatter_model_cost(const ReduceScatterTaskCosts& costs,
                                  const core::HanConfig& cfg,
-                                 std::size_t msg_bytes, int nodes, int ppn,
-                                 int window = 1);
+                                 std::size_t msg_bytes, int nodes, int ppn);
 
 }  // namespace han::tune

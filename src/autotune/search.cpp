@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "han/synth/spec.hpp"
-
 namespace han::tune {
 
 using coll::Algorithm;
@@ -59,17 +57,6 @@ std::vector<HanConfig> SearchSpace::enumerate(CollKind kind) const {
       }
     }
   }
-  // Cross with the scheduler windows last so the base Table II axes stay
-  // contiguous ({1} — the default — leaves the space unchanged).
-  std::vector<HanConfig> expanded;
-  expanded.reserve(out.size() * std::max<std::size_t>(windows.size(), 1));
-  for (int w : windows.empty() ? std::vector<int>{1} : windows) {
-    for (const HanConfig& base : out) {
-      HanConfig c = base;
-      c.window = w;
-      expanded.push_back(std::move(c));
-    }
-  }
   // Mid-level ladder axes (docs/HIERARCHY.md): crossed only when
   // populated, so a flat space enumerates byte-identically to the seed's.
   // Absent axes pin their knob to the default (malg=Default, zcs=0).
@@ -81,8 +68,8 @@ std::vector<HanConfig> SearchSpace::enumerate(CollKind kind) const {
         zc_switchovers.empty() ? std::vector<std::size_t>{0}
                                : zc_switchovers;
     std::vector<HanConfig> crossed;
-    crossed.reserve(expanded.size() * malgs.size() * zcss.size());
-    for (const HanConfig& base : expanded) {
+    crossed.reserve(out.size() * malgs.size() * zcss.size());
+    for (const HanConfig& base : out) {
       for (Algorithm malg : malgs) {
         for (std::size_t zcs : zcss) {
           HanConfig c = base;
@@ -92,7 +79,7 @@ std::vector<HanConfig> SearchSpace::enumerate(CollKind kind) const {
         }
       }
     }
-    expanded = std::move(crossed);
+    out = std::move(crossed);
   }
   // The rail-stripe axis (docs/FABRIC.md): crossed only when populated, so
   // single-rail spaces enumerate byte-identically. sf > 1 never pairs with
@@ -102,8 +89,8 @@ std::vector<HanConfig> SearchSpace::enumerate(CollKind kind) const {
   // enumeration free of configs every strategy would discard).
   if (!stripe_factors.empty()) {
     std::vector<HanConfig> crossed;
-    crossed.reserve(expanded.size() * stripe_factors.size());
-    for (const HanConfig& base : expanded) {
+    crossed.reserve(out.size() * stripe_factors.size());
+    for (const HanConfig& base : out) {
       for (int sf : stripe_factors) {
         if (sf != 1 &&
             (kind == CollKind::ReduceScatter || base.imod == "ring")) {
@@ -114,25 +101,9 @@ std::vector<HanConfig> SearchSpace::enumerate(CollKind kind) const {
         crossed.push_back(std::move(c));
       }
     }
-    expanded = std::move(crossed);
+    out = std::move(crossed);
   }
-  // Synthesized-schedule ids join as an extra axis: the hand-written
-  // builders (sched="") stay first, then each matching id crossed over
-  // the whole space. Ids for other kinds are skipped, not errors — one
-  // SearchSpace serves every collective.
-  if (!scheds.empty()) {
-    const std::size_t plain = expanded.size();
-    for (const std::string& id : scheds) {
-      synth::SynthSpec spec;
-      if (!synth::SynthSpec::parse(id, &spec) || spec.kind != kind) continue;
-      for (std::size_t i = 0; i < plain; ++i) {
-        HanConfig c = expanded[i];
-        c.sched = id;
-        expanded.push_back(std::move(c));
-      }
-    }
-  }
-  return expanded;
+  return out;
 }
 
 bool heuristic_allows(const HanConfig& cfg, CollKind kind,
@@ -215,92 +186,53 @@ Searcher::Searcher(mpi::SimWorld& world, core::HanModule& han,
 
 double Searcher::measure_collective(CollKind kind, std::size_t msg_bytes,
                                     const HanConfig& cfg, int iters) {
-  auto sync =
-      std::make_shared<mpi::SyncDomain>(world_->engine(), comm_->size());
-  auto worst = std::make_shared<std::vector<double>>(iters, 0.0);
-
+  // time_rounds issues with world ranks; they are comm_ ranks only on the
+  // world communicator.
+  HAN_ASSERT_MSG(comm_ == &world_->world_comm(),
+                 "measure_collective times the world communicator only");
+  // The vector kinds split msg_bytes into equal per-rank blocks, so the
+  // whole vector is rounded to a multiple of the comm.
+  const int n = comm_->size();
+  const std::size_t block = std::max<std::size_t>(msg_bytes / n, 1);
+  const BufView whole = BufView::timing_only(msg_bytes);
+  const BufView one_block = BufView::timing_only(block);
+  const BufView all_blocks = BufView::timing_only(block * n);
   const double before = world_->now();
-  world_->run([&](mpi::Rank& rank) -> sim::CoTask {
-    return [](Searcher& s, std::shared_ptr<mpi::SyncDomain> sync2,
-              std::shared_ptr<std::vector<double>> worst2, CollKind kind2,
-              std::size_t bytes, HanConfig cfg2, int iters2,
-              int pr) -> sim::CoTask {
-      for (int it = 0; it < iters2; ++it) {
-        co_await *sync2->arrive();
-        const double t0 = s.world_->now();
-        mpi::Request r;
-        switch (kind2) {
+  const std::vector<double> worst = mpi::time_rounds(
+      *world_, iters, [&](int pr, int /*round*/) -> mpi::Request {
+        switch (kind) {
           case CollKind::Bcast:
-            r = s.han_->ibcast_cfg(*s.comm_, pr, 0,
-                                   BufView::timing_only(bytes),
-                                   mpi::Datatype::Byte, cfg2);
-            break;
+            return han_->ibcast_cfg(*comm_, pr, 0, whole, mpi::Datatype::Byte,
+                                    cfg);
           case CollKind::Allreduce:
-            r = s.han_->iallreduce_cfg(*s.comm_, pr,
-                                       BufView::timing_only(bytes),
-                                       BufView::timing_only(bytes),
-                                       mpi::Datatype::Byte,
-                                       mpi::ReduceOp::Sum, cfg2);
-            break;
+            return han_->iallreduce_cfg(*comm_, pr, whole, whole,
+                                        mpi::Datatype::Byte,
+                                        mpi::ReduceOp::Sum, cfg);
           case CollKind::Reduce:
-            r = s.han_->ireduce_cfg(*s.comm_, pr, 0,
-                                    BufView::timing_only(bytes),
-                                    BufView::timing_only(bytes),
-                                    mpi::Datatype::Byte, mpi::ReduceOp::Sum,
-                                    cfg2);
-            break;
-          case CollKind::ReduceScatter: {
-            // Equal blocks: round the vector to a multiple of the comm.
-            const std::size_t block =
-                std::max<std::size_t>(bytes / s.comm_->size(), 1);
-            r = s.han_->ireduce_scatter_cfg(
-                *s.comm_, pr,
-                BufView::timing_only(block * s.comm_->size()),
-                BufView::timing_only(block), mpi::Datatype::Byte,
-                mpi::ReduceOp::Sum, cfg2);
-            break;
-          }
+            return han_->ireduce_cfg(*comm_, pr, 0, whole, whole,
+                                     mpi::Datatype::Byte, mpi::ReduceOp::Sum,
+                                     cfg);
+          case CollKind::ReduceScatter:
+            return han_->ireduce_scatter_cfg(*comm_, pr, all_blocks, one_block,
+                                             mpi::Datatype::Byte,
+                                             mpi::ReduceOp::Sum, cfg);
           // The linear-phase kinds take no Table II knobs; they run the
           // decider default path (han::lint measures them for the
           // cross-kind performance guidelines).
-          case CollKind::Gather: {
-            const std::size_t block =
-                std::max<std::size_t>(bytes / s.comm_->size(), 1);
-            r = s.han_->igather(*s.comm_, pr, 0,
-                                BufView::timing_only(block),
-                                BufView::timing_only(block *
-                                                     s.comm_->size()),
-                                coll::CollConfig{});
-            break;
-          }
-          case CollKind::Scatter: {
-            const std::size_t block =
-                std::max<std::size_t>(bytes / s.comm_->size(), 1);
-            r = s.han_->iscatter(*s.comm_, pr, 0,
-                                 BufView::timing_only(block *
-                                                      s.comm_->size()),
-                                 BufView::timing_only(block),
+          case CollKind::Gather:
+            return han_->igather(*comm_, pr, 0, one_block, all_blocks,
                                  coll::CollConfig{});
-            break;
-          }
-          case CollKind::Allgather: {
-            const std::size_t block =
-                std::max<std::size_t>(bytes / s.comm_->size(), 1);
-            r = s.han_->iallgather(*s.comm_, pr,
-                                   BufView::timing_only(block),
-                                   BufView::timing_only(block *
-                                                        s.comm_->size()),
-                                   coll::CollConfig{});
-            break;
-          }
+          case CollKind::Scatter:
+            return han_->iscatter(*comm_, pr, 0, all_blocks, one_block,
+                                  coll::CollConfig{});
+          case CollKind::Allgather:
+            return han_->iallgather(*comm_, pr, one_block, all_blocks,
+                                    coll::CollConfig{});
           default:
-            HAN_ASSERT_MSG(false, "unsupported kind2 in measure_collective");
+            HAN_ASSERT_MSG(false, "unsupported kind in measure_collective");
+            return mpi::Request();
         }
-        co_await *r;
-        (*worst2)[it] = std::max((*worst2)[it], s.world_->now() - t0);
-      }
-    }(*this, sync, worst, kind, msg_bytes, cfg, iters, rank.world_rank);
-  });
+      });
   // Charge the measurement to the tuning budget via the bench's account.
   // (Exhaustive search cost = sum of real collective runs.)
   const double elapsed = world_->now() - before;
@@ -309,7 +241,7 @@ double Searcher::measure_collective(CollKind kind, std::size_t msg_bytes,
   world_->metrics().counter("tune.search.seconds").add(elapsed);
 
   double sum = 0.0;
-  for (double w : *worst) sum += w;
+  for (double w : worst) sum += w;
   return sum / iters;
 }
 
@@ -443,6 +375,8 @@ SearchResult Searcher::estimate(CollKind kind, std::size_t msg_bytes,
 
 double Searcher::estimate_config(CollKind kind, std::size_t msg_bytes,
                                  const HanConfig& cfg) {
+  // The model walks the lock-step pipeline only.
+  HAN_ASSERT(cfg.window == 1);
   const int u = std::max<int>(
       1, static_cast<int>((msg_bytes + cfg.fs - 1) /
                           std::max<std::size_t>(cfg.fs, 1)));
@@ -450,18 +384,18 @@ double Searcher::estimate_config(CollKind kind, std::size_t msg_bytes,
     core::Hierarchy& hc = han_->flat_hierarchy(*comm_);
     return reduce_scatter_model_cost(reduce_scatter_costs(cfg), cfg,
                                      msg_bytes, hc.node_count(),
-                                     hc.max_ppn(), cfg.window);
+                                     hc.max_ppn());
   }
   // Flat task costs first, then the mid ones — prepare()'s benchmark order.
   const int depth = priced_depth(cfg);
   if (kind == CollKind::Bcast) {
     const BcastTaskCosts& costs = bcast_costs(cfg);
-    return bcast_model_cost(costs, u, cfg.window, depth,
+    return bcast_model_cost(costs, u, depth,
                             depth > 2 ? &mid_costs(cfg) : nullptr);
   }
   HAN_ASSERT(kind == CollKind::Allreduce);
   const AllreduceTaskCosts& costs = allreduce_costs(cfg);
-  return allreduce_model_cost(costs, u, cfg.window, depth,
+  return allreduce_model_cost(costs, u, depth,
                               depth > 2 ? &mid_costs(cfg) : nullptr);
 }
 

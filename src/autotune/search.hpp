@@ -31,15 +31,6 @@ struct SearchSpace {
   /// Add the ring inter module for the kinds it implements
   /// (reduce-scatter); one config per fs x smod.
   bool include_ring = true;
-  /// Scheduler in-flight step windows to try. The default space keeps the
-  /// paper's lock-step pipeline only; add e.g. {1, 2} to let the tuner
-  /// weigh deeper in-flight overlap (cost model walks the same windows).
-  std::vector<int> windows{1};
-  /// Synthesized-schedule ids (synth::SynthSpec) to cross into the space.
-  /// Empty — the default — leaves the space unchanged; otherwise every
-  /// config is also tried with each id whose kind matches the collective
-  /// (ids for other kinds are skipped, mismatched ids never enumerate).
-  std::vector<std::string> scheds;
   /// Mid-level axes for derived n-level ladders (docs/HIERARCHY.md): the
   /// mid-stage algorithm (HanConfig::malg) and the zero-copy switchover
   /// (HanConfig::zcs; 0 = always zero-copy). Both empty — the default —

@@ -417,16 +417,9 @@ std::string TuneDb::report_json() const {
 
 WarmStartReport warm_tune(TuneDb& db, Tuner& tuner,
                           const TunerOptions& options) {
-  // Normalize exactly like Tuner::tune so bucket bookkeeping matches what
-  // the tuner would produce.
-  TunerOptions opts = options;
-  std::sort(opts.message_sizes.begin(), opts.message_sizes.end());
-  opts.message_sizes.erase(
-      std::unique(opts.message_sizes.begin(), opts.message_sizes.end()),
-      opts.message_sizes.end());
-  std::sort(opts.kinds.begin(), opts.kinds.end());
-  opts.kinds.erase(std::unique(opts.kinds.begin(), opts.kinds.end()),
-                   opts.kinds.end());
+  // Normalize like Tuner::tune so bucket bookkeeping matches what the
+  // tuner would produce.
+  const TunerOptions opts = options.normalized();
 
   WarmStartReport rep;
   const MachineSignature sig = signature_of(tuner.world().profile());

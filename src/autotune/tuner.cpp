@@ -45,12 +45,8 @@ Tuner::Tuner(mpi::SimWorld& world, core::HanModule& han,
       searcher_(world, han, comm,
                 with_profile_axes(std::move(space), world.profile())) {}
 
-TuneReport Tuner::tune(const TunerOptions& options) {
-  // Callers assemble size lists programmatically (unions of app bucket
-  // sizes, sweep ladders); tolerate duplicates and out-of-order entries so
-  // a repeated size is never benchmarked twice and the table fills in
-  // ascending order.
-  TunerOptions opts = options;
+TunerOptions TunerOptions::normalized() const {
+  TunerOptions opts = *this;
   std::sort(opts.message_sizes.begin(), opts.message_sizes.end());
   opts.message_sizes.erase(
       std::unique(opts.message_sizes.begin(), opts.message_sizes.end()),
@@ -58,6 +54,11 @@ TuneReport Tuner::tune(const TunerOptions& options) {
   std::sort(opts.kinds.begin(), opts.kinds.end());
   opts.kinds.erase(std::unique(opts.kinds.begin(), opts.kinds.end()),
                    opts.kinds.end());
+  return opts;
+}
+
+TuneReport Tuner::tune(const TunerOptions& options) {
+  const TunerOptions opts = options.normalized();
 
   HAN_ASSERT_MSG(comm_ == &world_->world_comm(),
                  "Tuner replays its jobs on replicas of the world, so it "

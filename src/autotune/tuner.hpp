@@ -34,6 +34,13 @@ struct TunerOptions {
   /// identical report (0 = one job per hardware thread). A Tuner targets
   /// the world communicator, which is what a replica can replay.
   int jobs = 1;
+
+  /// A copy with message_sizes and kinds sorted ascending and
+  /// deduplicated. Callers assemble both lists programmatically (unions
+  /// of app bucket sizes, sweep ladders), so tune() and warm_tune() both
+  /// work on this form: no size is benchmarked twice and tables fill in
+  /// ascending order.
+  TunerOptions normalized() const;
 };
 
 struct TuneReport {

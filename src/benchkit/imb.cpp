@@ -29,34 +29,16 @@ std::vector<ImbPoint> imb_run(vendor::MpiStack& stack, Op op,
                           ? options.iterations_large
                           : options.iterations;
     const int rounds = options.warmup + iters;
-    auto sync = std::make_shared<mpi::SyncDomain>(w.engine(),
-                                                  w.world_size());
-    auto worst = std::make_shared<std::vector<double>>(rounds, 0.0);
-
-    w.run([&](mpi::Rank& rank) -> sim::CoTask {
-      return [](vendor::MpiStack& stack2, mpi::SimWorld& w2, Op op2,
-                std::shared_ptr<mpi::SyncDomain> sync2,
-                std::shared_ptr<std::vector<double>> worst2,
-                std::size_t bytes2, int rounds2, int root,
-                int me) -> sim::CoTask {
-        for (int r = 0; r < rounds2; ++r) {
-          co_await *sync2->arrive();
-          const double t0 = w2.now();
-          mpi::Request req;
-          if (op2 == Op::Bcast) {
-            req = stack2.ibcast(me, root, BufView::timing_only(bytes2),
-                               mpi::Datatype::Byte);
-          } else {
-            req = stack2.iallreduce(me, BufView::timing_only(bytes2),
-                                   BufView::timing_only(bytes2),
-                                   mpi::Datatype::Float, mpi::ReduceOp::Sum);
+    const std::vector<double> worst = mpi::time_rounds(
+        w, rounds, [&](int me, int /*round*/) {
+          if (op == Op::Bcast) {
+            return stack.ibcast(me, options.root, BufView::timing_only(bytes),
+                                mpi::Datatype::Byte);
           }
-          co_await *req;
-          (*worst2)[r] = std::max((*worst2)[r], w2.now() - t0);
-        }
-      }(stack, w, op, sync, worst, bytes, rounds, options.root,
-        rank.world_rank);
-    });
+          return stack.iallreduce(me, BufView::timing_only(bytes),
+                                  BufView::timing_only(bytes),
+                                  mpi::Datatype::Float, mpi::ReduceOp::Sum);
+        });
 
     ImbPoint p;
     p.bytes = bytes;
@@ -64,7 +46,7 @@ std::vector<ImbPoint> imb_run(vendor::MpiStack& stack, Op op,
     p.min_sec = 1e300;
     double sum = 0.0;
     for (int r = options.warmup; r < rounds; ++r) {
-      const double t = (*worst)[r];
+      const double t = worst[r];
       sum += t;
       p.min_sec = std::min(p.min_sec, t);
       p.max_sec = std::max(p.max_sec, t);

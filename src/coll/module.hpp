@@ -46,9 +46,6 @@ class CollModule {
     return bcast_algorithms();
   }
 
-  /// True when CollConfig::segment (the paper's ibs/irs) is honoured.
-  virtual bool supports_segmentation() const { return false; }
-
   // --- nonblocking collective operations --------------------------------
   // Every rank of `comm` must call with matching arguments; `me` is the
   // caller's comm rank. Unsupported operations abort (programming error:

@@ -24,7 +24,6 @@ class RingModule : public CollModule {
   std::vector<Algorithm> bcast_algorithms() const override {
     return {Algorithm::Ring};
   }
-  bool supports_segmentation() const override { return true; }
 
   mpi::Request ireduce_scatter(const mpi::Comm& comm, int me,
                                mpi::BufView send, mpi::BufView recv,

@@ -88,7 +88,6 @@ class CollRuntime {
   void set_plan_checker(PlanChecker checker) {
     plan_checker_ = std::move(checker);
   }
-  bool has_plan_checker() const { return static_cast<bool>(plan_checker_); }
 
   /// Call `fn` each time the runtime goes quiescent: its last live
   /// instance retired and its templates were dropped. Caches that must

@@ -35,7 +35,6 @@ class TreeCollModule : public CollModule {
   std::string_view name() const override { return params_.name; }
   bool nonblocking_capable() const override { return params_.nonblocking; }
   bool reduce_uses_avx() const override { return params_.avx_reduce; }
-  bool supports_segmentation() const override { return params_.segmentation; }
   std::vector<Algorithm> bcast_algorithms() const override {
     return params_.bcast_algs;
   }

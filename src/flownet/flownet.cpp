@@ -52,11 +52,6 @@ double FlowNet::capacity(ResourceId id) const {
   return resources_[id].capacity;
 }
 
-const std::string& FlowNet::resource_name(ResourceId id) const {
-  HAN_ASSERT(id < resources_.size());
-  return resources_[id].name;
-}
-
 FlowId FlowNet::acquire_flow() {
   const std::uint32_t slot = slots_.acquire();
   if (slot == flow_mark_.size()) flow_mark_.push_back(0);  // a new slot
@@ -409,7 +404,6 @@ void FlowNet::account(ResourceId id) {
   if (dt <= 0.0) return;
   obs.last_change = now;
   const double moved = obs.rate_sum * dt;
-  obs.busy_bytes += moved;
   if (obs.bytes != nullptr && moved > 0.0) obs.bytes->add(moved);
   if (obs.queue_hist != nullptr) {
     obs.queue_hist->observe(static_cast<double>(resources_[id].flows.size()),
@@ -462,13 +456,6 @@ void FlowNet::enable_queue_histogram(ResourceId id,
                  "attach a metrics registry before enabling queue histograms");
   account(id);
   robs_[id].queue_hist = &metrics_->histogram(metric_name, {});
-}
-
-double FlowNet::resource_busy_bytes(ResourceId id) const {
-  HAN_ASSERT(id < resources_.size());
-  const ResourceObs& obs = robs_[id];
-  const sim::Time dt = engine_->now() - obs.last_change;
-  return obs.busy_bytes + (dt > 0.0 ? obs.rate_sum * dt : 0.0);
 }
 
 }  // namespace han::net

@@ -120,7 +120,6 @@ class FlowNet {
   void set_capacity(ResourceId id, double capacity_bps);
 
   double capacity(ResourceId id) const;
-  const std::string& resource_name(ResourceId id) const;
 
   /// Start a flow of `bytes` across `resources`. `rate_cap` bounds the
   /// flow's rate regardless of resource headroom (models per-message
@@ -163,9 +162,6 @@ class FlowNet {
   /// histogram under `metric_name` (congestion queue depth distribution).
   /// Requires an attached registry.
   void enable_queue_histogram(ResourceId id, const std::string& metric_name);
-
-  /// Total bytes moved through a resource so far (settled to `now`).
-  double resource_busy_bytes(ResourceId id) const;
 
  private:
   struct Resource {
@@ -254,7 +250,6 @@ class FlowNet {
   struct ResourceObs {
     double rate_sum = 0.0;
     sim::Time last_change = 0.0;
-    double busy_bytes = 0.0;
     obs::Gauge* util = nullptr;
     obs::Gauge* queue = nullptr;
     obs::Counter* bytes = nullptr;

@@ -164,7 +164,6 @@ class HanModule : public coll::CollModule {
 
   /// Public world / runtime access for the task-graph builders.
   mpi::SimWorld& world_ref() { return world(); }
-  coll::CollRuntime& rt_ref() { return rt(); }
 
   coll::CollModule* inter_module(const HanConfig& cfg);
   coll::CollModule* intra_module(const HanConfig& cfg);

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -31,7 +30,6 @@ class RunningStats {
   double variance() const {
     return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
   }
-  double stddev() const { return std::sqrt(variance()); }
 
  private:
   std::size_t count_ = 0;

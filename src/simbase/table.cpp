@@ -1,7 +1,6 @@
 #include "simbase/table.hpp"
 
 #include <cstdio>
-#include <fstream>
 
 #include "simbase/assert.hpp"
 
@@ -81,11 +80,6 @@ std::string Table::to_csv() const {
 void Table::print(const std::string& title) const {
   std::printf("\n# %s\n%s", title.c_str(), to_text().c_str());
   std::fflush(stdout);
-}
-
-void Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (out) out << to_csv();
 }
 
 }  // namespace han::sim

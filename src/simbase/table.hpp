@@ -38,10 +38,6 @@ class Table {
   /// Print to stdout: a title line, then the aligned table.
   void print(const std::string& title) const;
 
-  /// Write CSV alongside printed output (best effort; ignores I/O errors so
-  /// benches never fail on a read-only filesystem).
-  void write_csv(const std::string& path) const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

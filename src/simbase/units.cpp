@@ -73,10 +73,4 @@ std::string format_time(Time seconds) {
   return buf;
 }
 
-std::string format_usec(Time seconds, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, seconds * 1e6);
-  return buf;
-}
-
 }  // namespace han::sim

@@ -29,8 +29,4 @@ std::uint64_t parse_bytes(std::string_view text, bool* ok = nullptr);
 /// "1.52ms", "2.01s".
 std::string format_time(Time seconds);
 
-/// Format seconds as microseconds with fixed precision — the unit IMB and
-/// the paper's figures use.
-std::string format_usec(Time seconds, int precision = 2);
-
 }  // namespace han::sim

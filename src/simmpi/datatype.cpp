@@ -8,17 +8,6 @@
 
 namespace han::mpi {
 
-const char* type_name(Datatype t) {
-  switch (t) {
-    case Datatype::Byte: return "byte";
-    case Datatype::Int32: return "int32";
-    case Datatype::Int64: return "int64";
-    case Datatype::Float: return "float";
-    case Datatype::Double: return "double";
-  }
-  return "?";
-}
-
 const char* op_name(ReduceOp op) {
   switch (op) {
     case ReduceOp::Sum: return "sum";

@@ -24,8 +24,6 @@ constexpr std::size_t type_size(Datatype t) {
   return 1;
 }
 
-const char* type_name(Datatype t);
-
 enum class ReduceOp : std::uint8_t { Sum, Prod, Max, Min, Band, Bor, Bxor };
 
 const char* op_name(ReduceOp op);

@@ -23,6 +23,29 @@ Request SyncDomain::arrive() {
   return r;
 }
 
+std::vector<double> time_rounds(
+    SimWorld& world, int rounds,
+    const std::function<Request(int rank, int round)>& issue) {
+  // run() returns only once every program has, so the programs may hold
+  // plain references to these locals.
+  SyncDomain sync(world.engine(), world.world_size());
+  std::vector<double> worst(static_cast<std::size_t>(rounds), 0.0);
+  world.run([&](Rank& rank) -> sim::CoTask {
+    return [](SimWorld& w, SyncDomain& sync2, std::vector<double>& worst2,
+              const std::function<Request(int, int)>& issue2,
+              int me) -> sim::CoTask {
+      for (std::size_t r = 0; r < worst2.size(); ++r) {
+        co_await *sync2.arrive();
+        const double t0 = w.now();
+        Request req = issue2(me, static_cast<int>(r));
+        co_await *req;
+        worst2[r] = std::max(worst2[r], w.now() - t0);
+      }
+    }(world, sync, worst, issue, rank.world_rank);
+  });
+  return worst;
+}
+
 SimWorld::SimWorld(machine::MachineProfile profile, Options options)
     : profile_(std::move(profile)),
       options_(options),

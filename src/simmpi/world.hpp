@@ -78,6 +78,18 @@ class SyncDomain {
   Request round_;
 };
 
+class SimWorld;
+
+/// IMB's timing loop (paper §IV-A), the one every synchronized collective
+/// measurement runs: `rounds` rounds on every world rank, each opened by
+/// one SyncDomain of world_size() parties built for this call. Per rank
+/// and round: arrive, take t0, call `issue(rank, round)`, await the
+/// returned request. Returns each round's cost — the largest now - t0
+/// over the ranks. A rank with nothing to do returns a complete request.
+std::vector<double> time_rounds(
+    SimWorld& world, int rounds,
+    const std::function<Request(int rank, int round)>& issue);
+
 class SimWorld {
  public:
   struct Options {
@@ -189,9 +201,6 @@ class SimWorld {
   /// Spawn `program` on every world rank and run the engine until all
   /// programs return. May be called repeatedly (simulated time accumulates).
   void run(const Program& program);
-
-  /// Run the engine until quiescent (no further events).
-  void run_to_quiescence() { engine_.run(); }
 
   /// World-wide zero-cost sync (see SyncDomain).
   Request sync() { return world_sync_->arrive(); }

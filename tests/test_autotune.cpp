@@ -777,11 +777,11 @@ TEST(LadderModel, Depth2MatchesFlatModels) {
   for (int u : {1, 3, 8}) {
     const double eq3 = std::max(10.0 + (u - 1) * 5.0 + 3.0,
                                 12.0 + (u - 1) * 4.0 + 2.0);
-    EXPECT_DOUBLE_EQ(bcast_model_cost(b, u, 1, 2, &mid), eq3);
+    EXPECT_DOUBLE_EQ(bcast_model_cost(b, u, 2, &mid), eq3);
   }
   for (int u : {4, 8, 16}) {
     const double eq4 = 1.0 + 2.0 + 3.0 + (u - 3) * 4.0 + 3.0 + 2.0 + 1.0;
-    EXPECT_DOUBLE_EQ(allreduce_model_cost(a, u, 1, 2, &mid1), eq4);
+    EXPECT_DOUBLE_EQ(allreduce_model_cost(a, u, 2, &mid1), eq4);
   }
 }
 
@@ -794,9 +794,9 @@ TEST(LadderModel, Depth3AddsSoloMidCosts) {
   mid.mb = PerLeader{{0.5}};
   mid.mr = PerLeader{{0.5}};
   // u=3, depth 3: ib(0)=2; ib+mb=2.5; ib+mb+sb=3.0; mb+sb=1.5; sb=1.0.
-  EXPECT_DOUBLE_EQ(bcast_model_cost(b, 3, 1, 3, &mid), 10.0);
+  EXPECT_DOUBLE_EQ(bcast_model_cost(b, 3, 3, &mid), 10.0);
   for (int u : {1, 4, 16}) {
-    EXPECT_GT(bcast_model_cost(b, u, 1, 3, &mid), bcast_model_cost(b, u));
+    EXPECT_GT(bcast_model_cost(b, u, 3, &mid), bcast_model_cost(b, u));
   }
 }
 

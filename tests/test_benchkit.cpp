@@ -5,7 +5,6 @@
 #include "bench/bench_util.hpp"
 #include "benchkit/imb.hpp"
 #include "benchkit/netpipe.hpp"
-#include "benchkit/osu.hpp"
 
 namespace han {
 namespace {
@@ -67,49 +66,6 @@ TEST(NetpipeDriver, ExplicitPeers) {
   opt.rank_b = 4;  // node 2
   auto pts = benchkit::netpipe(w, opt);
   EXPECT_GT(pts[0].one_way_sec, w.profile().net_latency);
-}
-
-
-TEST(OsuDrivers, LatencyMatchesNetpipeScale) {
-  mpi::SimWorld w(machine::make_aries(2, 2));
-  benchkit::OsuOptions opt;
-  opt.sizes = {8, 64 << 10};
-  auto lat = benchkit::osu_latency(w, opt);
-  ASSERT_EQ(lat.size(), 2u);
-  EXPECT_GT(lat[0].latency_sec, w.profile().net_latency);
-  EXPECT_GT(lat[1].latency_sec, lat[0].latency_sec);
-}
-
-TEST(OsuDrivers, WindowedBwExceedsPingPongBw) {
-  // osu_bw keeps a window in flight, hiding per-message stalls: its
-  // mid-size bandwidth must beat the ping-pong (netpipe) figure — the
-  // very effect HAN's pipelining exploits.
-  mpi::SimWorld w1(machine::make_aries(2, 2));
-  benchkit::OsuOptions opt;
-  opt.sizes = {128 << 10};
-  auto bw = benchkit::osu_bw(w1, opt);
-
-  mpi::SimWorld w2(machine::make_aries(2, 2));
-  benchkit::NetpipeOptions nopt;
-  nopt.sizes = {128 << 10};
-  auto pp = benchkit::netpipe(w2, nopt);
-
-  EXPECT_GT(bw[0].bandwidth_gbps, pp[0].bandwidth_gbps * 1.3);
-  EXPECT_LT(bw[0].bandwidth_gbps, 10.0);  // never above the NIC
-}
-
-TEST(OsuDrivers, MultiPairSharesTheNic) {
-  mpi::SimWorld w(machine::make_aries(2, 4));
-  benchkit::OsuOptions opt;
-  opt.sizes = {256 << 10};
-  opt.pairs = 4;
-  auto mbw = benchkit::osu_mbw_mr(w, opt);
-  ASSERT_EQ(mbw.size(), 1u);
-  EXPECT_EQ(mbw[0].pairs, 4);
-  // Aggregate stays within the single NIC's capacity.
-  EXPECT_LE(mbw[0].aggregate_gbps, 10.0 * 1.01);
-  EXPECT_GT(mbw[0].aggregate_gbps, 5.0);
-  EXPECT_GT(mbw[0].messages_per_sec, 0.0);
 }
 
 TEST(BenchArgs, FlagParsing) {

@@ -2,6 +2,7 @@
 // communicators, tag-matched P2P (eager + rendezvous), local primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -405,6 +406,94 @@ TEST(P2p, ManyToOneCongestionSlowsDown) {
   EXPECT_GT(four, one * 2.5);  // NIC rx is shared: ~4x serialization
 }
 
+/// Streams `iters` windows of `window` concurrent `bytes` sends from each
+/// world rank in `senders` to the rank `shift` above it; every window ends
+/// with a zero-byte ack. Returns the aggregate bytes/sec from the first
+/// send to the last sender's final ack.
+double stream_bandwidth(SimWorld& w, const std::vector<int>& senders,
+                        int shift, std::size_t bytes, int window, int iters) {
+  const double t0 = w.now();
+  double last_done = t0;
+  w.run([&](Rank& rank) -> CoTask {
+    const int me = rank.world_rank;
+    const bool sends =
+        std::find(senders.begin(), senders.end(), me) != senders.end();
+    const bool recvs = std::find(senders.begin(), senders.end(),
+                                 me - shift) != senders.end();
+    if (!sends && !recvs) return [](SimWorld&) -> CoTask { co_return; }(w);
+    return [](SimWorld& w8, int me2, int peer, bool sender,
+              std::size_t bytes2, int window2, int iters2,
+              double& last_done2) -> CoTask {
+      const Comm& c = w8.world_comm();
+      for (int it = 0; it < iters2; ++it) {
+        std::vector<Request> reqs;
+        for (int i = 0; i < window2; ++i) {
+          const BufView buf = BufView::timing_only(bytes2);
+          reqs.push_back(sender ? w8.isend(c, me2, peer, it * 1000 + i, buf)
+                                : w8.irecv(c, me2, peer, it * 1000 + i, buf));
+        }
+        co_await wait_all(w8.engine(), std::move(reqs));
+        const BufView ack = BufView::timing_only(0);
+        Request r = sender ? w8.irecv(c, me2, peer, 900000 + it, ack)
+                           : w8.isend(c, me2, peer, 900000 + it, ack);
+        co_await *r;
+      }
+      if (sender) last_done2 = std::max(last_done2, w8.now());
+    }(w, me, sends ? me + shift : me - shift, sends, bytes, window, iters,
+      last_done);
+  });
+  return static_cast<double>(bytes) * window * iters *
+         static_cast<double>(senders.size()) / (last_done - t0);
+}
+
+TEST(P2p, WindowedStreamBeatsPingPongBandwidth) {
+  // A window of sends in flight hides the per-message stalls a ping-pong
+  // pays on every round trip — the effect HAN's pipelining exploits.
+  const std::size_t bytes = 128 << 10;
+  SimWorld ws(tiny());
+  const double windowed = stream_bandwidth(ws, {0}, 2, bytes, 16, 4);
+
+  SimWorld wp(tiny());
+  const int iters = 4;
+  double round_trips = 0.0;
+  wp.run([&](Rank& rank) -> CoTask {
+    const int me = rank.world_rank;
+    if (me != 0 && me != 2) return [](SimWorld&) -> CoTask { co_return; }(wp);
+    return [](SimWorld& w9, int me2, int iters2, std::size_t bytes2,
+              double& elapsed) -> CoTask {
+      const Comm& c = w9.world_comm();
+      const BufView buf = BufView::timing_only(bytes2);
+      for (int i = 0; i < iters2; ++i) {
+        const bool ping = me2 == 0;
+        const int peer = ping ? 2 : 0;
+        Request first = ping ? w9.isend(c, me2, peer, i, buf)
+                             : w9.irecv(c, me2, peer, i, buf);
+        co_await *first;
+        Request second = ping ? w9.irecv(c, me2, peer, 1000 + i, buf)
+                              : w9.isend(c, me2, peer, 1000 + i, buf);
+        co_await *second;
+      }
+      if (me2 == 0) elapsed = w9.now();
+    }(wp, me, iters, bytes, round_trips);
+  });
+  const double ping_pong =
+      static_cast<double>(bytes) / (round_trips / iters / 2.0);
+
+  EXPECT_GT(windowed, ping_pong * 1.3);
+  EXPECT_LT(windowed, ws.profile().nic_bandwidth);  // never above the NIC
+}
+
+TEST(P2p, FourPairsOnOneNodeShareItsNic) {
+  // Ranks 0..3 of node 0 each stream to their partner on node 1: the
+  // aggregate is bounded by the one NIC and fills more than half of it.
+  SimWorld w(tiny(2, 4));
+  const double aggregate =
+      stream_bandwidth(w, {0, 1, 2, 3}, 4, 256 << 10, 16, 4);
+  const double nic = w.profile().nic_bandwidth;
+  EXPECT_LE(aggregate, nic * 1.01);
+  EXPECT_GT(aggregate, nic * 0.5);
+}
+
 // --- local primitives -------------------------------------------------
 
 CoTask await_req(Request r, double* done, SimWorld& w) {
@@ -483,6 +572,31 @@ TEST(SyncDomainTest, MultipleRounds) {
     }(w, rank.world_rank, rounds_done);
   });
   EXPECT_EQ(rounds_done, 5);
+}
+
+TEST(TimeRoundsTest, EachRoundCostsItsSlowestRank) {
+  // Rank r computes (r + 1) * (round + 1) ms; rank 3 sits every round out
+  // on an already-complete request.
+  SimWorld w(tiny(1, 4));
+  std::vector<std::vector<double>> started(3);
+  const std::vector<double> cost =
+      time_rounds(w, 3, [&](int rank, int round) {
+        started[round].push_back(w.now());
+        if (rank == 3) return wait_all(w.engine(), {}).gate();
+        return w.compute(rank, 1e-3 * (rank + 1) * (round + 1));
+      });
+  ASSERT_EQ(cost.size(), 3u);
+  double round_start = 0.0;
+  for (int r = 0; r < 3; ++r) {
+    // Rank 2 is the slowest.
+    EXPECT_NEAR(cost[r], 3e-3 * (r + 1), 1e-12);
+    // Every rank starts round r together, once round r - 1's slowest rank
+    // finished.
+    ASSERT_EQ(started[r].size(), 4u);
+    for (double t : started[r]) EXPECT_NEAR(t, round_start, 1e-12);
+    round_start += cost[r];
+  }
+  EXPECT_NEAR(w.now(), round_start, 1e-12);
 }
 
 TEST(WaitAllTest, EmptySetCompletesImmediately) {

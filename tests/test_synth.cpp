@@ -570,37 +570,5 @@ TEST(SynthEngine3Test, NumaSynthesisVerifiesCleanAndBeatsLadderBaseline) {
   EXPECT_EQ(r.to_json(), synth::run_synthesis(opts).to_json());
 }
 
-// --- search-space axis ------------------------------------------------------
-
-TEST(SynthSearchSpaceTest, SchedAxisCrossesMatchingKindsOnly) {
-  tune::SearchSpace space;
-  space.fs_sizes = {64 << 10};
-  space.imods = {"adapt"};
-  space.smods = {"sm"};
-  space.adapt_algs = {coll::Algorithm::Binary};
-  space.adapt_inter_segments = {32 << 10};
-  const std::size_t plain =
-      space.enumerate(CollKind::Allreduce).size();
-
-  space.scheds = {SynthSpec::canonical(CollKind::Allreduce).id(),
-                  SynthSpec::canonical(CollKind::Bcast).id()};
-  const std::vector<HanConfig> ar = space.enumerate(CollKind::Allreduce);
-  // One matching id doubles the space; the bcast id is skipped.
-  EXPECT_EQ(ar.size(), plain * 2);
-  std::size_t with_sched = 0;
-  for (const HanConfig& cfg : ar) {
-    if (!cfg.sched.empty()) {
-      ++with_sched;
-      EXPECT_EQ(cfg.sched, space.scheds[0]);
-    }
-  }
-  EXPECT_EQ(with_sched, plain);
-
-  // Unknown kinds keep the plain space (no sched id applies).
-  for (const HanConfig& cfg : space.enumerate(CollKind::Gather)) {
-    EXPECT_TRUE(cfg.sched.empty());
-  }
-}
-
 }  // namespace
 }  // namespace han
